@@ -2,10 +2,16 @@
 model-check scripts, and run the bundled corpus.
 
 Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 parse error,
-3 step error, 4 model counterexample.  ``--json`` renders one report object
-(newline-delimited, one per file, for ``corpus``); JSON reports carry
-``elapsed_ms: null`` so that identical inputs produce byte-identical output,
-and wall-clock timing appears only in the human-readable rendering.
+3 step error, 4 model counterexample, 5 vacuous model check (trials ran but
+no valuation met the hypotheses, so no step was checked).  For ``corpus``
+the first parse, step or counterexample failure sets the exit code, and 5
+applies only when there is none.  A report's ``status`` is one of ``ok``,
+``parse-error``, ``step-error``, ``counterexample`` and ``vacuous``.
+
+``--json`` renders one report object (newline-delimited, one per file, for
+``corpus``); JSON reports carry ``elapsed_ms: null`` so that identical inputs
+produce byte-identical output, and wall-clock timing appears only in the
+human-readable rendering.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_STEP = 3
 EXIT_COUNTEREXAMPLE = 4
+EXIT_VACUOUS = 5
 
 CORPUS_DIR_ENV = "EUKLEIA_CORPUS_DIR"
 
@@ -203,6 +210,11 @@ def _cmd_modelcheck(args) -> int:
         lines += [f"  {name} = {angle}" for name, angle in valuation.items()]
         _emit(args, rep, lines, started)
         return EXIT_COUNTEREXAMPLE
+    if outcome.vacuous:
+        rep = _report("modelcheck", "vacuous", file=args.path, trials=outcome.trials, satisfied=0)
+        _emit(args, rep, [f"vacuous: {args.path} (0/{outcome.trials} trials satisfied the hypotheses, "
+                          "nothing checked)"], started)
+        return EXIT_VACUOUS
     rep = _report("modelcheck", "ok", file=args.path, trials=outcome.trials, satisfied=outcome.satisfied)
     _emit(args, rep, [f"ok: {args.path} ({outcome.satisfied}/{outcome.trials} trials satisfied, no counterexample)"],
           started)
@@ -235,7 +247,7 @@ def _cmd_corpus(args) -> int:
             reports.append(_report("corpus", "parse-error", file=name, span=exc.span,
                                    detail={"message": exc.message}))
             rows.append((name, "parse-error", exc.message))
-            if exit_code == EXIT_OK:
+            if exit_code in (EXIT_OK, EXIT_VACUOUS):
                 exit_code = EXIT_PARSE
             continue
         try:
@@ -244,7 +256,7 @@ def _cmd_corpus(args) -> int:
             reports.append(_report("corpus", "step-error", file=name, step=exc.label, span=exc.span,
                                    detail={"message": exc.reason}))
             rows.append((name, "step-error", f"{exc.label}: {exc.reason}"))
-            if exit_code == EXIT_OK:
+            if exit_code in (EXIT_OK, EXIT_VACUOUS):
                 exit_code = EXIT_STEP
             continue
         outcome = model_check_derivation(derivation, args.trials, args.seed)
@@ -254,8 +266,15 @@ def _cmd_corpus(args) -> int:
             reports.append(_report("corpus", "counterexample", file=name, step=cx.step,
                                    valuation=valuation, trials=outcome.trials, satisfied=outcome.satisfied))
             rows.append((name, "counterexample", f"step {cx.step}"))
-            if exit_code == EXIT_OK:
+            if exit_code in (EXIT_OK, EXIT_VACUOUS):
                 exit_code = EXIT_COUNTEREXAMPLE
+            continue
+        if outcome.vacuous:
+            reports.append(_report("corpus", "vacuous", file=name, trials=outcome.trials, satisfied=0,
+                                   detail={"steps": len(derivation.steps)}))
+            rows.append((name, "vacuous", f"0/{outcome.trials} trials satisfied the hypotheses"))
+            if exit_code == EXIT_OK:
+                exit_code = EXIT_VACUOUS
             continue
         reports.append(_report("corpus", "ok", file=name, trials=outcome.trials,
                                satisfied=outcome.satisfied,
@@ -275,6 +294,16 @@ def _cmd_corpus(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _trial_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -303,13 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("modelcheck", help="check a script, then model-check it on random valuations")
     p_model.add_argument("path")
-    p_model.add_argument("--trials", type=int, default=1000)
+    p_model.add_argument("--trials", type=_trial_count, default=1000)
     p_model.add_argument("--seed", type=int, default=0)
     p_model.add_argument("--json", action="store_true")
     p_model.set_defaults(func=_cmd_modelcheck)
 
     p_corpus = sub.add_parser("corpus", help="check and model-check every bundled corpus file")
-    p_corpus.add_argument("--trials", type=int, default=200)
+    p_corpus.add_argument("--trials", type=_trial_count, default=200)
     p_corpus.add_argument("--seed", type=int, default=0)
     p_corpus.add_argument("--json", action="store_true")
     p_corpus.set_defaults(func=_cmd_corpus)

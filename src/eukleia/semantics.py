@@ -4,13 +4,21 @@ A judgment becomes true or false once every variable denotes an angle.  The
 checker's rules are exercised against this model by drawing randomized
 valuations that satisfy a derivation's hypotheses and asserting every step's
 judgment; a failure is a counterexample to the rule set, not an exception.
+
+Valuations are generated by construction rather than by filtering: a
+:class:`SamplingPlan`, built once per hypothesis set, draws some variables
+and derives the rest.  Splitting is the inverse of ``add_two``, so a split
+onto a known whole is satisfied by drawing one part and solving for the
+other; Eq hypotheses with a lone variable side are solved by composition.
+Candidates that construction cannot guarantee are still checked against
+every hypothesis before they are used.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from .calculus import (
     Congr,
@@ -35,6 +43,7 @@ from .kernel import AngleLit, AngleOverflow, add_two, angle_from_slope_vector
 __all__ = [
     "Counterexample",
     "ModelCheckReport",
+    "SamplingPlan",
     "Unsatisfied",
     "UnboundVariable",
     "Valuation",
@@ -47,6 +56,10 @@ __all__ = [
 Valuation = Dict[str, AngleLit]
 
 DEFAULT_BUDGET = 10_000
+
+# Trials in a row whose budget ran out, with none satisfied before them, after
+# which a model-check run gives up as vacuous.
+VACUOUS_STREAK = 3
 
 
 class UnboundVariable(KeyError):
@@ -118,125 +131,201 @@ def _random_angle(rng: random.Random) -> AngleLit:
             return angle_from_slope_vector(x, y)
 
 
+def _split_off(whole: AngleLit, part: AngleLit) -> Optional[AngleLit]:
+    """The angle ``c`` with ``add_two(part, c) == whole``, or None if none exists.
+
+    ``whole * conj(part)`` has the difference of the two measures as its
+    argument, which is an angle exactly when it lies in (0, pi).
+    """
+    x = whole.x * part.x + whole.y * part.y
+    y = whole.y * part.x - whole.x * part.y
+    return angle_from_slope_vector(x, y) if y > 0 else None
+
+
+# A value's key while sampling: a union-find root for a variable, the angle
+# itself for a literal.
+_Key = Union[str, AngleLit]
+
+_COMPOSE = "compose"  # the target is the sum of the inputs, rejected on overflow
+_SOLVE = "solve"  # the target is inputs[0] split off by inputs[1], rejected unless positive
+
+
+class SamplingPlan:
+    """How to construct valuations of ``variables`` that satisfy ``hypotheses``.
+
+    Built once per hypothesis set.  Congr aliases variables (union-find) or
+    pins them to a literal.  Each remaining root is either drawn at random or
+    derived from values already known, in an order the plan fixes:
+
+    - ``Split W p1 p2`` onto a variable whole composes ``W = p1 + p2``;
+    - ``Split W p1 p2`` whose whole is a literal, pinned, or derived by
+      another hypothesis solves its undetermined part as ``W`` minus the
+      other part (drawn if it has no other source);
+    - ``Eq {v} {t1, ..., tk}`` with a lone undetermined variable side
+      composes ``v = t1 + ... + tk``.
+
+    Roots on a dependency cycle are drawn instead, leaving their hypothesis
+    to the final check.  Lt hypotheses and anything not solved are only
+    checked: every candidate must satisfy every hypothesis under
+    :func:`eval_judgment` before it is returned.
+    """
+
+    def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
+        names = list(dict.fromkeys(variables))
+        self.hypotheses = tuple(hypotheses)
+        declared = set(names)
+        for h in self.hypotheses:
+            stray = judgment_variables(h) - declared
+            if stray:
+                raise UnboundVariable(sorted(stray)[0])
+
+        parent: dict[str, str] = {n: n for n in names}
+
+        def find(n: str) -> str:
+            while parent[n] != n:
+                parent[n] = parent[parent[n]]
+                n = parent[n]
+            return n
+
+        self.impossible = False
+        for h in self.hypotheses:
+            if isinstance(h, Congr):
+                if isinstance(h.a, Var) and isinstance(h.b, Var):
+                    parent[find(h.b.name)] = find(h.a.name)
+                elif isinstance(h.a, Lit) and isinstance(h.b, Lit) and h.a != h.b:
+                    self.impossible = True
+            elif isinstance(h, Falsum):
+                self.impossible = True
+        pinned: dict[str, AngleLit] = {}
+        for h in self.hypotheses:
+            if isinstance(h, Congr) and isinstance(h.a, Var) != isinstance(h.b, Var):
+                var, lit = (h.a, h.b) if isinstance(h.a, Var) else (h.b, h.a)
+                root = find(var.name)
+                if pinned.get(root, lit.angle) != lit.angle:
+                    self.impossible = True
+                pinned[root] = lit.angle
+
+        def key(t: Term) -> _Key:
+            return t.angle if isinstance(t, Lit) else find(t.name)
+
+        # rules[root] = (action, inputs, index of the hypothesis it comes from)
+        rules: dict[_Key, tuple[str, tuple[_Key, ...], int]] = {}
+        for i, h in enumerate(self.hypotheses):
+            if isinstance(h, Split) and isinstance(h.whole, Var):
+                whole = key(h.whole)
+                if whole not in pinned and whole not in rules:
+                    rules[whole] = (_COMPOSE, (key(h.part1), key(h.part2)), i)
+
+        def free(t: Term) -> bool:
+            return isinstance(t, Var) and key(t) not in pinned and key(t) not in rules
+
+        for i, h in enumerate(self.hypotheses):
+            if isinstance(h, Split):
+                whole = key(h.whole)
+                if whole in rules and rules[whole][2] == i:
+                    continue
+                if free(h.part2):
+                    rules[key(h.part2)] = (_SOLVE, (whole, key(h.part1)), i)
+                elif free(h.part1):
+                    rules[key(h.part1)] = (_SOLVE, (whole, key(h.part2)), i)
+            elif isinstance(h, Eq):
+                for lone, other in ((h.lhs, h.rhs), (h.rhs, h.lhs)):
+                    if len(lone.terms) == 1 and free(lone.terms[0]) and other.terms:
+                        rules[key(lone.terms[0])] = (_COMPOSE, tuple(key(t) for t in other.terms), i)
+                        break
+
+        # Order the rules so that every input is known before it is used.
+        drawn = {find(n) for n in names} - pinned.keys() - rules.keys()
+        known = set(drawn) | pinned.keys()
+        pending = list(rules)
+        actions = []
+        while pending:
+            ready = [r for r in pending
+                     if all(isinstance(k, AngleLit) or k in known for k in rules[r][1])]
+            if not ready:
+                # Every unknown input is a pending root; following unknown
+                # inputs from any pending root must enter a cycle.
+                r, seen = pending[0], set()
+                while r not in seen:
+                    seen.add(r)
+                    r = next(k for k in rules[r][1] if k in rules and k not in known)
+                drawn.add(r)
+                known.add(r)
+                pending.remove(r)
+                continue
+            for r in ready:
+                action, inputs, _ = rules[r]
+                actions.append((action, r, inputs))
+                known.add(r)
+            pending = [r for r in pending if r not in known]
+
+        self.roots = tuple((n, find(n)) for n in names)
+        # One draw per drawn root, in the order of the variables, so that a
+        # seed keeps drawing the same valuations for hypothesis sets whose
+        # drawn roots are unchanged.
+        self.draws = tuple(r for r in dict.fromkeys(find(n) for n in names) if r in drawn)
+        self.actions = tuple(actions)
+        literals = {k: k for _, _, inputs in actions for k in inputs if isinstance(k, AngleLit)}
+        self.fixed: dict[_Key, AngleLit] = {**literals, **pinned}
+
+    def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
+        """Propose up to ``budget`` candidates; return the first satisfying one."""
+        if self.impossible:
+            raise Unsatisfied(budget)
+        rng = random.Random(seed)
+        for _ in range(budget):
+            values = dict(self.fixed)
+            for root in self.draws:
+                values[root] = _random_angle(rng)
+            if not self._derive(values):
+                continue
+            valuation = {n: values[r] for n, r in self.roots}
+            if all(eval_judgment(h, valuation) for h in self.hypotheses):
+                return valuation
+        raise Unsatisfied(budget)
+
+    def _derive(self, values: dict) -> bool:
+        for action, target, inputs in self.actions:
+            if action is _SOLVE:
+                angle = _split_off(values[inputs[0]], values[inputs[1]])
+                if angle is None:
+                    return False
+            else:
+                angle = values[inputs[0]]
+                try:
+                    for k in inputs[1:]:
+                        angle = add_two(angle, values[k])
+                except AngleOverflow:
+                    return False
+            values[target] = angle
+        return True
+
+
 def random_valuation(
     variables: Iterable[str],
     hypotheses: Sequence[Judgment],
     seed: int = 0,
     *,
     budget: int = DEFAULT_BUDGET,
+    plan: Optional[SamplingPlan] = None,
 ) -> Valuation:
     """Draw a valuation of ``variables`` satisfying every hypothesis.
 
-    Deterministic for a fixed seed.  Split hypotheses are satisfied by
-    construction where possible: parts are drawn first and wholes composed,
-    rejecting overflow.  Congr aliases its two sides.  Everything else -
-    Eq/Lt hypotheses, splits onto fixed wholes - goes through rejection
-    sampling.  Raises Unsatisfied once the retry budget is spent.
+    Deterministic for a fixed seed.  Candidates are constructed by a
+    :class:`SamplingPlan`: split wholes are composed from their parts, parts
+    of splits onto known wholes are solved from the whole, ``Eq`` with a lone
+    variable side is solved by composition, and Congr aliases or pins; the
+    remaining variables are drawn at random.  Every candidate is then checked
+    against every hypothesis, and a candidate that fails (an overflow, a
+    negative remainder, an Lt or other unsolved hypothesis) is rejected.
+    Raises Unsatisfied once ``budget`` candidates have been rejected.
+
+    ``plan`` is a plan already built from these variables and hypotheses;
+    passing one saves rebuilding it on every call.
     """
-    names = list(dict.fromkeys(variables))
-    hyps = list(hypotheses)
-    known = set(names)
-    for h in hyps:
-        stray = judgment_variables(h) - known
-        if stray:
-            raise UnboundVariable(sorted(stray)[0])
-
-    # Union-find over variables aliased by Congr; a group may be pinned to a
-    # concrete angle by a Congr with a literal side.
-    parent: dict[str, str] = {n: n for n in names}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    pinned: dict[str, AngleLit] = {}
-    impossible = False
-    splits: list[Split] = []
-    for h in hyps:
-        if isinstance(h, Congr):
-            sides = (h.a, h.b)
-            if all(isinstance(t, Var) for t in sides):
-                union(h.a.name, h.b.name)  # type: ignore[union-attr]
-            elif all(isinstance(t, Lit) for t in sides):
-                if sides[0] != sides[1]:
-                    impossible = True
-        elif isinstance(h, Split):
-            splits.append(h)
-        elif isinstance(h, Falsum):
-            impossible = True
-    for h in hyps:
-        if isinstance(h, Congr):
-            var_side = next((t for t in (h.a, h.b) if isinstance(t, Var)), None)
-            lit_side = next((t for t in (h.a, h.b) if isinstance(t, Lit)), None)
-            if var_side is not None and lit_side is not None:
-                root = find(var_side.name)
-                if root in pinned and pinned[root] != lit_side.angle:
-                    impossible = True
-                pinned[root] = lit_side.angle
-
-    composed_roots = {find(s.whole.name) for s in splits if isinstance(s.whole, Var)}
-
-    def term_value(t: Term, values: dict[str, AngleLit]) -> Optional[AngleLit]:
-        if isinstance(t, Lit):
-            return t.angle
-        return values.get(find(t.name))
-
-    rng = random.Random(seed)
-    for _ in range(budget):
-        if impossible:
-            continue
-        values = dict(pinned)
-        ok = True
-        for n in names:
-            root = find(n)
-            if root not in values and root not in composed_roots:
-                values[root] = _random_angle(rng)
-        # Compose split wholes from their parts until no split makes progress;
-        # chained splits resolve in dependency order, cycles simply stall.
-        remaining = list(splits)
-        while ok and remaining:
-            progressed = False
-            deferred = []
-            for s in remaining:
-                p1 = term_value(s.part1, values)
-                p2 = term_value(s.part2, values)
-                if p1 is None or p2 is None:
-                    deferred.append(s)
-                    continue
-                try:
-                    whole = add_two(p1, p2)
-                except AngleOverflow:
-                    ok = False
-                    break
-                known = term_value(s.whole, values)
-                if known is not None:
-                    if known != whole:
-                        ok = False
-                        break
-                else:
-                    values[find(s.whole.name)] = whole  # type: ignore[union-attr]
-                progressed = True
-            if not ok:
-                break
-            if deferred and not progressed:
-                ok = False  # stalled on a cyclic split chain
-                break
-            remaining = deferred
-        if not ok:
-            continue
-        if any(find(n) not in values for n in names):
-            continue
-        valuation = {n: values[find(n)] for n in names}
-        if all(eval_judgment(h, valuation) for h in hyps):
-            return valuation
-    raise Unsatisfied(budget)
+    if plan is None:
+        plan = SamplingPlan(variables, hypotheses)
+    return plan.sample(seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +344,18 @@ class ModelCheckReport:
     """Outcome of model-checking a derivation.
 
     ``trials`` counts attempts made (the full request, unless a
-    counterexample stopped the run early); ``satisfied`` counts attempts
-    whose sampled valuation met the hypotheses.
+    counterexample or a vacuous start stopped the run early); ``satisfied``
+    counts attempts whose sampled valuation met the hypotheses.
     """
 
     trials: int
     satisfied: int
     counterexample: Optional[Counterexample]
+
+    @property
+    def vacuous(self) -> bool:
+        """Trials ran but no valuation met the hypotheses, so nothing was checked."""
+        return self.trials > 0 and self.satisfied == 0
 
     def to_dict(self) -> dict:
         cx = None
@@ -295,14 +389,20 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
 
     Steps inside a Cases branch are checked only when that branch's
     comparison holds under the valuation.  The first counterexample (lowest
-    trial index) stops the run.  Identical inputs produce identical reports.
+    trial index) stops the run, and so do the first ``VACUOUS_STREAK``
+    trials when none of them met the hypotheses.  The sampling plan is built
+    once for all trials.  Identical inputs produce identical reports.
     """
     hyp_judgments = [h.judgment for h in derivation.hypotheses]
+    plan = SamplingPlan(derivation.variables, hyp_judgments)
     satisfied = 0
     for i in range(trials):
         try:
-            valuation = random_valuation(derivation.variables, hyp_judgments, seed=seed * 1_000_003 + i)
+            valuation = random_valuation(derivation.variables, hyp_judgments, seed=seed * 1_000_003 + i,
+                                         plan=plan)
         except Unsatisfied:
+            if satisfied == 0 and i + 1 >= VACUOUS_STREAK:
+                return ModelCheckReport(trials=i + 1, satisfied=0, counterexample=None)
             continue
         satisfied += 1
         bad = _first_false(derivation.steps, valuation)

@@ -1,15 +1,19 @@
 import json
+import time
 
 import pytest
 
 from eukleia import cli
-from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, main
+from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_VACUOUS, main
 from eukleia.semantics import Counterexample, ModelCheckReport
 
 from conftest import CORPUS_DIR, ang
 
 JSON_FIELDS = {"command", "status", "file", "step", "span", "valuation", "result",
                "trials", "satisfied", "detail", "elapsed_ms"}
+
+# Checks, but no valuation can satisfy both hypotheses.
+VACUOUS_SCRIPT = "vars a b;\nhyp H1: Lt {a} {b};\nhyp H2: Lt {b} {a};\nS1: Lt {a} {b} by hypothesis H1;\n"
 
 
 def run(capsys, *argv):
@@ -125,6 +129,31 @@ class TestModelcheck:
         assert code == EXIT_OK
         assert rep["trials"] == 0 and rep["satisfied"] == 0
 
+    def test_unsatisfiable_hypotheses_are_vacuous(self, capsys, tmp_path):
+        path = tmp_path / "vacuous.eap"
+        path.write_text(VACUOUS_SCRIPT, encoding="utf-8")
+        started = time.perf_counter()
+        code, (rep,) = run_json(capsys, "modelcheck", str(path))
+        elapsed = time.perf_counter() - started
+        assert code == EXIT_VACUOUS
+        assert rep["status"] == "vacuous"
+        assert rep["trials"] == 3 and rep["satisfied"] == 0
+        assert elapsed < 5
+        code, out = run(capsys, "modelcheck", str(path), "--trials", "1")
+        assert code == EXIT_VACUOUS
+        assert out.startswith(f"vacuous: {path} (0/1 trials satisfied the hypotheses")
+        code, (rep,) = run_json(capsys, "modelcheck", str(path), "--trials", "0")
+        assert code == EXIT_OK
+        assert rep["status"] == "ok"
+
+    @pytest.mark.parametrize("argv", [["modelcheck", str(CORPUS_DIR / "prop16.eap")], ["corpus"]],
+                             ids=["modelcheck", "corpus"])
+    def test_negative_trials_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--trials", "-5"])
+        assert exit_.value.code == 2
+        assert "--trials: must be 0 or more" in capsys.readouterr().err
+
     def test_rejects_unchecked_files_first(self, capsys):
         code, _ = run(capsys, "modelcheck", str(CORPUS_DIR / "prop13_broken.eap"))
         assert code == EXIT_STEP
@@ -173,6 +202,25 @@ class TestCorpus:
         assert code == EXIT_STEP
         assert rep["status"] == "step-error"
         assert rep["step"] == "S6"
+
+    def test_vacuous_file(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "vacuous.eap").write_text(VACUOUS_SCRIPT, encoding="utf-8")
+        (tmp_path / "prop16.eap").write_text((CORPUS_DIR / "prop16.eap").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
+        code, reports = run_json(capsys, "corpus", "--trials", "1")
+        assert code == EXIT_VACUOUS
+        assert [(rep["file"], rep["status"]) for rep in reports] == [("prop16.eap", "ok"),
+                                                                     ("vacuous.eap", "vacuous")]
+
+    def test_vacuous_ranks_below_failures(self, capsys, tmp_path, monkeypatch):
+        # The vacuous file comes first, yet the later parse error sets the code.
+        (tmp_path / "a_vacuous.eap").write_text(VACUOUS_SCRIPT, encoding="utf-8")
+        (tmp_path / "junk.eap").write_text("not a proof", encoding="utf-8")
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
+        code, reports = run_json(capsys, "corpus", "--trials", "1")
+        assert code == EXIT_PARSE
+        assert [rep["status"] for rep in reports] == ["vacuous", "parse-error"]
 
     def test_env_override_with_parse_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "junk.eap").write_text("not a proof", encoding="utf-8")

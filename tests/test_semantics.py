@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eukleia.calculus import (
     Congr,
@@ -20,7 +21,9 @@ from eukleia.calculus import (
 )
 from eukleia.dsl import parse_proof
 from eukleia.kernel import AngleOverflow, Ordering, add_two, compare_multisets, right_angle
+from eukleia import semantics
 from eukleia.semantics import (
+    SamplingPlan,
     Unsatisfied,
     UnboundVariable,
     eval_judgment,
@@ -111,6 +114,150 @@ class TestRandomValuation:
         assert set(v) == {"p", "q", "r"}
 
 
+def load_proof(name):
+    return parse_proof((CORPUS_DIR / f"{name}.eap").read_text(encoding="utf-8"))
+
+
+def hypothesis_set(name):
+    if name == "split-chain":
+        d = parse_proof("vars w1 w2 p q r; hyp H1: Split w1 p q; hyp H2: Split w2 w1 r;")
+    else:
+        d = load_proof(name)
+    return d.variables, [h.judgment for h in d.hypotheses]
+
+
+# random_valuation outputs for seeds 0-9 as recorded before the sampling plan
+# existed: hypothesis sets the old sampler already built by construction must
+# keep drawing the same valuations, so that model-check reports stay
+# byte-identical for a seed.
+GOLDEN = {
+    "prop16": [
+        {"a": (-14, 19), "b": (-14, 19), "c": (-2, 7), "d": (-16, 1)},
+        {"a": (17, 11), "b": (17, 11), "c": (12, 5), "d": (5, 6)},
+        {"a": (0, 1), "b": (0, 1), "c": (7, 13), "d": (-2, 3)},
+        {"a": (-4, 3), "b": (-4, 3), "c": (-2, 19), "d": (-18, 1)},
+        {"a": (-3, 1), "b": (-3, 1), "c": (5, 11), "d": (-18, 5)},
+        {"a": (1, 3), "b": (1, 3), "c": (8, 3), "d": (1, 13)},
+        {"a": (-1, 2), "b": (-1, 2), "c": (3, 11), "d": (-2, 3)},
+        {"a": (-17, 16), "b": (-17, 16), "c": (17, 5), "d": (-6, 5)},
+        {"a": (13, 6), "b": (13, 6), "c": (5, 2), "d": (4, 19)},
+        {"a": (-15, 17), "b": (-15, 17), "c": (5, 6), "d": (-13, 5)},
+    ],
+    "prop25": [
+        {"bac": (-9, 58), "edf": (2, 3), "rest": (12, 11)},
+        {"bac": (149, 217), "edf": (17, 11), "rest": (12, 5)},
+        {"bac": (-47, 18), "edf": (-10, 7), "rest": (4, 1)},
+        {"bac": (13, 44), "edf": (14, 15), "rest": (2, 1)},
+        {"bac": (-153, 116), "edf": (13, 14), "rest": (-1, 10)},
+        {"bac": (-132, 101), "edf": (19, 8), "rest": (-4, 7)},
+        {"bac": (-161, 137), "edf": (-11, 17), "rest": (10, 3)},
+        {"bac": (-13, 1), "edf": (7, 6), "rest": (-1, 1)},
+        {"bac": (-55, 157), "edf": (11, 9), "rest": (4, 11)},
+        {"bac": (-41, 63), "edf": (4, 3), "rest": (1, 15)},
+    ],
+    "split-chain": [
+        {"w1": (-9, 58), "w2": (-103, 281), "p": (2, 3), "q": (12, 11), "r": (5, 1)},
+        {"w1": (149, 217), "w2": (-557, 1979), "p": (17, 11), "q": (12, 5), "r": (5, 6)},
+        {"w1": (24, 23), "w2": (-9, 19), "p": (4, 1), "q": (7, 4), "r": (1, 3)},
+        {"w1": (53, 59), "w2": (47, 171), "p": (9, 2), "q": (7, 5), "r": (2, 1)},
+        {"w1": (-28, 179), "w2": (-113, 19), "p": (-1, 10), "q": (18, 1), "r": (1, 3)},
+        {"w1": (39, 59), "w2": (97, 275), "p": (11, 1), "q": (4, 5), "r": (4, 1)},
+        {"w1": (-41, 201), "w2": (-2621, 1559), "p": (6, 19), "q": (9, 5), "r": (10, 11)},
+        {"w1": (61, 152), "w2": (-231, 128), "p": (17, 9), "q": (13, 11), "r": (1, 8)},
+        {"w1": (53, 56), "w2": (-852, 1231), "p": (13, 6), "q": (5, 2), "r": (4, 19)},
+        {"w1": (9, 13), "w2": (-98, 39), "p": (1, 1), "q": (11, 2), "r": (-3, 13)},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_valuations(name):
+    variables, hyps = hypothesis_set(name)
+    for seed, expected in enumerate(GOLDEN[name]):
+        v = random_valuation(variables, hyps, seed=seed)
+        assert list(v) == list(expected)
+        assert {k: (a.x, a.y) for k, a in v.items()} == expected, f"seed {seed}"
+
+
+@pytest.mark.parametrize("name", ["prop13", "prop15"])
+def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
+    draws = 0
+    draw = semantics._random_angle
+
+    def counted(rng):
+        nonlocal draws
+        draws += 1
+        return draw(rng)
+
+    monkeypatch.setattr(semantics, "_random_angle", counted)
+    report = model_check_derivation(load_proof(name), trials=200, seed=7)
+    assert report.satisfied == 200
+    assert draws / report.satisfied <= 4
+
+
+class TestSamplingPlan:
+    def test_prop13_draws_one_part_and_derives_the_rest(self):
+        plan = SamplingPlan(*hypothesis_set("prop13"))
+        assert plan.draws == ("cba",)
+        assert [(action, target) for action, target, _ in plan.actions] == [("solve", "abe"), ("compose", "dba")]
+
+    def test_whole_derived_by_another_split(self):
+        names = ("w", "p", "q", "r", "s")
+        hyps = [Split(Var("w"), Var("p"), Var("q")), Split(Var("w"), Var("r"), Var("s"))]
+        plan = SamplingPlan(names, hyps)
+        assert plan.draws == ("p", "q", "r")
+        for seed in range(20):
+            v = random_valuation(names, hyps, seed=seed, plan=plan)
+            assert add_two(v["p"], v["q"]) == v["w"] == add_two(v["r"], v["s"])
+
+    def test_cycle_falls_back_to_drawing(self):
+        plan = SamplingPlan(("a", "b"), [Eq(multiset(a), multiset(b)), Eq(multiset(b), multiset(a))])
+        assert plan.draws == ("a",)
+        v = plan.sample(seed=4)
+        assert v["a"] == v["b"]
+
+    def test_pinned_whole_is_split(self):
+        v = random_valuation(("w", "p", "q"), [Congr(Var("w"), R), Split(Var("w"), Var("p"), Var("q"))], seed=8)
+        assert add_two(v["p"], v["q"]) == v["w"] == right_angle()
+
+
+# Any whole the sampler can split: the sum of two angles from its draw range.
+draw_range = st.builds(ang, st.integers(-20, 20), st.integers(1, 20))
+seeds = st.integers(0, 2**32)
+
+
+@given(draw_range, draw_range, seeds)
+def test_split_onto_literal_whole_composes_back(b_, c_, seed):
+    try:
+        whole = add_two(b_, c_)
+    except AngleOverflow:
+        return
+    v = random_valuation(("p", "q"), [Split(Lit(whole), Var("p"), Var("q"))], seed=seed)
+    assert add_two(v["p"], v["q"]) == whole
+
+
+@given(seeds)
+def test_split_onto_right_angle_composes_back(seed):
+    v = random_valuation(("p", "q"), [Split(R, Var("p"), Var("q"))], seed=seed)
+    assert add_two(v["p"], v["q"]) == right_angle()
+
+
+@given(seeds, st.booleans())
+def test_eq_with_lone_variable_side_is_composed(seed, flipped):
+    v_ = Var("v")
+    lone, pair = multiset(v_), multiset(a, b)
+    hyp = Eq(pair, lone) if flipped else Eq(lone, pair)
+    v = random_valuation(("v", "a", "b"), [hyp], seed=seed)
+    assert v["v"] == add_two(v["a"], v["b"])
+
+
+@settings(max_examples=20)
+@given(seeds)
+def test_eq_onto_two_right_angles_unsatisfied(seed):
+    with pytest.raises(Unsatisfied):
+        random_valuation(("v",), [Eq(multiset(Var("v")), multiset(R, R))], seed=seed, budget=200)
+
+
 class TestModelCheck:
     def prop13(self):
         return parse_proof((CORPUS_DIR / "prop13.eap").read_text(encoding="utf-8"))
@@ -152,6 +299,19 @@ class TestModelCheck:
     def test_zero_trials(self):
         report = model_check_derivation(self.prop13(), trials=0, seed=0)
         assert (report.trials, report.satisfied, report.counterexample) == (0, 0, None)
+
+    def test_unsatisfiable_hypotheses_stop_early_as_vacuous(self):
+        # No angle measures two right angles: every candidate overflows.
+        x = Var("x")
+        d = Derivation(
+            variables=("x",),
+            hypotheses=(Hypothesis("H1", Eq(multiset(x), multiset(R, R))),),
+            steps=(Step("S1", Eq(multiset(x), multiset(x)), Rule.EQ_REFL),),
+        )
+        report = model_check_derivation(d, trials=1000, seed=0)
+        assert (report.trials, report.satisfied, report.counterexample) == (semantics.VACUOUS_STREAK, 0, None)
+        assert report.vacuous
+        assert not model_check_derivation(d, trials=0, seed=0).vacuous
 
     def test_cases_branches_gated_by_valuation(self):
         # Branch bodies under a false case hypothesis may be false in the
