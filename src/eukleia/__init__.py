@@ -14,6 +14,7 @@ from .kernel import (
     angle_from_slope_vector,
     compare_args,
     compare_multisets,
+    compare_sums,
     right_angle,
     sum_multiset,
 )

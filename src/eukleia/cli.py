@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
 from .dsl import ParseError, SourceSpan, parse_expr, parse_proof
-from .kernel import AngleSum, Ordering, compare_multisets, sum_multiset
+from .kernel import AngleSum, Ordering, compare_sums, sum_multiset
 from .semantics import model_check_derivation
 
 EXIT_OK = 0
@@ -94,12 +94,15 @@ def _emit(args, report: dict, human_lines: Sequence[str], started: float) -> Non
         print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
 
 
-def _read_file(path: str) -> Optional[str]:
+def _read_file(path: str | Path) -> Optional[str]:
+    """The file's text; on failure print an ``error:`` line and return None."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not valid UTF-8 (byte {exc.start}: {exc.reason})", file=sys.stderr)
+    return None
 
 
 def _literal_angles(expr_text: str, command: str, args, started: float):
@@ -159,8 +162,8 @@ def _cmd_compare(args) -> int:
     rhs = _literal_angles(args.rhs, "compare", args, started)
     if rhs is None:
         return EXIT_PARSE
-    verdict = _VERDICTS[compare_multisets(lhs, rhs)]
     sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
+    verdict = _VERDICTS[compare_sums(sum_l, sum_r)]
     rep = _report("compare", "ok", result=verdict, detail={"lhs": str(sum_l), "rhs": str(sum_r)})
     _emit(args, rep, [verdict, f"lhs: {sum_l}", f"rhs: {sum_r}"], started)
     return EXIT_OK
@@ -236,10 +239,8 @@ def _cmd_corpus(args) -> int:
     exit_code = EXIT_OK
     for path in files:
         name = path.name
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        text = _read_file(path)
+        if text is None:
             return EXIT_IO
         try:
             derivation = parse_proof(text)

@@ -52,7 +52,6 @@ __all__ = [
     "ParseError",
     "SourceSpan",
     "format_derivation",
-    "format_expr",
     "parse_expr",
     "parse_proof",
 ]
@@ -215,18 +214,25 @@ class _Parser:
         self._expect("rbrace", "}")
         return MultisetExpr(tuple(terms))
 
+    def _int(self) -> int:
+        tok = self._expect("int", "integer")
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int conversion limit
+            raise ParseError(tok.span, f"integer literal too long ({len(tok.text.lstrip('-'))} digits)") from None
+
     def _parse_term(self, declared: Optional[set[str]]) -> Term:
         tok = self._expect("ident", "term")
         if tok.text == "R":
             return Lit(angle_from_slope_vector(0, 1))
         if tok.text.lower() == "ang":
             self._expect("lparen", "(")
-            x_tok = self._expect("int", "integer")
+            x = self._int()
             self._expect("slash", "/")
-            y_tok = self._expect("int", "integer")
+            y = self._int()
             close = self._expect("rparen", ")")
             try:
-                angle = angle_from_slope_vector(int(x_tok.text), int(y_tok.text))
+                angle = angle_from_slope_vector(x, y)
             except DegenerateAngle:
                 length = close.column + 1 - tok.column if close.line == tok.line else len(tok.text)
                 raise ParseError(
@@ -373,10 +379,6 @@ def parse_proof(text: str) -> Derivation:
 
 # ---------------------------------------------------------------------------
 # Pretty printing
-
-def format_expr(e: MultisetExpr) -> str:
-    return str(e)
-
 
 def _format_step(step: Step, indent: int, out: list[str]) -> None:
     pad = "    " * indent

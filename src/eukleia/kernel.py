@@ -2,10 +2,14 @@
 
 An angle is the direction of a primitive integer vector ``(x, y)`` with
 ``y > 0``; its measure is the argument of ``x + iy``, which is strictly
-between 0 and pi.  Summing angles multiplies the vectors as Gaussian
-integers while counting wrap-arounds past a full turn, so sums and
-comparisons of arbitrary finite multisets of angles stay in integer
-arithmetic throughout: no floats, no trigonometric evaluation, no rounding.
+between 0 and pi.  A sum of angles is a winding count plus a direction, and
+two sums combine by multiplying their directions as Gaussian integers and
+adding their winding counts, plus one when the product wraps past a full
+turn.  That combination is associative, so ``sum_multiset`` reduces a
+multiset pairwise in a balanced tree and the operands of each product stay
+of similar size.  Sums and comparisons of arbitrary finite multisets of
+angles stay in integer arithmetic throughout: no floats, no trigonometric
+evaluation, no rounding.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "angle_from_slope_vector",
     "compare_args",
     "compare_multisets",
+    "compare_sums",
     "right_angle",
     "sum_multiset",
 ]
@@ -109,13 +114,6 @@ class AngleSum:
         return f"turns={self.windings}, rep=({self.rep.x},{self.rep.y})"
 
 
-def _reduced(x: int, y: int) -> PlaneVector:
-    g = gcd(abs(x), abs(y))
-    if g == 0:
-        raise ValueError("zero vector has no direction")
-    return PlaneVector(x // g, y // g)
-
-
 def angle_from_slope_vector(x: int, y: int) -> AngleLit:
     """Canonical angle whose measure is the argument of the vector ``(x, y)``.
 
@@ -153,16 +151,30 @@ def angle_from_rays(apex, p, q) -> AngleLit:
     return angle_from_slope_vector(int(dot * scale), int(abs(cross) * scale))
 
 
-def _direction_rank(v: PlaneVector) -> int:
+def _direction_rank(x: int, y: int) -> int:
     # Counterclockwise from the positive x-axis: even ranks are the four
     # axes, odd ranks the four open quadrants.
-    if v.y == 0:
-        return 0 if v.x > 0 else 4
-    if v.x == 0:
-        return 2 if v.y > 0 else 6
-    if v.y > 0:
-        return 1 if v.x > 0 else 3
-    return 5 if v.x < 0 else 7
+    if y == 0:
+        return 0 if x > 0 else 4
+    if x == 0:
+        return 2 if y > 0 else 6
+    if y > 0:
+        return 1 if x > 0 else 3
+    return 5 if x < 0 else 7
+
+
+def _order(ax: int, ay: int, bx: int, by: int) -> Ordering:
+    ra, rb = _direction_rank(ax, ay), _direction_rank(bx, by)
+    if ra != rb:
+        return Ordering.LESS if ra < rb else Ordering.GREATER
+    if ra % 2 == 0:
+        return Ordering.EQUAL
+    cross = ax * by - ay * bx
+    if cross > 0:
+        return Ordering.LESS
+    if cross < 0:
+        return Ordering.GREATER
+    return Ordering.EQUAL
 
 
 def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
@@ -173,17 +185,7 @@ def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
     decides; an axis rank holds a single primitive vector, so equal axis
     ranks mean equal directions.
     """
-    ra, rb = _direction_rank(a), _direction_rank(b)
-    if ra != rb:
-        return Ordering.LESS if ra < rb else Ordering.GREATER
-    if ra % 2 == 0:
-        return Ordering.EQUAL
-    cross = a.x * b.y - a.y * b.x
-    if cross > 0:
-        return Ordering.LESS
-    if cross < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return _order(a.x, a.y, b.x, b.y)
 
 
 _UNIT = PlaneVector(1, 0)
@@ -192,33 +194,55 @@ _UNIT = PlaneVector(1, 0)
 def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
     """Total measure of a finite multiset of angles.
 
-    Folds Gaussian-integer multiplication over the elements, reducing by the
-    gcd after every step to bound coordinate growth.  Each element
-    contributes an argument in (0, pi), so the accumulated argument wraps
-    past a full turn exactly when it decreases; each wrap bumps the winding
-    count.  The result does not depend on the iteration order.
+    Reduces the elements pairwise, one level of a balanced tree at a time,
+    over ``(windings, x, y)`` triples.  Each node multiplies its two
+    directions as Gaussian integers, divides out the gcd of the product so
+    the direction stays primitive, and adds the two winding counts plus a
+    carry: both arguments lie in [0, 2*pi), so their sum wraps past a full
+    turn exactly when the product's argument is below the left operand's.
+    An odd element at the end of a level passes up unchanged.  The result
+    is canonical, so it does not depend on the iteration order.
     """
-    windings = 0
-    acc = _UNIT
-    for a in angles:
-        composed = _reduced(acc.x * a.x - acc.y * a.y, acc.x * a.y + acc.y * a.x)
-        if compare_args(composed, acc) is Ordering.LESS:
-            windings += 1
-        acc = composed
-    return AngleSum(windings, acc)
+    level = [(0, a.x, a.y) for a in angles]
+    if not level:
+        return AngleSum(0, _UNIT)
+    while len(level) > 1:
+        paired = []
+        for i in range(1, len(level), 2):
+            w1, x1, y1 = level[i - 1]
+            w2, x2, y2 = level[i]
+            x = x1 * x2 - y1 * y2
+            y = x1 * y2 + y1 * x2
+            g = gcd(x, y)
+            if g != 1:
+                x, y = x // g, y // g
+            carry = _order(x, y, x1, y1) is Ordering.LESS
+            paired.append((w1 + w2 + carry, x, y))
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    windings, x, y = level[0]
+    return AngleSum(windings, PlaneVector(x, y))
 
 
-def compare_multisets(a: Iterable[AngleLit], b: Iterable[AngleLit]) -> Ordering:
-    """Exact total order on finite multisets of angles, by total measure.
+def compare_sums(a: AngleSum, b: AngleSum) -> Ordering:
+    """Exact order of two multiset sums by total measure.
 
     Orders lexicographically by (winding count, argument of the
     representative); Equal means the winding counts agree and the canonical
     representatives are identical.
     """
-    sa, sb = sum_multiset(a), sum_multiset(b)
-    if sa.windings != sb.windings:
-        return Ordering.LESS if sa.windings < sb.windings else Ordering.GREATER
-    return compare_args(sa.rep, sb.rep)
+    if a.windings != b.windings:
+        return Ordering.LESS if a.windings < b.windings else Ordering.GREATER
+    return compare_args(a.rep, b.rep)
+
+
+def compare_multisets(a: Iterable[AngleLit], b: Iterable[AngleLit]) -> Ordering:
+    """Exact total order on finite multisets of angles, by total measure.
+
+    Sums both multisets and orders the sums with :func:`compare_sums`.
+    """
+    return compare_sums(sum_multiset(a), sum_multiset(b))
 
 
 def add_two(b: AngleLit, c: AngleLit) -> AngleLit:

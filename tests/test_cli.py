@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -7,13 +9,42 @@ from eukleia import cli
 from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_VACUOUS, main
 from eukleia.semantics import Counterexample, ModelCheckReport
 
-from conftest import CORPUS_DIR, ang
+from conftest import CORPUS_DIR, ang, random_angle
 
 JSON_FIELDS = {"command", "status", "file", "step", "span", "valuation", "result",
                "trials", "satisfied", "detail", "elapsed_ms"}
 
 # Checks, but no valuation can satisfy both hypotheses.
 VACUOUS_SCRIPT = "vars a b;\nhyp H1: Lt {a} {b};\nhyp H2: Lt {b} {a};\nS1: Lt {a} {b} by hypothesis H1;\n"
+
+
+# sha256 of the ``compare --json`` output for each operand pair below, as
+# printed by the left-fold kernel that preceded the pairwise tree.
+COMPARE_GOLDEN = {
+    "shared-less": ("LESS", "eaed3146b3fd45e980566caac355fcc043845c063cdfaaf67fe85b2b0089355d"),
+    "shared-greater": ("GREATER", "6f517e34ec594806e6a6bbe1f41a284cb5c675ecca78c5008a02d61b3d48da18"),
+    "disjoint-less": ("LESS", "fb243873ceb046984d1fe968f9e30fba5756ee4e7bfdf29ee3cfdf601ddf5075"),
+    "disjoint-greater": ("GREATER", "342dc2f32efb1da9cd7821d2e86ffea978a3ef2a5efa6843a54c45bbd5ab878c"),
+}
+
+
+def golden_operands() -> dict:
+    rng = random.Random(2024)
+    base = [random_angle(rng, 1000) for _ in range(300)]
+    shuffled = base[:]
+    rng.shuffle(shuffled)
+    extra = random_angle(rng, 1000)
+    other = [random_angle(rng, 1000) for _ in range(300)]
+    return {
+        "shared-less": (shuffled, base + [extra]),
+        "shared-greater": (base + [extra], shuffled),
+        "disjoint-less": (other[:250], base),
+        "disjoint-greater": (base, other[:250]),
+    }
+
+
+def multiset(angles) -> str:
+    return "{" + ", ".join(str(a) for a in angles) + "}"
 
 
 def run(capsys, *argv):
@@ -53,6 +84,17 @@ class TestEval:
         code, out = run(capsys, "eval", "{ang(3/-4)}")
         assert code == EXIT_PARSE
 
+    def test_huge_literal_is_a_parse_error(self, capsys):
+        digits = "9" * 5000
+        code, (rep,) = run_json(capsys, "eval", f"{{R, ang(1/{digits})}}")
+        assert code == EXIT_PARSE
+        assert rep["status"] == "parse-error"
+        assert rep["span"] == {"line": 1, "column": 11, "length": 5000}
+        assert "too long" in rep["detail"]["message"]
+        code, (rep,) = run_json(capsys, "eval", f"{{ang(-{digits}/1)}}")
+        assert code == EXIT_PARSE
+        assert rep["span"] == {"line": 1, "column": 6, "length": 5001}
+
     def test_variables_rejected(self, capsys):
         code, _ = run(capsys, "eval", "{x}")
         assert code == EXIT_PARSE
@@ -89,6 +131,16 @@ class TestCompare:
         assert rep["result"] == "LESS"
         assert rep["detail"] == {"lhs": "turns=0, rep=(-1,7)", "rhs": "turns=0, rep=(-1,0)"}
 
+    @pytest.mark.parametrize("name", sorted(COMPARE_GOLDEN))
+    def test_json_report_matches_golden(self, capsys, name):
+        lhs, rhs = golden_operands()[name]
+        verdict, digest = COMPARE_GOLDEN[name]
+        code = main(["compare", multiset(lhs), multiset(rhs), "--json"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert json.loads(out)["result"] == verdict
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCheck:
     def test_good_proof(self, capsys):
@@ -106,6 +158,16 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code = main(["check", "missing.eap"])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["check", "modelcheck"])
+    def test_invalid_utf8_is_an_io_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.eap"
+        bad.write_bytes(b"vars a;\xff")
+        code = main([command, str(bad)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not valid UTF-8")
 
     def test_parse_error_reports_span(self, capsys, tmp_path):
         bad = tmp_path / "bad.eap"
@@ -221,6 +283,13 @@ class TestCorpus:
         code, reports = run_json(capsys, "corpus", "--trials", "1")
         assert code == EXIT_PARSE
         assert [rep["status"] for rep in reports] == ["vacuous", "parse-error"]
+
+    def test_invalid_utf8_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "bad.eap").write_bytes(b"vars a;\xff")
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
+        code = main(["corpus", "--trials", "1"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_env_override_with_parse_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "junk.eap").write_text("not a proof", encoding="utf-8")

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eukleia.kernel import (
     AngleLit,
     AngleOverflow,
+    AngleSum,
     DegenerateAngle,
     Ordering,
     PlaneVector,
@@ -17,6 +18,7 @@ from eukleia.kernel import (
     angle_from_slope_vector,
     compare_args,
     compare_multisets,
+    compare_sums,
     right_angle,
     sum_multiset,
 )
@@ -32,13 +34,41 @@ def radians(a: AngleLit) -> float:
 
 
 def total_radians(s) -> float:
-    arg = math.atan2(s.rep.y, s.rep.x)
+    # Representatives too long for float are shifted down first; shifting
+    # both coordinates by the same amount keeps the direction.
+    shift = max(0, max(s.rep.x.bit_length(), s.rep.y.bit_length()) - 64)
+    arg = math.atan2(s.rep.y >> shift, s.rep.x >> shift)
     if arg < 0:
         arg += 2 * math.pi
     return 2 * math.pi * s.windings + arg
 
 
+def _fold_sum(angles) -> AngleSum:
+    """Reference sum: a left fold of Gaussian-integer products, the kernel's
+    algorithm before the pairwise tree."""
+    windings, acc = 0, PlaneVector(1, 0)
+    for a in angles:
+        x, y = acc.x * a.x - acc.y * a.y, acc.x * a.y + acc.y * a.x
+        g = gcd(x, y)
+        composed = PlaneVector(x // g, y // g)
+        if compare_args(composed, acc) is Ordering.LESS:
+            windings += 1
+        acc = composed
+    return AngleSum(windings, acc)
+
+
 nonzero_upper = st.tuples(st.integers(-200, 200), st.integers(1, 200))
+wide_angles = st.builds(angle_from_slope_vector, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+# Random lists, lists drawn from a few repeated angles, and lists of only R or
+# only ang(1/1), whose partial products all land on the axes.
+lengths = st.integers(0, 300)
+angle_lists = st.one_of(
+    lengths.flatmap(lambda n: st.lists(wide_angles, min_size=n, max_size=n)),
+    st.tuples(st.lists(wide_angles, min_size=1, max_size=4), lengths).flatmap(
+        lambda pool_n: st.lists(st.sampled_from(pool_n[0]), min_size=pool_n[1], max_size=pool_n[1])),
+    lengths.map(lambda n: [right_angle()] * n),
+    lengths.map(lambda n: [AngleLit(1, 1)] * n),
+)
 
 
 class TestConstructors:
@@ -204,6 +234,28 @@ class TestSumMultiset:
             assert total_radians(sum_multiset(items)) < len(items) * math.pi + 1e-9
 
 
+    @pytest.mark.parametrize("unit", [right_angle(), AngleLit(1, 1), AngleLit(-1, 1)], ids=str)
+    def test_axis_lists_of_every_length_match_fold(self, unit):
+        for n in range(40):
+            assert sum_multiset([unit] * n) == _fold_sum([unit] * n), n
+
+    @settings(deadline=None)
+    @given(angle_lists)
+    def test_matches_left_fold(self, items):
+        assert sum_multiset(items) == _fold_sum(items)
+
+    def test_large_multiset(self):
+        rng = random.Random(16000)
+        items = [random_angle(rng) for _ in range(16000)]
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        total = sum_multiset(items)
+        assert sum_multiset(shuffled) == total
+        assert total.rep.x.bit_length() > 1024  # beyond float range: the shift is needed
+        expected = math.fsum(math.atan2(a.y, a.x) for a in items)
+        assert abs(total_radians(total) - expected) < 1e-9
+
+
 class TestCompareMultisets:
     def test_internal_angles_below_two_rights(self):
         R = right_angle()
@@ -255,6 +307,16 @@ class TestCompareMultisets:
                 assert ac is ab
             if ab is Ordering.EQUAL:
                 assert ac is bc
+
+
+    @settings(deadline=None)
+    @given(angle_lists, angle_lists)
+    def test_compare_sums_agrees(self, a, b):
+        verdict = compare_multisets(a, b)
+        assert compare_sums(sum_multiset(a), sum_multiset(b)) is verdict
+        fa, fb = _fold_sum(a), _fold_sum(b)
+        assert verdict is (compare_args(fa.rep, fb.rep) if fa.windings == fb.windings
+                           else Ordering.LESS if fa.windings < fb.windings else Ordering.GREATER)
 
 
 class TestAddTwo:
