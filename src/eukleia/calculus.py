@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, NoReturn, Optional, Union
+from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
 
 from .kernel import (
     AngleLit,
@@ -171,32 +171,36 @@ def judgment_variables(j: Judgment) -> set[str]:
     return set()
 
 
+def judgment_truth(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
+    """Kernel truth value of ``j``: a ``Lit`` term denotes its angle and a
+    ``Var`` term ``valuation[name]`` (KeyError when missing).
+
+    Eq/Lt compare total measures exactly; Split holds when the parts compose
+    to the whole; Congr holds for identical canonical angles; False never holds.
+    """
+
+    def angle(t: Term) -> AngleLit:
+        return t.angle if isinstance(t, Lit) else valuation[t.name]
+
+    if isinstance(j, (Eq, Lt)):
+        order = compare_multisets([angle(t) for t in j.lhs.terms], [angle(t) for t in j.rhs.terms])
+        return order is (Ordering.EQUAL if isinstance(j, Eq) else Ordering.LESS)
+    if isinstance(j, Split):
+        whole, part1, part2 = angle(j.whole), angle(j.part1), angle(j.part2)
+        try:
+            return add_two(part1, part2) == whole
+        except AngleOverflow:
+            return False
+    if isinstance(j, Congr):
+        return angle(j.a) == angle(j.b)
+    return False
+
+
 def literal_judgment_truth(j: Judgment) -> bool:
     """Kernel truth value of a judgment that contains no variables."""
     if judgment_variables(j):
         raise ValueError("judgment contains variables")
-    if isinstance(j, Eq):
-        return compare_multisets(_angles(j.lhs), _angles(j.rhs)) is Ordering.EQUAL
-    if isinstance(j, Lt):
-        return compare_multisets(_angles(j.lhs), _angles(j.rhs)) is Ordering.LESS
-    if isinstance(j, Split):
-        try:
-            composed = add_two(_angle(j.part1), _angle(j.part2))
-        except AngleOverflow:
-            return False
-        return composed == _angle(j.whole)
-    if isinstance(j, Congr):
-        return _angle(j.a) == _angle(j.b)
-    return False
-
-
-def _angles(e: MultisetExpr) -> list[AngleLit]:
-    return [_angle(t) for t in e.terms]
-
-
-def _angle(t: Term) -> AngleLit:
-    assert isinstance(t, Lit)
-    return t.angle
+    return judgment_truth(j, {})
 
 
 # ---------------------------------------------------------------------------

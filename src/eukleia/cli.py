@@ -8,10 +8,12 @@ the first parse, step or counterexample failure sets the exit code, and 5
 applies only when there is none.  A report's ``status`` is one of ``ok``,
 ``parse-error``, ``step-error``, ``counterexample`` and ``vacuous``.
 
-``--json`` renders one report object (newline-delimited, one per file, for
-``corpus``); JSON reports carry ``elapsed_ms: null`` so that identical inputs
-produce byte-identical output, and wall-clock timing appears only in the
-human-readable rendering.
+``check``, ``modelcheck`` and ``corpus`` take each script through
+:func:`run_script`, which returns its exit code and report; the commands only
+render reports.  ``--json`` renders one report object (newline-delimited, one
+per file, for ``corpus``); JSON reports carry ``elapsed_ms: null`` so that
+identical inputs produce byte-identical output, and wall-clock timing appears
+only in the human-readable rendering.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ def _report(
     }
 
 
-def _emit(args, report: dict, human_lines: Sequence[str], started: float) -> None:
+def _emit(args, reports: Sequence[dict], human_lines: Sequence[str], started: float) -> None:
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        for report in reports:
+            print(json.dumps(report, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
@@ -111,18 +114,21 @@ def _literal_angles(expr_text: str, command: str, args, started: float):
         expr = parse_expr(expr_text)
     except ParseError as exc:
         rep = _report(command, "parse-error", span=exc.span, detail={"message": exc.message})
-        _emit(args, rep, [f"parse error at {exc.span.line}:{exc.span.column}: {exc.message}"], started)
+        _emit(args, [rep], [_parse_error_line(rep)], started)
         return None
     variables = sorted(expr.variables())
     if variables:
         rep = _report(command, "parse-error", detail={"message": f"variable {variables[0]!r} in a literal-only expression"})
-        _emit(args, rep, [f"error: variable {variables[0]!r} is not allowed here"], started)
+        _emit(args, [rep], [f"error: variable {variables[0]!r} is not allowed here"], started)
         return None
     return [t.angle for t in expr.terms]  # type: ignore[union-attr]
 
 
 def _approx_radians(total: AngleSum) -> float:
-    a = math.atan2(total.rep.y, total.rep.x)
+    # atan2 takes floats; shifting both coordinates alike keeps the direction.
+    x, y = total.rep.x, total.rep.y
+    shift = max(0, max(x.bit_length(), y.bit_length()) - 1000)
+    a = math.atan2(y >> shift, x >> shift)
     if a < 0:
         a += 2 * math.pi
     return 2 * math.pi * total.windings + a
@@ -131,27 +137,80 @@ def _approx_radians(total: AngleSum) -> float:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_check(args) -> int:
+def run_script(command: str, text: str, file: Optional[str], trials: Optional[int] = None,
+               seed: int = 0) -> tuple[int, dict]:
+    """Parse and check one script, then model-check it unless ``trials`` is None;
+    return the exit code and the report, which ``command`` and ``file`` label."""
+    try:
+        derivation = parse_proof(text)
+    except ParseError as exc:
+        return EXIT_PARSE, _report(command, "parse-error", file=file, span=exc.span,
+                                   detail={"message": exc.message})
+    try:
+        check_derivation(derivation)
+    except StepError as exc:
+        return EXIT_STEP, _report(command, "step-error", file=file, step=exc.label, span=exc.span,
+                                  detail={"message": exc.reason})
+    steps = {"steps": len(derivation.steps)}
+    if trials is None:
+        return EXIT_OK, _report(command, "ok", file=file, detail=steps)
+    outcome = model_check_derivation(derivation, trials, seed)
+    cx = outcome.counterexample
+    if cx is not None:
+        valuation = {k: str(v) for k, v in sorted(cx.valuation.items())}
+        return EXIT_COUNTEREXAMPLE, _report(command, "counterexample", file=file, step=cx.step,
+                                            valuation=valuation, trials=outcome.trials,
+                                            satisfied=outcome.satisfied)
+    code, status = (EXIT_VACUOUS, "vacuous") if outcome.vacuous else (EXIT_OK, "ok")
+    return code, _report(command, status, file=file, trials=outcome.trials, satisfied=outcome.satisfied,
+                         detail=steps)
+
+
+def _parse_error_line(rep: dict) -> str:
+    return f"parse error at {rep['span']['line']}:{rep['span']['column']}: {rep['detail']['message']}"
+
+
+def _script_lines(rep: dict) -> list[str]:
+    """The human rendering of a ``check`` or ``modelcheck`` report."""
+    status, file, trials = rep["status"], rep["file"], rep["trials"]
+    if status == "parse-error":
+        return [_parse_error_line(rep)]
+    if status == "step-error":
+        return [f"step error at {rep['step']}: {rep['detail']['message']}"]
+    if status == "counterexample":
+        # A counterexample ends the run, so it was found in the last trial.
+        return [f"counterexample at step {rep['step']} (trial {trials - 1}):"] + [
+            f"  {name} = {angle}" for name, angle in rep["valuation"].items()]
+    if status == "vacuous":
+        return [f"vacuous: {file} (0/{trials} trials satisfied the hypotheses, nothing checked)"]
+    if trials is None:
+        return [f"ok: {file} ({rep['detail']['steps']} steps)"]
+    return [f"ok: {file} ({rep['satisfied']}/{trials} trials satisfied, no counterexample)"]
+
+
+def _corpus_note(rep: dict) -> str:
+    """The last column of a ``corpus`` row."""
+    status = rep["status"]
+    if status == "parse-error":
+        return rep["detail"]["message"]
+    if status == "step-error":
+        return f"{rep['step']}: {rep['detail']['message']}"
+    if status == "counterexample":
+        return f"step {rep['step']}"
+    if status == "vacuous":
+        return f"0/{rep['trials']} trials satisfied the hypotheses"
+    return f"{rep['detail']['steps']} steps, {rep['satisfied']}/{rep['trials']} trials"
+
+
+def _cmd_script(args) -> int:
+    """``check`` and ``modelcheck``: one script through :func:`run_script`."""
     started = time.perf_counter()
     text = _read_file(args.path)
     if text is None:
         return EXIT_IO
-    try:
-        derivation = parse_proof(text)
-    except ParseError as exc:
-        rep = _report("check", "parse-error", file=args.path, span=exc.span, detail={"message": exc.message})
-        _emit(args, rep, [f"parse error at {exc.span.line}:{exc.span.column}: {exc.message}"], started)
-        return EXIT_PARSE
-    try:
-        check_derivation(derivation)
-    except StepError as exc:
-        rep = _report("check", "step-error", file=args.path, step=exc.label, span=exc.span,
-                      detail={"message": exc.reason})
-        _emit(args, rep, [f"step error at {exc.label}: {exc.reason}"], started)
-        return EXIT_STEP
-    rep = _report("check", "ok", file=args.path, detail={"steps": len(derivation.steps)})
-    _emit(args, rep, [f"ok: {args.path} ({len(derivation.steps)} steps)"], started)
-    return EXIT_OK
+    code, rep = run_script(args.command, text, args.path, args.trials, args.seed)
+    _emit(args, [rep], _script_lines(rep), started)
+    return code
 
 
 def _cmd_compare(args) -> int:
@@ -165,7 +224,7 @@ def _cmd_compare(args) -> int:
     sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
     verdict = _VERDICTS[compare_sums(sum_l, sum_r)]
     rep = _report("compare", "ok", result=verdict, detail={"lhs": str(sum_l), "rhs": str(sum_r)})
-    _emit(args, rep, [verdict, f"lhs: {sum_l}", f"rhs: {sum_r}"], started)
+    _emit(args, [rep], [verdict, f"lhs: {sum_l}", f"rhs: {sum_r}"], started)
     return EXIT_OK
 
 
@@ -181,46 +240,7 @@ def _cmd_eval(args) -> int:
         detail["approx_radians"] = f"{_approx_radians(total):.10f}"
         human.append(f"approx: {_approx_radians(total):.10f} rad")
     rep = _report("eval", "ok", result=str(total), detail=detail or None)
-    _emit(args, rep, human, started)
-    return EXIT_OK
-
-
-def _cmd_modelcheck(args) -> int:
-    started = time.perf_counter()
-    text = _read_file(args.path)
-    if text is None:
-        return EXIT_IO
-    try:
-        derivation = parse_proof(text)
-    except ParseError as exc:
-        rep = _report("modelcheck", "parse-error", file=args.path, span=exc.span, detail={"message": exc.message})
-        _emit(args, rep, [f"parse error at {exc.span.line}:{exc.span.column}: {exc.message}"], started)
-        return EXIT_PARSE
-    try:
-        check_derivation(derivation)
-    except StepError as exc:
-        rep = _report("modelcheck", "step-error", file=args.path, step=exc.label, span=exc.span,
-                      detail={"message": exc.reason})
-        _emit(args, rep, [f"step error at {exc.label}: {exc.reason}"], started)
-        return EXIT_STEP
-    outcome = model_check_derivation(derivation, args.trials, args.seed)
-    if outcome.counterexample is not None:
-        cx = outcome.counterexample
-        valuation = {k: str(v) for k, v in sorted(cx.valuation.items())}
-        rep = _report("modelcheck", "counterexample", file=args.path, step=cx.step,
-                      valuation=valuation, trials=outcome.trials, satisfied=outcome.satisfied)
-        lines = [f"counterexample at step {cx.step} (trial {cx.trial}):"]
-        lines += [f"  {name} = {angle}" for name, angle in valuation.items()]
-        _emit(args, rep, lines, started)
-        return EXIT_COUNTEREXAMPLE
-    if outcome.vacuous:
-        rep = _report("modelcheck", "vacuous", file=args.path, trials=outcome.trials, satisfied=0)
-        _emit(args, rep, [f"vacuous: {args.path} (0/{outcome.trials} trials satisfied the hypotheses, "
-                          "nothing checked)"], started)
-        return EXIT_VACUOUS
-    rep = _report("modelcheck", "ok", file=args.path, trials=outcome.trials, satisfied=outcome.satisfied)
-    _emit(args, rep, [f"ok: {args.path} ({outcome.satisfied}/{outcome.trials} trials satisfied, no counterexample)"],
-          started)
+    _emit(args, [rep], human, started)
     return EXIT_OK
 
 
@@ -233,64 +253,20 @@ def _corpus_files() -> list[Path]:
 
 def _cmd_corpus(args) -> int:
     started = time.perf_counter()
-    files = _corpus_files()
-    rows: list[tuple[str, str, str]] = []
-    reports: list[dict] = []
-    exit_code = EXIT_OK
-    for path in files:
-        name = path.name
+    results: list[tuple[int, dict]] = []
+    for path in _corpus_files():
         text = _read_file(path)
         if text is None:
             return EXIT_IO
-        try:
-            derivation = parse_proof(text)
-        except ParseError as exc:
-            reports.append(_report("corpus", "parse-error", file=name, span=exc.span,
-                                   detail={"message": exc.message}))
-            rows.append((name, "parse-error", exc.message))
-            if exit_code in (EXIT_OK, EXIT_VACUOUS):
-                exit_code = EXIT_PARSE
-            continue
-        try:
-            check_derivation(derivation)
-        except StepError as exc:
-            reports.append(_report("corpus", "step-error", file=name, step=exc.label, span=exc.span,
-                                   detail={"message": exc.reason}))
-            rows.append((name, "step-error", f"{exc.label}: {exc.reason}"))
-            if exit_code in (EXIT_OK, EXIT_VACUOUS):
-                exit_code = EXIT_STEP
-            continue
-        outcome = model_check_derivation(derivation, args.trials, args.seed)
-        if outcome.counterexample is not None:
-            cx = outcome.counterexample
-            valuation = {k: str(v) for k, v in sorted(cx.valuation.items())}
-            reports.append(_report("corpus", "counterexample", file=name, step=cx.step,
-                                   valuation=valuation, trials=outcome.trials, satisfied=outcome.satisfied))
-            rows.append((name, "counterexample", f"step {cx.step}"))
-            if exit_code in (EXIT_OK, EXIT_VACUOUS):
-                exit_code = EXIT_COUNTEREXAMPLE
-            continue
-        if outcome.vacuous:
-            reports.append(_report("corpus", "vacuous", file=name, trials=outcome.trials, satisfied=0,
-                                   detail={"steps": len(derivation.steps)}))
-            rows.append((name, "vacuous", f"0/{outcome.trials} trials satisfied the hypotheses"))
-            if exit_code == EXIT_OK:
-                exit_code = EXIT_VACUOUS
-            continue
-        reports.append(_report("corpus", "ok", file=name, trials=outcome.trials,
-                               satisfied=outcome.satisfied,
-                               detail={"steps": len(derivation.steps)}))
-        rows.append((name, "ok", f"{len(derivation.steps)} steps, {outcome.satisfied}/{outcome.trials} trials"))
-    if args.json:
-        for rep in reports:
-            print(json.dumps(rep, sort_keys=True))
-    else:
-        width = max((len(r[0]) for r in rows), default=0)
-        for name, status, note in rows:
-            print(f"{name.ljust(width)}  {status:<15} {note}")
-        good = sum(1 for r in rows if r[1] == "ok")
-        print(f"{good}/{len(rows)} file(s) ok")
-        print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
+        results.append(run_script("corpus", text, path.name, args.trials, args.seed))
+    codes = [code for code, _ in results]
+    failures = [code for code in codes if code in (EXIT_PARSE, EXIT_STEP, EXIT_COUNTEREXAMPLE)]
+    exit_code = failures[0] if failures else (EXIT_VACUOUS if EXIT_VACUOUS in codes else EXIT_OK)
+    reports = [rep for _, rep in results]
+    width = max((len(rep["file"]) for rep in reports), default=0)
+    rows = [f"{rep['file'].ljust(width)}  {rep['status']:<15} {_corpus_note(rep)}" for rep in reports]
+    good = sum(1 for rep in reports if rep["status"] == "ok")
+    _emit(args, reports, rows + [f"{good}/{len(reports)} file(s) ok"], started)
     return exit_code
 
 
@@ -316,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="parse a proof script and check every step")
     p_check.add_argument("path")
     p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_script, trials=None, seed=0)
 
     p_compare = sub.add_parser("compare", help="compare two literal multiset expressions")
     p_compare.add_argument("lhs")
@@ -336,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--trials", type=_trial_count, default=1000)
     p_model.add_argument("--seed", type=int, default=0)
     p_model.add_argument("--json", action="store_true")
-    p_model.set_defaults(func=_cmd_modelcheck)
+    p_model.set_defaults(func=_cmd_script)
 
     p_corpus = sub.add_parser("corpus", help="check and model-check every bundled corpus file")
     p_corpus.add_argument("--trials", type=_trial_count, default=200)

@@ -90,6 +90,10 @@ _PUNCT = {
     "/": "slash",
 }
 
+# Only ASCII digits: str.isdigit also accepts characters such as "²" that
+# int() rejects or reads as another digit.
+_DIGITS = frozenset("0123456789")
+
 # Words that cannot serve as variable names or labels, compared lowercase.
 _RESERVED = {"vars", "hyp", "by", "eq", "lt", "split", "congr", "false", "ang", "case", "cases"}
 
@@ -128,11 +132,11 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token(_PUNCT[ch], ch, line, col))
             col += 1
             i += 1
-        elif ch == "-" or ch.isdigit():
+        elif ch == "-" or ch in _DIGITS:
             start_col, start = col, i
             i += 1
             col += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             word = text[start:i]

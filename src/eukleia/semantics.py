@@ -1,6 +1,8 @@
 """Model side: proof variables valued as concrete angles.
 
-A judgment becomes true or false once every variable denotes an angle.  The
+A judgment becomes true or false once every variable denotes an angle.  It is
+evaluated directly: a variable term is looked up in the valuation and a
+literal term gives its own angle, with no substituted expression built.  The
 checker's rules are exercised against this model by drawing randomized
 valuations that satisfy a derivation's hypotheses and asserting every step's
 judgment; a failure is a counterexample to the rule set, not an exception.
@@ -34,9 +36,8 @@ from .calculus import (
     Term,
     Var,
     format_judgment,
+    judgment_truth,
     judgment_variables,
-    literal_judgment_truth,
-    MultisetExpr,
 )
 from .kernel import AngleLit, AngleOverflow, add_two, angle_from_slope_vector
 
@@ -50,7 +51,6 @@ __all__ = [
     "eval_judgment",
     "model_check_derivation",
     "random_valuation",
-    "substitute",
 ]
 
 Valuation = Dict[str, AngleLit]
@@ -78,41 +78,17 @@ class Unsatisfied(Exception):
         self.attempts = attempts
 
 
-def _subst_term(t: Term, valuation: Mapping[str, AngleLit]) -> Term:
-    if isinstance(t, Var):
-        try:
-            return Lit(valuation[t.name])
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    return t
-
-
-def substitute(j: Judgment, valuation: Mapping[str, AngleLit]) -> Judgment:
-    """Replace every variable in ``j`` by its angle under ``valuation``."""
-    if isinstance(j, (Eq, Lt)):
-        return type(j)(
-            MultisetExpr(tuple(_subst_term(t, valuation) for t in j.lhs.terms)),
-            MultisetExpr(tuple(_subst_term(t, valuation) for t in j.rhs.terms)),
-        )
-    if isinstance(j, Split):
-        return Split(
-            _subst_term(j.whole, valuation),
-            _subst_term(j.part1, valuation),
-            _subst_term(j.part2, valuation),
-        )
-    if isinstance(j, Congr):
-        return Congr(_subst_term(j.a, valuation), _subst_term(j.b, valuation))
-    return j
-
-
 def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
     """Truth of a judgment once its variables denote concrete angles.
 
-    Eq/Lt compare total measures exactly; Split holds when the parts compose
-    to the whole; Congr holds for identical canonical angles; False never
-    holds.  Raises UnboundVariable for a variable missing from the valuation.
+    Terms are evaluated directly against ``valuation`` by
+    :func:`eukleia.calculus.judgment_truth`; no expression is rebuilt.
+    Raises UnboundVariable for a variable missing from the valuation.
     """
-    return literal_judgment_truth(substitute(j, valuation))
+    try:
+        return judgment_truth(j, valuation)
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------

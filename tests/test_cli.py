@@ -1,12 +1,16 @@
+import collections
 import hashlib
 import json
+import math
 import random
+import shutil
 import time
 
 import pytest
 
 from eukleia import cli
 from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_VACUOUS, main
+from eukleia.kernel import sum_multiset
 from eukleia.semantics import Counterexample, ModelCheckReport
 
 from conftest import CORPUS_DIR, ang, random_angle
@@ -79,6 +83,18 @@ class TestEval:
     def test_approx(self, capsys):
         code, out = run(capsys, "eval", "{ang(1/1)}", "--approx")
         assert "0.7853981634" in out
+
+    def test_approx_past_float_range(self, capsys):
+        rng = random.Random(11)
+        angles = [ang(rng.randint(-10**6, 10**6), rng.randint(10**6 - 1000, 10**6)) for _ in range(100)]
+        total = sum_multiset(angles).rep
+        assert max(total.x.bit_length(), total.y.bit_length()) > 1024  # too long for a float
+        code, out = run(capsys, "eval", multiset(angles), "--approx")
+        assert code == EXIT_OK and "approx: " in out
+        code, (rep,) = run_json(capsys, "eval", multiset(angles), "--approx")
+        assert code == EXIT_OK
+        oracle = math.fsum(math.atan2(a.y, a.x) for a in angles)
+        assert abs(float(rep["detail"]["approx_radians"]) - oracle) < 1e-9
 
     def test_parse_error(self, capsys):
         code, out = run(capsys, "eval", "{ang(3/-4)}")
@@ -297,3 +313,66 @@ class TestCorpus:
         code, (rep,) = run_json(capsys, "corpus", "--trials", "5")
         assert code == EXIT_PARSE
         assert rep["status"] == "parse-error"
+
+
+def script_files() -> list:
+    """Every corpus file and every manifest mutation."""
+    mdir = CORPUS_DIR / "mutations"
+    manifest = json.loads((mdir / "manifest.json").read_text(encoding="utf-8"))
+    paths = set(CORPUS_DIR.glob("*.eap")) | {(mdir / e["file"]).resolve() for e in manifest}
+    return sorted(paths)
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("path", script_files(), ids=lambda p: p.name)
+    def test_commands_agree(self, capsys, tmp_path, monkeypatch, path):
+        # corpus runs the script from a one-file directory; the copy's name
+        # avoids the "_broken" files corpus skips.
+        shutil.copy(path, tmp_path / "script.eap")
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
+        runs = [run_json(capsys, "check", str(path)),
+                run_json(capsys, "modelcheck", str(path), "--trials", "5"),
+                run_json(capsys, "corpus", "--trials", "5")]
+        codes = {code for code, _ in runs}
+        fields = {tuple(json.dumps(rep[k], sort_keys=True) for k in ("status", "step", "span", "detail"))
+                  for _, (rep,) in runs}
+        assert len(codes) == 1 and len(fields) == 1, runs
+
+    @pytest.fixture
+    def layer_calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("parse_proof", "check_derivation", "model_check_derivation"):
+            def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    SCRIPTS = {"good": CORPUS_DIR / "prop16.eap", "step-error": CORPUS_DIR / "prop13_broken.eap"}
+
+    @pytest.mark.parametrize("command, argv, calls", [
+        ("check", [], {"good": (1, 1, 0), "step-error": (1, 1, 0), "parse-error": (1, 0, 0)}),
+        ("modelcheck", ["--trials", "2"], {"good": (1, 1, 1), "step-error": (1, 1, 0), "parse-error": (1, 0, 0)}),
+    ])
+    def test_layer_calls_per_script(self, capsys, tmp_path, layer_calls, command, argv, calls):
+        junk = tmp_path / "junk.eap"
+        junk.write_text("not a proof", encoding="utf-8")
+        for kind, path in {**self.SCRIPTS, "parse-error": junk}.items():
+            layer_calls.clear()
+            main([command, str(path), *argv])
+            got = tuple(layer_calls[n] for n in ("parse_proof", "check_derivation", "model_check_derivation"))
+            assert got == calls[kind], kind
+        capsys.readouterr()
+
+    def test_layer_calls_in_corpus(self, capsys, tmp_path, monkeypatch, layer_calls):
+        for kind, path in self.SCRIPTS.items():
+            shutil.copy(path, tmp_path / f"{kind}.eap")
+        (tmp_path / "junk.eap").write_text("not a proof", encoding="utf-8")
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
+        assert main(["corpus", "--trials", "2"]) == EXIT_PARSE
+        assert layer_calls == {"parse_proof": 3, "check_derivation": 2, "model_check_derivation": 1}
+        layer_calls.clear()
+        main(["compare", "{R}", "{R}"])
+        main(["eval", "{R}"])
+        assert not layer_calls
+        capsys.readouterr()

@@ -43,6 +43,14 @@ class TestParseExpr:
             parse_expr("{ang(3/-4)}")
         assert "degenerate" in err.value.message
 
+    @pytest.mark.parametrize("text, column", [("{ang(²/1)}", 6), ("{ang(1/٣)}", 8), ("{ang(1²/1)}", 7)])
+    def test_only_ascii_digits_make_integers(self, text, column):
+        # str.isdigit accepts these, but an integer literal is ASCII 0-9 only.
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.message == f"unexpected character {text[column - 1]!r}"
+        assert (err.value.span.line, err.value.span.column, err.value.span.length) == (1, column, 1)
+
     def test_whitespace_and_comments_ignored(self):
         assert parse_expr("{ a ,\n\tb }  # trailing\n") == parse_expr("{a,b}")
 

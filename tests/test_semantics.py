@@ -17,6 +17,7 @@ from eukleia.calculus import (
     Step,
     Var,
     check_derivation,
+    literal_judgment_truth,
     multiset,
 )
 from eukleia.dsl import parse_proof
@@ -64,6 +65,63 @@ class TestEvalJudgment:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
             eval_judgment(Eq(multiset(a), multiset(b)), {"a": ang(1, 1)})
+
+
+def _subst_term(t, valuation):
+    if isinstance(t, Var):
+        try:
+            return Lit(valuation[t.name])
+        except KeyError:
+            raise UnboundVariable(t.name) from None
+    return t
+
+
+def _substitute(j, valuation):
+    """Reference semantics: the judgment rebuilt with every variable replaced
+    by its angle, the way eval_judgment worked before it read terms directly."""
+    if isinstance(j, (Eq, Lt)):
+        return type(j)(
+            MultisetExpr(tuple(_subst_term(t, valuation) for t in j.lhs.terms)),
+            MultisetExpr(tuple(_subst_term(t, valuation) for t in j.rhs.terms)),
+        )
+    if isinstance(j, Split):
+        return Split(_subst_term(j.whole, valuation), _subst_term(j.part1, valuation),
+                     _subst_term(j.part2, valuation))
+    if isinstance(j, Congr):
+        return Congr(_subst_term(j.a, valuation), _subst_term(j.b, valuation))
+    return j
+
+
+# A small pool, so that terms often denote the same angle and Eq and Congr
+# come out true as well as false.  Two ang(1/1), or ang(3/4) and ang(4/3),
+# split R; ang(-1/1) parts overflow a Split.
+_pool = st.sampled_from([ang(0, 1), ang(1, 1), ang(-1, 1), ang(3, 4), ang(4, 3), ang(-7, 2)])
+_terms = st.one_of(st.sampled_from([a, b, c]), _pool.map(Lit))
+# Listed unsorted and with repeats; MultisetExpr orders variables before
+# literals, while the substituted expression orders by angle.
+_sides = st.lists(_terms, max_size=5).map(lambda ts: MultisetExpr(tuple(ts)))
+_judgments = st.one_of(
+    st.builds(Eq, _sides, _sides),
+    st.builds(Lt, _sides, _sides),
+    st.builds(Split, _terms, _terms, _terms),
+    st.builds(Split, st.just(R), _terms, _terms),
+    st.builds(Congr, _terms, _terms),
+    st.just(Falsum()),
+)
+# Usually every variable is bound; sometimes one is missing.
+_valuations = st.dictionaries(st.sampled_from("abc"), _pool).filter(lambda v: len(v) >= 2)
+
+
+@settings(max_examples=400)
+@given(_judgments, _valuations)
+def test_direct_evaluation_matches_substitution(j, v):
+    try:
+        expected = literal_judgment_truth(_substitute(j, v))
+    except UnboundVariable:
+        with pytest.raises(UnboundVariable):
+            eval_judgment(j, v)
+        return
+    assert eval_judgment(j, v) is expected
 
 
 class TestRandomValuation:
