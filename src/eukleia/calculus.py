@@ -9,6 +9,7 @@ established, yields any goal through the Hypothesis rule.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
@@ -88,11 +89,8 @@ class MultisetExpr:
     def union(self, other: "MultisetExpr") -> "MultisetExpr":
         return MultisetExpr(self.terms + other.terms)
 
-    def counts(self) -> dict[Term, int]:
-        out: dict[Term, int] = {}
-        for t in self.terms:
-            out[t] = out.get(t, 0) + 1
-        return out
+    def counts(self) -> Counter[Term]:
+        return Counter(self.terms)
 
     def variables(self) -> set[str]:
         return {t.name for t in self.terms if isinstance(t, Var)}
@@ -143,6 +141,11 @@ class Falsum:
 
 
 Judgment = Union[Eq, Lt, Split, Congr, Falsum]
+
+
+def case_hypotheses(m: MultisetExpr, n: MultisetExpr) -> tuple[Lt, Eq, Lt]:
+    """What the three branches of ``cases m n`` assume, in branch order."""
+    return (Lt(m, n), Eq(m, n), Lt(n, m))
 
 
 def format_judgment(j: Judgment) -> str:
@@ -325,23 +328,10 @@ def _single_added(base: MultisetExpr, extended: MultisetExpr) -> Optional[Term]:
     if len(extended) != len(base) + 1:
         return None
     bc, ec = base.counts(), extended.counts()
-    extra: Optional[Term] = None
-    for t, n in ec.items():
-        d = n - bc.get(t, 0)
-        if d == 0:
-            continue
-        if d != 1 or extra is not None:
-            return None
-        extra = t
-    for t, n in bc.items():
-        if ec.get(t, 0) < n:
-            return None
+    if not bc <= ec:
+        return None
+    (extra,) = ec - bc
     return extra
-
-
-def _is_submultiset(a: MultisetExpr, b: MultisetExpr) -> bool:
-    bc = b.counts()
-    return all(n <= bc.get(t, 0) for t, n in a.counts().items())
 
 
 def check_step(step: Step, context: Context) -> None:
@@ -444,7 +434,7 @@ def check_step(step: Step, context: Context) -> None:
     elif rule is Rule.WHOLE_PART:
         if not isinstance(goal, Lt):
             fail("conclusion must be a strict comparison")
-        if not (_is_submultiset(goal.lhs, goal.rhs) and len(goal.rhs) > len(goal.lhs)):
+        if not goal.lhs.counts() < goal.rhs.counts():
             fail("right side must extend the left side by a nonempty part")
 
     elif rule is Rule.SPLIT_EQ:
@@ -517,7 +507,7 @@ def _check_cases(step: Step, context: Context, fail) -> None:
     undeclared = (m.variables() | n.variables()) - context.declared
     if undeclared:
         fail(f"undeclared variable {sorted(undeclared)[0]!r}")
-    for idx, (branch, hyp) in enumerate(zip(step.branches, (Lt(m, n), Eq(m, n), Lt(n, m))), start=1):
+    for idx, (branch, hyp) in enumerate(zip(step.branches, case_hypotheses(m, n)), start=1):
         if not branch:
             fail(f"branch {idx} is empty")
         child = Context(parent=context)

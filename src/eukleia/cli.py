@@ -19,6 +19,7 @@ only in the human-readable rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -237,8 +238,8 @@ def _cmd_eval(args) -> int:
     detail: dict = {}
     human = [str(total)]
     if args.approx:
-        detail["approx_radians"] = f"{_approx_radians(total):.10f}"
-        human.append(f"approx: {_approx_radians(total):.10f} rad")
+        detail["approx_radians"] = approx = f"{_approx_radians(total):.10f}"
+        human.append(f"approx: {approx} rad")
     rep = _report("eval", "ok", result=str(total), detail=detail or None)
     _emit(args, [rep], human, started)
     return EXIT_OK
@@ -282,6 +283,7 @@ def _trial_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eukleia",

@@ -2,9 +2,15 @@
 
 Scripts are plain UTF-8 text: a ``vars`` header, ``hyp`` lines, then labeled
 steps citing a rule and premise labels, every statement terminated by a
-semicolon.  ``#`` starts a comment running to the end of the line.  Keywords
-and rule names are case-insensitive; variable names and labels are
-case-sensitive, and ``R`` (exactly uppercase) is the reserved right angle.
+semicolon.  Keywords and rule names are case-insensitive; variable names and
+labels are case-sensitive, and ``R`` (exactly uppercase) is the reserved
+right angle.
+
+One regular expression, ``_TOKEN``, defines the tokens: IDENT is a letter or
+``_`` followed by alphanumerics and ``_``; INT is ``-?[0-9]+`` (ASCII digits);
+each of ``{ } ( ) , : ; /`` is a token whose kind is the character itself.
+Blanks and newlines separate tokens, ``#`` starts a comment running to the
+end of the line, and any other character is a parse error.
 
 Grammar::
 
@@ -21,13 +27,15 @@ Grammar::
 
 References are resolved while parsing: citing a label that is not yet in
 scope (including any forward reference) is a parse error.  Within a cases
-branch the branch's comparison is cited as ``case``.
+branch the branch's comparison is cited as ``case``.  A step nested in more
+than ``MAX_CASES_DEPTH`` cases branches is a parse error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .calculus import (
     Congr,
@@ -79,30 +87,37 @@ class ParseError(Exception):
         self.expected = expected
 
 
-_PUNCT = {
-    "{": "lbrace",
-    "}": "rbrace",
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-    ":": "colon",
-    ";": "semi",
-    "/": "slash",
-}
-
-# Only ASCII digits: str.isdigit also accepts characters such as "²" that
-# int() rejects or reads as another digit.
-_DIGITS = frozenset("0123456789")
+# How many cases branches deep a step may sit.  Parsing, checking and model
+# checking recurse once per level; this keeps them inside the recursion limit.
+MAX_CASES_DEPTH = 100
 
 # Words that cannot serve as variable names or labels, compared lowercase.
 _RESERVED = {"vars", "hyp", "by", "eq", "lt", "split", "congr", "false", "ang", "case", "cases"}
 
 _RULES_BY_NAME = {r.value: r for r in Rule}
 
+# Each judgment head, lowercase: its class, whether its operands are
+# expressions (else terms), and how many it takes.
+_JUDGMENTS = {"eq": (Eq, True, 2), "lt": (Lt, True, 2), "split": (Split, False, 3),
+              "congr": (Congr, False, 2), "false": (Falsum, False, 0)}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | one of _PUNCT values | eof
+
+# One alternative per token class, tried in order.  [^\W\d] also admits
+# numerals such as "²", "½" and "Ⅷ", which _lex rejects: an identifier starts
+# with a letter (str.isalpha) or "_".  A "-" before no digit is "other".
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<int>-?[0-9]+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>[{}(),:;/])
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
+class _Token(NamedTuple):
+    kind: str  # ident | int | eof | the punctuation character itself
     text: str
     line: int
     column: int
@@ -114,44 +129,22 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            col += 1
-            i += 1
-        elif ch == "-" or ch in _DIGITS:
-            start_col, start = col, i
-            i += 1
-            col += 1
-            while i < n and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            word = text[start:i]
-            if word == "-":
-                raise ParseError(SourceSpan(line, start_col, 1), "malformed integer")
-            tokens.append(_Token("int", word, line, start_col))
-        elif ch.isalpha() or ch == "_":
-            start_col, start = col, i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-        else:
-            raise ParseError(SourceSpan(line, col, 1), f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, start, end = m.lastgroup, m.start(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind == "comment":
+            end = start  # end of input right after a comment sits at the "#"
+        elif kind != "blank":
+            word, column = m.group(), start - line_start + 1
+            if kind == "punct":
+                kind = word
+            elif kind == "other" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
+                message = "malformed integer" if word == "-" else f"unexpected character {word[0]!r}"
+                raise ParseError(SourceSpan(line, column, 1), message)
+            tokens.append(_Token(kind, word, line, column))
+    tokens.append(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -171,10 +164,10 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
+    def _expect(self, kind: str, what: Optional[str] = None) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
-            raise ParseError(tok.span, f"unexpected {self._describe(tok)}", expected=(what,))
+            raise ParseError(tok.span, f"unexpected {self._describe(tok)}", expected=(what or kind,))
         return self._take()
 
     @staticmethod
@@ -208,14 +201,14 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self, declared: Optional[set[str]]) -> MultisetExpr:
-        self._expect("lbrace", "{")
+        self._expect("{")
         terms: list[Term] = []
-        if self._peek().kind != "rbrace":
+        if self._peek().kind != "}":
             terms.append(self._parse_term(declared))
-            while self._peek().kind == "comma":
+            while self._peek().kind == ",":
                 self._take()
                 terms.append(self._parse_term(declared))
-        self._expect("rbrace", "}")
+        self._expect("}")
         return MultisetExpr(tuple(terms))
 
     def _int(self) -> int:
@@ -230,11 +223,11 @@ class _Parser:
         if tok.text == "R":
             return Lit(angle_from_slope_vector(0, 1))
         if tok.text.lower() == "ang":
-            self._expect("lparen", "(")
+            self._expect("(")
             x = self._int()
-            self._expect("slash", "/")
+            self._expect("/")
             y = self._int()
-            close = self._expect("rparen", ")")
+            close = self._expect(")")
             try:
                 angle = angle_from_slope_vector(x, y)
             except DegenerateAngle:
@@ -254,31 +247,20 @@ class _Parser:
 
     def _parse_judgment(self, declared: Optional[set[str]]) -> Judgment:
         tok = self._peek()
-        head = tok.text.lower() if tok.kind == "ident" else ""
-        if head == "eq":
-            self._take()
-            return Eq(self.parse_expr(declared), self.parse_expr(declared))
-        if head == "lt":
-            self._take()
-            return Lt(self.parse_expr(declared), self.parse_expr(declared))
-        if head == "split":
-            self._take()
-            return Split(self._parse_term(declared), self._parse_term(declared), self._parse_term(declared))
-        if head == "congr":
-            self._take()
-            return Congr(self._parse_term(declared), self._parse_term(declared))
-        if head == "false":
-            self._take()
-            return Falsum()
-        raise ParseError(tok.span, f"unexpected {self._describe(tok)}",
-                         expected=("Eq", "Lt", "Split", "Congr", "False"))
+        form = _JUDGMENTS.get(tok.text.lower()) if tok.kind == "ident" else None
+        if form is None:
+            raise ParseError(tok.span, f"unexpected {self._describe(tok)}",
+                             expected=("Eq", "Lt", "Split", "Congr", "False"))
+        self._take()
+        judgment, of_exprs, arity = form
+        operand = self.parse_expr if of_exprs else self._parse_term
+        return judgment(*[operand(declared) for _ in range(arity)])
 
     # -- proofs ------------------------------------------------------------
 
     def parse_derivation(self) -> Derivation:
-        header = self._peek()
         if not self._at_keyword("vars"):
-            raise ParseError(header.span, "missing vars header", expected=("vars",))
+            raise ParseError(self._peek().span, "missing vars header", expected=("vars",))
         self._take()
         variables: list[str] = []
         declared: set[str] = set()
@@ -288,7 +270,7 @@ class _Parser:
                 raise ParseError(tok.span, f"variable {tok.text!r} declared twice")
             declared.add(tok.text)
             variables.append(tok.text)
-        self._expect("semi", ";")
+        self._expect(";")
 
         all_labels: set[str] = set()
         scope: list[set[str]] = [set()]
@@ -304,9 +286,9 @@ class _Parser:
             self._take()
             label = self._name("hypothesis label")
             declare_label(label)
-            self._expect("colon", ":")
+            self._expect(":")
             judgment = self._parse_judgment(declared)
-            self._expect("semi", ";")
+            self._expect(";")
             hypotheses.append(Hypothesis(label.text, judgment))
 
         steps: list[Step] = []
@@ -317,7 +299,9 @@ class _Parser:
 
     def _parse_step(self, declared: set[str], scope: list[set[str]], declare_label) -> Step:
         label = self._name("step label")
-        self._expect("colon", ":")
+        if len(scope) - 1 > MAX_CASES_DEPTH:
+            raise ParseError(label.span, f"cases nested deeper than {MAX_CASES_DEPTH} levels")
+        self._expect(":")
         judgment = self._parse_judgment(declared)
         self._expect_keyword("by")
         rule_tok = self._expect("ident", "rule name")
@@ -330,18 +314,16 @@ class _Parser:
         premises: list[str] = []
 
         if rule is Rule.CASES:
-            lhs = self.parse_expr(declared)
-            rhs = self.parse_expr(declared)
-            case_pair = (lhs, rhs)
+            case_pair = (self.parse_expr(declared), self.parse_expr(declared))
             parsed: list[tuple[Step, ...]] = []
             for _ in range(3):
-                self._expect("lbrace", "{")
+                self._expect("{")
                 scope.append({"case"})
                 block: list[Step] = []
-                while self._peek().kind != "rbrace":
+                while self._peek().kind != "}":
                     block.append(self._parse_step(declared, scope, declare_label))
                 scope.pop()
-                self._expect("rbrace", "}")
+                self._expect("}")
                 parsed.append(tuple(block))
             branches = tuple(parsed)
         else:
@@ -351,17 +333,10 @@ class _Parser:
                     raise ParseError(ref.span, f"unknown reference {ref.text!r}")
                 premises.append(ref.text)
 
-        self._expect("semi", ";")
+        self._expect(";")
         declare_label(label)
-        return Step(
-            label.text,
-            judgment,
-            rule,
-            tuple(premises),
-            case_pair=case_pair,
-            branches=branches,
-            span=label.span,
-        )
+        return Step(label.text, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
+                    span=label.span)
 
 
 def parse_expr(text: str) -> MultisetExpr:

@@ -29,12 +29,12 @@ from .calculus import (
     Falsum,
     Judgment,
     Lit,
-    Lt,
     Rule,
     Split,
     Step,
     Term,
     Var,
+    case_hypotheses,
     format_judgment,
     judgment_truth,
     judgment_variables,
@@ -349,7 +349,7 @@ def _first_false(steps: Sequence[Step], valuation: Valuation) -> Optional[Step]:
     for step in steps:
         if step.rule is Rule.CASES and step.case_pair is not None:
             m, n = step.case_pair
-            for hyp, branch in zip((Lt(m, n), Eq(m, n), Lt(n, m)), step.branches):
+            for hyp, branch in zip(case_hypotheses(m, n), step.branches):
                 if eval_judgment(hyp, valuation):
                     bad = _first_false(branch, valuation)
                     if bad is not None:

@@ -10,6 +10,7 @@ import pytest
 
 from eukleia import cli
 from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_VACUOUS, main
+from eukleia.dsl import MAX_CASES_DEPTH
 from eukleia.kernel import sum_multiset
 from eukleia.semantics import Counterexample, ModelCheckReport
 
@@ -376,3 +377,41 @@ class TestPipeline:
         main(["eval", "{R}"])
         assert not layer_calls
         capsys.readouterr()
+
+
+def nested_cases_script(depth: int) -> str:
+    """``depth`` cases steps, each in the first branch of the one before;
+    the innermost step, ``X``, sits ``depth`` branches deep on line depth + 3."""
+    goal = "Lt {a} {b}"
+    lines = ["vars a b;", "hyp H: Lt {a} {b};"]
+    lines += [f"K{i}: {goal} by cases {{a}} {{b}} {{" for i in range(depth)]
+    lines.append(f"X: {goal} by hypothesis H;")
+    lines += [f"}} {{ Y{i}: {goal} by hypothesis H; }} {{ Z{i}: {goal} by hypothesis H; }};"
+              for i in reversed(range(depth))]
+    return "\n".join(lines) + "\n"
+
+
+class TestCasesNesting:
+    @pytest.mark.parametrize("argv", [["check"], ["modelcheck", "--trials", "20"]])
+    def test_limit_depth_passes(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.eap"
+        path.write_text(nested_cases_script(MAX_CASES_DEPTH), encoding="utf-8")
+        code, (rep,) = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert (code, rep["status"]) == (EXIT_OK, "ok")
+        assert rep["detail"] == {"steps": 1}
+
+    @pytest.mark.parametrize("depth", [MAX_CASES_DEPTH + 1, 600])
+    @pytest.mark.parametrize("argv", [["check"], ["modelcheck", "--trials", "20"]])
+    def test_deeper_nesting_is_a_parse_error(self, capsys, tmp_path, argv, depth):
+        path = tmp_path / "deep.eap"
+        path.write_text(nested_cases_script(depth), encoding="utf-8")
+        code = main([argv[0], str(path), *argv[1:], "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.err == ""
+        rep = json.loads(captured.out)
+        assert rep["status"] == "parse-error"
+        assert rep["detail"] == {"message": f"cases nested deeper than {MAX_CASES_DEPTH} levels"}
+        # The first step past the limit is X when the nesting stops right
+        # there and K101 otherwise; either sits on line MAX_CASES_DEPTH + 4.
+        label = "X" if depth == MAX_CASES_DEPTH + 1 else f"K{MAX_CASES_DEPTH + 1}"
+        assert rep["span"] == {"line": MAX_CASES_DEPTH + 4, "column": 1, "length": len(label)}

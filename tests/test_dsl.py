@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eukleia.calculus import Lit, MultisetExpr, Rule, Var, multiset
-from eukleia.dsl import ParseError, format_derivation, parse_expr, parse_proof
+from eukleia.dsl import ParseError, SourceSpan, _lex, format_derivation, parse_expr, parse_proof
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang
@@ -232,3 +232,97 @@ class TestRoundTrip:
     def test_expression_round_trip(self, names, vecs):
         e = MultisetExpr(tuple(Var(n) for n in names) + tuple(Lit(ang(x, y)) for x, y in vecs))
         assert parse_expr(str(e)) == e
+
+
+# The character-loop lexer that ``_lex`` replaced, kept as the reference its
+# tokens, positions and errors must match.  It emits plain tuples with its
+# own kind names.
+_PUNCT = {
+    "{": "lbrace",
+    "}": "rbrace",
+    "(": "lparen",
+    ")": "rparen",
+    ",": "comma",
+    ":": "colon",
+    ";": "semi",
+    "/": "slash",
+}
+_DIGITS = frozenset("0123456789")
+
+
+def _old_lex(text: str) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, line, col))
+            col += 1
+            i += 1
+        elif ch == "-" or ch in _DIGITS:
+            start_col, start = col, i
+            i += 1
+            col += 1
+            while i < n and text[i] in _DIGITS:
+                i += 1
+                col += 1
+            word = text[start:i]
+            if word == "-":
+                raise ParseError(SourceSpan(line, start_col, 1), "malformed integer")
+            tokens.append(("int", word, line, start_col))
+        elif ch.isalpha() or ch == "_":
+            start_col, start = col, i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(("ident", text[start:i], line, start_col))
+        else:
+            raise ParseError(SourceSpan(line, col, 1), f"unexpected character {ch!r}")
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _lex_outcome(lex, text):
+    """The tokens as (kind, text, line, column) with the old kind names, or the error."""
+    try:
+        return [(_PUNCT.get(kind, kind), word, line, column) for kind, word, line, column in lex(text)]
+    except ParseError as err:
+        return ("error", str(err), err.span)
+
+
+_LEX_ALPHABET = list("ab_Zé²½Ⅷ٣09-#{}(),:;/ \t\r\n\x00%.") + ["R", "ang", "vars", "-1", "# c", "\u00a0"]
+
+
+class TestLexer:
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=40).map("".join))
+    def test_matches_the_old_lexer(self, text):
+        assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text)
+
+    @pytest.mark.parametrize("text", ["-", "a -", "{ang(-/1)}", "x # c", "x\n# c", "# c", "", "a\n  \t", "²", "_²½", "Ⅷ", "é1"])
+    def test_edge_cases_match_the_old_lexer(self, text):
+        assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text)
+
+    def test_corpus_tokens_match_the_old_lexer(self):
+        for path in sorted(CORPUS_DIR.glob("*.eap")) + sorted((CORPUS_DIR / "mutations").glob("*.eap")):
+            text = path.read_text(encoding="utf-8")
+            assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text), path.name
+            for tok in _lex(text):
+                assert tok.span == SourceSpan(tok.line, tok.column, max(1, len(tok.text)))
+
+    def test_end_of_input_after_a_comment_sits_at_the_hash(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("{a  # unclosed")
+        assert (err.value.span.line, err.value.span.column) == (1, 5)
+        assert "end of input" in err.value.message

@@ -52,3 +52,27 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = set(_imported(tree)) - _used(tree) - _exported(tree)
     assert not unused, ", ".join(f"{path.name}:{_imported(tree)[n]}: {n!r} imported but unused" for n in sorted(unused))
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name a top-level def, class or assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        names.update((name, node.lineno) for name in targets if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = {name: line for name, line in _private_definitions(tree).items() if name not in read}
+    assert not unread, ", ".join(f"{path.name}:{line}: {name!r} defined but never read" for name, line in sorted(unread.items()))
