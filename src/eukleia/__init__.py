@@ -27,7 +27,6 @@ from .calculus import (
     Falsum,
     Hypothesis,
     Judgment,
-    Lit,
     Lt,
     MultisetExpr,
     Rule,
@@ -35,7 +34,6 @@ from .calculus import (
     Step,
     StepError,
     Term,
-    Var,
     check_derivation,
     check_step,
     derive_whole_part,

@@ -1,5 +1,9 @@
 """Multiset judgments over angle terms, the inference rules, and the checker.
 
+A term is a variable name (a ``str`` declared by the script's ``vars``
+header) or a concrete ``AngleLit``; a multiset expression is a canonically
+sorted tuple of terms, variables first.
+
 The judgment language has no connectives: a proof is a straight sequence of
 Eq/Lt/Split/Congr/False claims, each justified by one rule applied to earlier
 lines.  Three-way comparisons are eliminated with a dedicated Cases step
@@ -30,37 +34,24 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Terms and multiset expressions
 
-@dataclass(frozen=True)
-class Var:
-    """Angle variable, bound by a proof script's ``vars`` header."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Lit:
-    """Concrete angle embedded in an expression."""
-
-    angle: AngleLit
-
-
-Term = Union[Var, Lit]
+# A variable name or a concrete angle.
+Term = Union[str, AngleLit]
 
 _RIGHT = right_angle()
 
 
 def _term_key(t: Term) -> tuple[int, str, int, int]:
-    if isinstance(t, Var):
-        return (0, t.name, 0, 0)
-    return (1, "", t.angle.x, t.angle.y)
+    if isinstance(t, str):
+        return (0, t, 0, 0)
+    return (1, "", t.x, t.y)
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if t.angle == _RIGHT:
+    if isinstance(t, str):
+        return t
+    if t == _RIGHT:
         return "R"
-    return str(t.angle)
+    return str(t)
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ class MultisetExpr:
         return Counter(self.terms)
 
     def variables(self) -> set[str]:
-        return {t.name for t in self.terms if isinstance(t, Var)}
+        return {t for t in self.terms if isinstance(t, str)}
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_term(t) for t in self.terms) + "}"
@@ -161,7 +152,7 @@ def format_judgment(j: Judgment) -> str:
 
 
 def _term_variables(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Var) else set()
+    return {t} if isinstance(t, str) else set()
 
 
 def judgment_variables(j: Judgment) -> set[str]:
@@ -175,15 +166,15 @@ def judgment_variables(j: Judgment) -> set[str]:
 
 
 def judgment_truth(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
-    """Kernel truth value of ``j``: a ``Lit`` term denotes its angle and a
-    ``Var`` term ``valuation[name]`` (KeyError when missing).
+    """Kernel truth value of ``j``: an angle term denotes itself and a
+    variable term ``valuation[name]`` (KeyError when missing).
 
     Eq/Lt compare total measures exactly; Split holds when the parts compose
     to the whole; Congr holds for identical canonical angles; False never holds.
     """
 
     def angle(t: Term) -> AngleLit:
-        return t.angle if isinstance(t, Lit) else valuation[t.name]
+        return valuation[t] if isinstance(t, str) else t
 
     if isinstance(j, (Eq, Lt)):
         order = compare_multisets([angle(t) for t in j.lhs.terms], [angle(t) for t in j.rhs.terms])
@@ -231,8 +222,8 @@ class Rule(Enum):
     KERNEL_EVAL = "kerneleval"
 
 
-# Expected premise count per rule; None means the rule checks arity itself.
-_PREMISE_COUNT: dict[Rule, Optional[int]] = {
+# How many premises each rule cites.
+_PREMISE_COUNT: dict[Rule, int] = {
     Rule.EQ_REFL: 0,
     Rule.EQ_SYM: 1,
     Rule.EQ_TRANS: 2,
@@ -362,7 +353,7 @@ def check_step(step: Step, context: Context) -> None:
     if rule is not Rule.CASES and (step.branches or step.case_pair is not None):
         fail("case blocks are only meaningful under the cases rule")
     expected = _PREMISE_COUNT[rule]
-    if expected is not None and len(premises) != expected:
+    if len(premises) != expected:
         fail(f"rule {rule.value} takes {expected} premise(s), got {len(premises)}")
 
     goal = step.judgment

@@ -3,10 +3,15 @@ model-check scripts, and run the bundled corpus.
 
 Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 parse error,
 3 step error, 4 model counterexample, 5 vacuous model check (trials ran but
-no valuation met the hypotheses, so no step was checked).  For ``corpus``
-the first parse, step or counterexample failure sets the exit code, and 5
-applies only when there is none.  A report's ``status`` is one of ``ok``,
-``parse-error``, ``step-error``, ``counterexample`` and ``vacuous``.
+no valuation met the hypotheses, so no step was checked), 6 an ``eval`` or
+``compare`` sum too large to print (a coordinate has more digits than the
+interpreter converts to text).  For ``corpus`` the first parse, step or
+counterexample failure sets the exit code, and 5 applies only when there is
+none.  A report's ``status`` is one of ``ok``, ``parse-error``,
+``step-error``, ``counterexample``, ``vacuous`` and ``too-large``.
+
+``eval`` and ``compare`` accept literal-only expressions: each term of the
+parsed expression is then an ``AngleLit``, which the kernel sums as it is.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
 :func:`run_script`, which returns its exit code and report; the commands only
@@ -30,7 +35,7 @@ from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
 from .dsl import ParseError, SourceSpan, parse_expr, parse_proof
-from .kernel import AngleSum, Ordering, compare_sums, sum_multiset
+from .kernel import AngleSum, compare_sums, sum_multiset
 from .semantics import model_check_derivation
 
 EXIT_OK = 0
@@ -39,10 +44,9 @@ EXIT_PARSE = 2
 EXIT_STEP = 3
 EXIT_COUNTEREXAMPLE = 4
 EXIT_VACUOUS = 5
+EXIT_TOO_LARGE = 6
 
 CORPUS_DIR_ENV = "EUKLEIA_CORPUS_DIR"
-
-_VERDICTS = {Ordering.LESS: "LESS", Ordering.EQUAL: "EQUAL", Ordering.GREATER: "GREATER"}
 
 
 def bundled_corpus_dir() -> Path:
@@ -122,7 +126,16 @@ def _literal_angles(expr_text: str, command: str, args, started: float):
         rep = _report(command, "parse-error", detail={"message": f"variable {variables[0]!r} in a literal-only expression"})
         _emit(args, [rep], [f"error: variable {variables[0]!r} is not allowed here"], started)
         return None
-    return [t.angle for t in expr.terms]  # type: ignore[union-attr]
+    return list(expr.terms)
+
+
+def _too_large(command: str, args, started: float) -> int:
+    """Report a sum that was computed exactly but has a coordinate with more
+    digits than ``str(int)`` converts (the interpreter's digit limit)."""
+    message = "result too large to print: a coordinate has more digits than the interpreter converts to text"
+    rep = _report(command, "too-large", detail={"message": message})
+    _emit(args, [rep], [f"error: {message}"], started)
+    return EXIT_TOO_LARGE
 
 
 def _approx_radians(total: AngleSum) -> float:
@@ -156,11 +169,10 @@ def run_script(command: str, text: str, file: Optional[str], trials: Optional[in
     if trials is None:
         return EXIT_OK, _report(command, "ok", file=file, detail=steps)
     outcome = model_check_derivation(derivation, trials, seed)
-    cx = outcome.counterexample
+    cx = outcome.to_dict()["counterexample"]
     if cx is not None:
-        valuation = {k: str(v) for k, v in sorted(cx.valuation.items())}
-        return EXIT_COUNTEREXAMPLE, _report(command, "counterexample", file=file, step=cx.step,
-                                            valuation=valuation, trials=outcome.trials,
+        return EXIT_COUNTEREXAMPLE, _report(command, "counterexample", file=file, step=cx["step"],
+                                            valuation=cx["valuation"], trials=outcome.trials,
                                             satisfied=outcome.satisfied)
     code, status = (EXIT_VACUOUS, "vacuous") if outcome.vacuous else (EXIT_OK, "ok")
     return code, _report(command, status, file=file, trials=outcome.trials, satisfied=outcome.satisfied,
@@ -223,9 +235,13 @@ def _cmd_compare(args) -> int:
     if rhs is None:
         return EXIT_PARSE
     sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
-    verdict = _VERDICTS[compare_sums(sum_l, sum_r)]
-    rep = _report("compare", "ok", result=verdict, detail={"lhs": str(sum_l), "rhs": str(sum_r)})
-    _emit(args, [rep], [verdict, f"lhs: {sum_l}", f"rhs: {sum_r}"], started)
+    verdict = compare_sums(sum_l, sum_r).name
+    try:
+        text_l, text_r = str(sum_l), str(sum_r)
+    except ValueError:
+        return _too_large("compare", args, started)
+    rep = _report("compare", "ok", result=verdict, detail={"lhs": text_l, "rhs": text_r})
+    _emit(args, [rep], [verdict, f"lhs: {text_l}", f"rhs: {text_r}"], started)
     return EXIT_OK
 
 
@@ -235,12 +251,16 @@ def _cmd_eval(args) -> int:
     if angles is None:
         return EXIT_PARSE
     total = sum_multiset(angles)
+    try:
+        text = str(total)
+    except ValueError:
+        return _too_large("eval", args, started)
     detail: dict = {}
-    human = [str(total)]
+    human = [text]
     if args.approx:
         detail["approx_radians"] = approx = f"{_approx_radians(total):.10f}"
         human.append(f"approx: {approx} rad")
-    rep = _report("eval", "ok", result=str(total), detail=detail or None)
+    rep = _report("eval", "ok", result=text, detail=detail or None)
     _emit(args, [rep], human, started)
     return EXIT_OK
 

@@ -44,14 +44,12 @@ from .calculus import (
     Falsum,
     Hypothesis,
     Judgment,
-    Lit,
     Lt,
     MultisetExpr,
     Rule,
     Split,
     Step,
     Term,
-    Var,
     format_judgment,
 )
 from .kernel import DegenerateAngle, angle_from_slope_vector
@@ -221,7 +219,7 @@ class _Parser:
     def _parse_term(self, declared: Optional[set[str]]) -> Term:
         tok = self._expect("ident", "term")
         if tok.text == "R":
-            return Lit(angle_from_slope_vector(0, 1))
+            return angle_from_slope_vector(0, 1)
         if tok.text.lower() == "ang":
             self._expect("(")
             x = self._int()
@@ -236,12 +234,12 @@ class _Parser:
                     SourceSpan(tok.line, tok.column, length),
                     "degenerate angle literal: the argument is not strictly between 0 and pi",
                 ) from None
-            return Lit(angle)
+            return angle
         if tok.text.lower() in _RESERVED:
             raise ParseError(tok.span, f"{tok.text!r} is reserved and cannot name a variable")
         if declared is not None and tok.text not in declared:
             raise ParseError(tok.span, f"undeclared variable {tok.text!r}")
-        return Var(tok.text)
+        return tok.text
 
     # -- judgments ---------------------------------------------------------
 

@@ -151,24 +151,11 @@ def angle_from_rays(apex, p, q) -> AngleLit:
     return angle_from_slope_vector(int(dot * scale), int(abs(cross) * scale))
 
 
-def _direction_rank(x: int, y: int) -> int:
-    # Counterclockwise from the positive x-axis: even ranks are the four
-    # axes, odd ranks the four open quadrants.
-    if y == 0:
-        return 0 if x > 0 else 4
-    if x == 0:
-        return 2 if y > 0 else 6
-    if y > 0:
-        return 1 if x > 0 else 3
-    return 5 if x < 0 else 7
-
-
 def _order(ax: int, ay: int, bx: int, by: int) -> Ordering:
-    ra, rb = _direction_rank(ax, ay), _direction_rank(bx, by)
-    if ra != rb:
-        return Ordering.LESS if ra < rb else Ordering.GREATER
-    if ra % 2 == 0:
-        return Ordering.EQUAL
+    upper_a = ay > 0 or (ay == 0 and ax > 0)
+    upper_b = by > 0 or (by == 0 and bx > 0)
+    if upper_a != upper_b:
+        return Ordering.LESS if upper_a else Ordering.GREATER
     cross = ax * by - ay * bx
     if cross > 0:
         return Ordering.LESS
@@ -180,10 +167,9 @@ def _order(ax: int, ay: int, bx: int, by: int) -> Ordering:
 def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
     """Order two directions exactly by argument in [0, 2*pi).
 
-    Different ranks (axis / open quadrant, counterclockwise) decide
-    immediately; within one open quadrant the sign of the cross product
-    decides; an axis rank holds a single primitive vector, so equal axis
-    ranks mean equal directions.
+    Directions in [0, pi) come before those in [pi, 2*pi).  Within one half
+    the two arguments differ by less than pi, so the sign of the cross
+    product decides, and a zero cross product means the same direction.
     """
     return _order(a.x, a.y, b.x, b.y)
 

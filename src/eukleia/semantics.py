@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
     Congr,
@@ -28,12 +28,10 @@ from .calculus import (
     Eq,
     Falsum,
     Judgment,
-    Lit,
     Rule,
     Split,
     Step,
     Term,
-    Var,
     case_hypotheses,
     format_judgment,
     judgment_truth,
@@ -118,10 +116,6 @@ def _split_off(whole: AngleLit, part: AngleLit) -> Optional[AngleLit]:
     return angle_from_slope_vector(x, y) if y > 0 else None
 
 
-# A value's key while sampling: a union-find root for a variable, the angle
-# itself for a literal.
-_Key = Union[str, AngleLit]
-
 _COMPOSE = "compose"  # the target is the sum of the inputs, rejected on overflow
 _SOLVE = "solve"  # the target is inputs[0] split off by inputs[1], rejected unless positive
 
@@ -166,34 +160,36 @@ class SamplingPlan:
         self.impossible = False
         for h in self.hypotheses:
             if isinstance(h, Congr):
-                if isinstance(h.a, Var) and isinstance(h.b, Var):
-                    parent[find(h.b.name)] = find(h.a.name)
-                elif isinstance(h.a, Lit) and isinstance(h.b, Lit) and h.a != h.b:
+                if isinstance(h.a, str) and isinstance(h.b, str):
+                    parent[find(h.b)] = find(h.a)
+                elif isinstance(h.a, AngleLit) and isinstance(h.b, AngleLit) and h.a != h.b:
                     self.impossible = True
             elif isinstance(h, Falsum):
                 self.impossible = True
         pinned: dict[str, AngleLit] = {}
         for h in self.hypotheses:
-            if isinstance(h, Congr) and isinstance(h.a, Var) != isinstance(h.b, Var):
-                var, lit = (h.a, h.b) if isinstance(h.a, Var) else (h.b, h.a)
-                root = find(var.name)
-                if pinned.get(root, lit.angle) != lit.angle:
+            if isinstance(h, Congr) and isinstance(h.a, str) != isinstance(h.b, str):
+                var, lit = (h.a, h.b) if isinstance(h.a, str) else (h.b, h.a)
+                root = find(var)
+                if pinned.get(root, lit) != lit:
                     self.impossible = True
-                pinned[root] = lit.angle
+                pinned[root] = lit
 
-        def key(t: Term) -> _Key:
-            return t.angle if isinstance(t, Lit) else find(t.name)
+        # A value's key while sampling: a union-find root for a variable, the
+        # angle itself for a literal.
+        def key(t: Term) -> Term:
+            return find(t) if isinstance(t, str) else t
 
         # rules[root] = (action, inputs, index of the hypothesis it comes from)
-        rules: dict[_Key, tuple[str, tuple[_Key, ...], int]] = {}
+        rules: dict[Term, tuple[str, tuple[Term, ...], int]] = {}
         for i, h in enumerate(self.hypotheses):
-            if isinstance(h, Split) and isinstance(h.whole, Var):
+            if isinstance(h, Split) and isinstance(h.whole, str):
                 whole = key(h.whole)
                 if whole not in pinned and whole not in rules:
                     rules[whole] = (_COMPOSE, (key(h.part1), key(h.part2)), i)
 
         def free(t: Term) -> bool:
-            return isinstance(t, Var) and key(t) not in pinned and key(t) not in rules
+            return isinstance(t, str) and key(t) not in pinned and key(t) not in rules
 
         for i, h in enumerate(self.hypotheses):
             if isinstance(h, Split):
@@ -242,7 +238,7 @@ class SamplingPlan:
         self.draws = tuple(r for r in dict.fromkeys(find(n) for n in names) if r in drawn)
         self.actions = tuple(actions)
         literals = {k: k for _, _, inputs in actions for k in inputs if isinstance(k, AngleLit)}
-        self.fixed: dict[_Key, AngleLit] = {**literals, **pinned}
+        self.fixed: dict[Term, AngleLit] = {**literals, **pinned}
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates; return the first satisfying one."""

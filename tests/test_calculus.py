@@ -10,14 +10,12 @@ from eukleia.calculus import (
     Eq,
     Falsum,
     Hypothesis,
-    Lit,
     Lt,
     MultisetExpr,
     Rule,
     Split,
     Step,
     StepError,
-    Var,
     check_derivation,
     check_step,
     derive_whole_part,
@@ -28,8 +26,8 @@ from eukleia.kernel import right_angle
 
 from conftest import ang, random_angle
 
-R = Lit(right_angle())
-a, b, c, d, t = Var("a"), Var("b"), Var("c"), Var("d"), Var("t")
+R = right_angle()
+a, b, c, d, t = "a", "b", "c", "d", "t"
 
 
 def ctx(*judgments, declared=("a", "b", "c", "d", "t")):
@@ -61,7 +59,7 @@ class TestMultisetExpr:
     def test_rendering_is_canonical(self):
         assert str(multiset(R, b, a, a)) == "{a, a, b, R}"
         assert str(MultisetExpr()) == "{}"
-        assert str(multiset(Lit(ang(3, 4)))) == "{ang(3/4)}"
+        assert str(multiset(ang(3, 4))) == "{ang(3/4)}"
 
 
 class TestEqualityRules:
@@ -205,10 +203,10 @@ class TestClashRules:
 
 class TestKernelEval:
     def test_true_literal_judgments(self):
-        check(Step("s", Eq(multiset(Lit(ang(1, 1)), Lit(ang(1, 1))), multiset(R)), Rule.KERNEL_EVAL), ctx())
-        check(Step("s", Lt(multiset(Lit(ang(3, 4)), Lit(ang(1, 1))), multiset(R, R)), Rule.KERNEL_EVAL), ctx())
-        check(Step("s", Split(R, Lit(ang(4, 3)), Lit(ang(3, 4))), Rule.KERNEL_EVAL), ctx())
-        check(Step("s", Congr(R, Lit(ang(0, 1))), Rule.KERNEL_EVAL), ctx())
+        check(Step("s", Eq(multiset(ang(1, 1), ang(1, 1)), multiset(R)), Rule.KERNEL_EVAL), ctx())
+        check(Step("s", Lt(multiset(ang(3, 4), ang(1, 1)), multiset(R, R)), Rule.KERNEL_EVAL), ctx())
+        check(Step("s", Split(R, ang(4, 3), ang(3, 4)), Rule.KERNEL_EVAL), ctx())
+        check(Step("s", Congr(R, ang(0, 1)), Rule.KERNEL_EVAL), ctx())
 
     def test_refuted_judgment(self):
         fails(Step("s", Lt(multiset(R, R), multiset(R)), Rule.KERNEL_EVAL), ctx(), "refutes")
@@ -334,7 +332,7 @@ class TestDeriveWholePart:
 
     def test_fragments_check_and_conclude(self):
         rng = random.Random(71)
-        terms = [a, b, c, R, Lit(ang(2, 5))]
+        terms = [a, b, c, R, ang(2, 5)]
         for _ in range(60):
             m = multiset(*(rng.choice(terms) for _ in range(rng.randint(0, 4))))
             n = multiset(*(rng.choice(terms) for _ in range(rng.randint(1, 4))))

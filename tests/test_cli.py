@@ -1,16 +1,21 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 import shutil
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eukleia import cli
-from eukleia.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_VACUOUS, main
-from eukleia.dsl import MAX_CASES_DEPTH
+from eukleia.cli import (EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_TOO_LARGE,
+                         EXIT_VACUOUS, main)
+from eukleia.dsl import MAX_CASES_DEPTH, parse_expr
 from eukleia.kernel import sum_multiset
 from eukleia.semantics import Counterexample, ModelCheckReport
 
@@ -415,3 +420,111 @@ class TestCasesNesting:
         # there and K101 otherwise; either sits on line MAX_CASES_DEPTH + 4.
         label = "X" if depth == MAX_CASES_DEPTH + 1 else f"K{MAX_CASES_DEPTH + 1}"
         assert rep["span"] == {"line": MAX_CASES_DEPTH + 4, "column": 1, "length": len(label)}
+
+
+# 1000 angles with coordinates up to 10**6.  Their exact sum has coordinates
+# of about 6000 digits, past the interpreter's default limit of 4300 digits
+# for converting an int to text.
+_over_rng = random.Random(6)
+OVER_LIMIT = multiset(ang(_over_rng.randint(-10**6, 10**6), _over_rng.randint(1, 10**6)) for _ in range(1000))
+
+
+class TestTooLarge:
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts ints of any length to text")
+    @pytest.mark.parametrize("argv", [["eval", OVER_LIMIT], ["eval", OVER_LIMIT, "--approx"],
+                                      ["compare", OVER_LIMIT, "{R}"], ["compare", "{R}", OVER_LIMIT]])
+    def test_exits_6_without_traceback(self, capsys, argv):
+        rep = sum_multiset(parse_expr(OVER_LIMIT).terms).rep
+        assert max(abs(rep.x), abs(rep.y)).bit_length() * math.log10(2) > sys.get_int_max_str_digits()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_TOO_LARGE and captured.err == ""
+        assert captured.out.startswith("error: result too large to print")
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_TOO_LARGE and captured.err == ""
+        rep = json.loads(captured.out)
+        assert set(rep) == JSON_FIELDS
+        assert rep["command"] == argv[0] and rep["status"] == "too-large" and rep["result"] is None
+        assert list(rep["detail"]) == ["message"]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing main(): every call returns a documented exit code and never raises.
+
+EXIT_CODES = {EXIT_OK, EXIT_IO, EXIT_PARSE, EXIT_STEP, EXIT_COUNTEREXAMPLE, EXIT_VACUOUS, EXIT_TOO_LARGE}
+STATUS_OF_CODE = {EXIT_OK: "ok", EXIT_PARSE: "parse-error", EXIT_STEP: "step-error",
+                  EXIT_COUNTEREXAMPLE: "counterexample", EXIT_VACUOUS: "vacuous", EXIT_TOO_LARGE: "too-large"}
+
+
+def call(argv):
+    """``main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(code, out, err, json_out):
+    assert code in EXIT_CODES
+    assert "Traceback" not in out + err
+    if json_out and code != EXIT_IO:
+        for line in out.splitlines():
+            assert json.loads(line)["status"] == STATUS_OF_CODE[code]
+
+
+_coords = st.one_of(st.integers(-40, 40), st.integers(-10**6, 10**6), st.integers(-10**90, 10**90))
+_terms = st.one_of(st.sampled_from(["R", "a", "ang", "_"]),
+                   st.builds("ang({}/{})".format, _coords, _coords))
+_exprs = st.lists(_terms, max_size=8).map(lambda ts: "{" + ", ".join(ts) + "}")
+_noise = st.text(alphabet="{}(),/;:#-_ \n\t0123456789angRx\u00b2\u0663", max_size=12)
+_operands = st.one_of(
+    _exprs,
+    _noise,
+    st.builds(lambda e, i, n: e[:i % (len(e) + 1)] + n + e[i % (len(e) + 1):], _exprs, st.integers(0, 200), _noise),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@example(command="eval", lhs=OVER_LIMIT, rhs="", json_out=False)
+@example(command="compare", lhs="{R}", rhs=OVER_LIMIT, json_out=True)
+@given(command=st.sampled_from(["eval", "compare"]), lhs=_operands, rhs=_operands, json_out=st.booleans())
+def test_fuzz_expression_commands(command, lhs, rhs, json_out):
+    operands = [lhs, rhs] if command == "compare" else [lhs]
+    json_flag = ["--json"] if json_out else []
+    assert_documented(*call([command, *json_flag, "--", *operands]), json_out)
+
+
+_SCRIPT_TEXTS = [p.read_text(encoding="utf-8") for p in script_files()]
+
+
+@st.composite
+def corrupted_scripts(draw):
+    """A corpus or mutation script with up to three slices replaced by noise,
+    by nothing, or by another slice of the same script."""
+    text = draw(st.sampled_from(_SCRIPT_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 30)))
+        k = draw(st.integers(0, len(text)))
+        patch = draw(st.one_of(st.just(""), _noise, st.just(text[k:k + 40])))
+        text = text[:i] + patch + text[j:]
+    data = text.encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "script.eap"
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=corrupted_scripts(), modelcheck=st.booleans(), json_out=st.booleans())
+def test_fuzz_script_commands(fuzz_path, data, modelcheck, json_out):
+    fuzz_path.write_bytes(data)
+    argv = ["modelcheck", str(fuzz_path), "--trials", "5"] if modelcheck else ["check", str(fuzz_path)]
+    assert_documented(*call(argv + (["--json"] if json_out else [])), json_out)

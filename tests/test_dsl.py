@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eukleia.calculus import Lit, MultisetExpr, Rule, Var, multiset
+from eukleia.calculus import MultisetExpr, Rule, multiset
 from eukleia.dsl import ParseError, SourceSpan, _lex, format_derivation, parse_expr, parse_proof
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang
 
-R = Lit(right_angle())
+R = right_angle()
 
 
 def spans_inside(text, err: ParseError):
@@ -23,8 +23,8 @@ def spans_inside(text, err: ParseError):
 class TestParseExpr:
     def test_multiplicity_accumulates(self):
         e = parse_expr("{a, b, a}")
-        assert e == multiset(Var("a"), Var("a"), Var("b"))
-        assert e.counts()[Var("a")] == 2
+        assert e == multiset("a", "a", "b")
+        assert e.counts()["a"] == 2
 
     def test_two_right_angles(self):
         assert parse_expr("{R, R}") == multiset(R, R)
@@ -33,9 +33,9 @@ class TestParseExpr:
         assert parse_expr("{}") == MultisetExpr()
 
     def test_angle_literals(self):
-        assert parse_expr("{ang(3/4)}") == multiset(Lit(ang(3, 4)))
-        assert parse_expr("{ang(-2/3)}") == multiset(Lit(ang(-2, 3)))
-        assert parse_expr("{ang(2/4)}") == multiset(Lit(ang(1, 2)))
+        assert parse_expr("{ang(3/4)}") == multiset(ang(3, 4))
+        assert parse_expr("{ang(-2/3)}") == multiset(ang(-2, 3))
+        assert parse_expr("{ang(2/4)}") == multiset(ang(1, 2))
         assert parse_expr("{ang(0/1)}") == multiset(R)
 
     def test_degenerate_literal_is_a_parse_error(self):
@@ -168,7 +168,7 @@ S1: Lt {b} {a} by cases {a} {b} {
         d = parse_proof(text)
         step = d.steps[0]
         assert step.rule is Rule.CASES
-        assert step.case_pair == (multiset(Var("a")), multiset(Var("b")))
+        assert step.case_pair == (multiset("a"), multiset("b"))
         assert tuple(len(b) for b in step.branches) == (2, 2, 1)
 
     def test_cases_requires_three_blocks(self):
@@ -230,7 +230,7 @@ class TestRoundTrip:
     @given(st.lists(st.sampled_from(["a", "b", "zz_9"]), max_size=5),
            st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), max_size=4))
     def test_expression_round_trip(self, names, vecs):
-        e = MultisetExpr(tuple(Var(n) for n in names) + tuple(Lit(ang(x, y)) for x, y in vecs))
+        e = MultisetExpr(tuple(names) + tuple(ang(x, y) for x, y in vecs))
         assert parse_expr(str(e)) == e
 
 

@@ -9,13 +9,11 @@ from eukleia.calculus import (
     Eq,
     Falsum,
     Hypothesis,
-    Lit,
     Lt,
     MultisetExpr,
     Rule,
     Split,
     Step,
-    Var,
     check_derivation,
     literal_judgment_truth,
     multiset,
@@ -34,8 +32,8 @@ from eukleia.semantics import (
 
 from conftest import CORPUS_DIR, ang
 
-R = Lit(right_angle())
-a, b, c = Var("a"), Var("b"), Var("c")
+R = right_angle()
+a, b, c = "a", "b", "c"
 
 
 class TestEvalJudgment:
@@ -68,11 +66,11 @@ class TestEvalJudgment:
 
 
 def _subst_term(t, valuation):
-    if isinstance(t, Var):
+    if isinstance(t, str):
         try:
-            return Lit(valuation[t.name])
+            return valuation[t]
         except KeyError:
-            raise UnboundVariable(t.name) from None
+            raise UnboundVariable(t) from None
     return t
 
 
@@ -96,7 +94,7 @@ def _substitute(j, valuation):
 # come out true as well as false.  Two ang(1/1), or ang(3/4) and ang(4/3),
 # split R; ang(-1/1) parts overflow a Split.
 _pool = st.sampled_from([ang(0, 1), ang(1, 1), ang(-1, 1), ang(3, 4), ang(4, 3), ang(-7, 2)])
-_terms = st.one_of(st.sampled_from([a, b, c]), _pool.map(Lit))
+_terms = st.one_of(st.sampled_from([a, b, c]), _pool)
 # Listed unsorted and with repeats; MultisetExpr orders variables before
 # literals, while the substituted expression orders by angle.
 _sides = st.lists(_terms, max_size=5).map(lambda ts: MultisetExpr(tuple(ts)))
@@ -134,7 +132,7 @@ class TestRandomValuation:
         assert set(v) == {"x"}
 
     def test_contradictory_hypotheses_unsatisfied(self):
-        x, y = Var("x"), Var("y")
+        x, y = "x", "y"
         with pytest.raises(Unsatisfied):
             random_valuation(("x", "y"), [Lt(multiset(x), multiset(y)), Lt(multiset(y), multiset(x))],
                              seed=1, budget=300)
@@ -158,7 +156,7 @@ class TestRandomValuation:
         assert add_two(v["b"], v["c"]) == right_angle()
 
     def test_chained_splits(self):
-        d_ = Var("d")
+        d_ = "d"
         v = random_valuation(("a", "b", "c", "d"), [Split(a, b, c), Split(b, d_, d_)], seed=13)
         assert add_two(v["d"], v["d"]) == v["b"]
         assert add_two(v["b"], v["c"]) == v["a"]
@@ -261,7 +259,7 @@ class TestSamplingPlan:
 
     def test_whole_derived_by_another_split(self):
         names = ("w", "p", "q", "r", "s")
-        hyps = [Split(Var("w"), Var("p"), Var("q")), Split(Var("w"), Var("r"), Var("s"))]
+        hyps = [Split("w", "p", "q"), Split("w", "r", "s")]
         plan = SamplingPlan(names, hyps)
         assert plan.draws == ("p", "q", "r")
         for seed in range(20):
@@ -275,7 +273,7 @@ class TestSamplingPlan:
         assert v["a"] == v["b"]
 
     def test_pinned_whole_is_split(self):
-        v = random_valuation(("w", "p", "q"), [Congr(Var("w"), R), Split(Var("w"), Var("p"), Var("q"))], seed=8)
+        v = random_valuation(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")], seed=8)
         assert add_two(v["p"], v["q"]) == v["w"] == right_angle()
 
 
@@ -290,19 +288,19 @@ def test_split_onto_literal_whole_composes_back(b_, c_, seed):
         whole = add_two(b_, c_)
     except AngleOverflow:
         return
-    v = random_valuation(("p", "q"), [Split(Lit(whole), Var("p"), Var("q"))], seed=seed)
+    v = random_valuation(("p", "q"), [Split(whole, "p", "q")], seed=seed)
     assert add_two(v["p"], v["q"]) == whole
 
 
 @given(seeds)
 def test_split_onto_right_angle_composes_back(seed):
-    v = random_valuation(("p", "q"), [Split(R, Var("p"), Var("q"))], seed=seed)
+    v = random_valuation(("p", "q"), [Split(R, "p", "q")], seed=seed)
     assert add_two(v["p"], v["q"]) == right_angle()
 
 
 @given(seeds, st.booleans())
 def test_eq_with_lone_variable_side_is_composed(seed, flipped):
-    v_ = Var("v")
+    v_ = "v"
     lone, pair = multiset(v_), multiset(a, b)
     hyp = Eq(pair, lone) if flipped else Eq(lone, pair)
     v = random_valuation(("v", "a", "b"), [hyp], seed=seed)
@@ -313,7 +311,7 @@ def test_eq_with_lone_variable_side_is_composed(seed, flipped):
 @given(seeds)
 def test_eq_onto_two_right_angles_unsatisfied(seed):
     with pytest.raises(Unsatisfied):
-        random_valuation(("v",), [Eq(multiset(Var("v")), multiset(R, R))], seed=seed, budget=200)
+        random_valuation(("v",), [Eq(multiset("v"), multiset(R, R))], seed=seed, budget=200)
 
 
 class TestModelCheck:
@@ -360,7 +358,7 @@ class TestModelCheck:
 
     def test_unsatisfiable_hypotheses_stop_early_as_vacuous(self):
         # No angle measures two right angles: every candidate overflows.
-        x = Var("x")
+        x = "x"
         d = Derivation(
             variables=("x",),
             hypotheses=(Hypothesis("H1", Eq(multiset(x), multiset(R, R))),),
@@ -392,9 +390,9 @@ def _random_expr(rng, max_size=3):
     terms = []
     for _ in range(rng.randint(0, max_size)):
         if rng.random() < 0.7:
-            terms.append(Var(rng.choice(VAR_NAMES)))
+            terms.append(rng.choice(VAR_NAMES))
         else:
-            terms.append(Lit(_random_lit(rng)))
+            terms.append(_random_lit(rng))
     return MultisetExpr(tuple(terms))
 
 
@@ -405,7 +403,7 @@ def _random_lit(rng):
 
 
 def _random_term(rng):
-    return Var(rng.choice(VAR_NAMES)) if rng.random() < 0.7 else Lit(_random_lit(rng))
+    return rng.choice(VAR_NAMES) if rng.random() < 0.7 else _random_lit(rng)
 
 
 def _random_valuation_for_names(rng):
@@ -456,7 +454,7 @@ def rule_instance(rule, rng):
                 w_ = add_two(b_, c_)
             except AngleOverflow:
                 return None
-            return [Split(Lit(w_), Lit(b_), Lit(c_))], Eq(multiset(Lit(w_)), multiset(Lit(b_), Lit(c_)))
+            return [Split(w_, b_, c_)], Eq(multiset(w_), multiset(b_, c_))
         w, p1, p2 = (_random_term(rng) for _ in range(3))
         return [Split(w, p1, p2)], Eq(multiset(w), multiset(p1, p2))
     if rule is Rule.CONGR_EQ:
@@ -476,19 +474,19 @@ def rule_instance(rule, rng):
         j = Eq(_random_expr(rng), _random_expr(rng))
         return [j], j
     if rule is Rule.KERNEL_EVAL:
-        lits = [Lit(_random_lit(rng)) for _ in range(rng.randint(0, 3))]
+        lits = [_random_lit(rng) for _ in range(rng.randint(0, 3))]
         split = rng.random() < 0.3
         if split:
             try:
-                whole = add_two(lits[0].angle, lits[1].angle) if len(lits) >= 2 else None
+                whole = add_two(lits[0], lits[1]) if len(lits) >= 2 else None
             except AngleOverflow:
                 whole = None
             if whole is None:
                 return None
-            return [], Split(Lit(whole), lits[0], lits[1])
+            return [], Split(whole, lits[0], lits[1])
         m = MultisetExpr(tuple(lits))
-        n = MultisetExpr(tuple(Lit(_random_lit(rng)) for _ in range(rng.randint(0, 3))))
-        verdict = compare_multisets([t.angle for t in m.terms], [t.angle for t in n.terms])
+        n = MultisetExpr(tuple(_random_lit(rng) for _ in range(rng.randint(0, 3))))
+        verdict = compare_multisets(m.terms, n.terms)
         if verdict is Ordering.EQUAL:
             return [], Eq(m, n)
         if verdict is Ordering.LESS:
@@ -573,5 +571,5 @@ def test_split_compose_duality():
         except AngleOverflow:
             continue
         checked += 1
-        assert eval_judgment(Eq(multiset(Lit(alpha)), multiset(Lit(beta), Lit(gamma))), {})
-        assert eval_judgment(Split(Lit(alpha), Lit(beta), Lit(gamma)), {})
+        assert eval_judgment(Eq(multiset(alpha), multiset(beta, gamma)), {})
+        assert eval_judgment(Split(alpha, beta, gamma), {})
