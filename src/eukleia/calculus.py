@@ -77,9 +77,6 @@ class MultisetExpr:
     def add(self, t: Term) -> "MultisetExpr":
         return MultisetExpr(self.terms + (t,))
 
-    def union(self, other: "MultisetExpr") -> "MultisetExpr":
-        return MultisetExpr(self.terms + other.terms)
-
     def counts(self) -> Counter[Term]:
         return Counter(self.terms)
 
@@ -369,13 +366,14 @@ def check_step(step: Step, context: Context) -> None:
         if goal != Eq(p.rhs, p.lhs):
             fail("conclusion is not the mirrored premise")
 
-    elif rule is Rule.EQ_TRANS:
+    elif rule in (Rule.EQ_TRANS, Rule.LT_TRANS):
+        kind, kinds = (Eq, "equalities") if rule is Rule.EQ_TRANS else (Lt, "strict comparisons")
         p1, p2 = premises
-        if not (isinstance(p1, Eq) and isinstance(p2, Eq)):
-            fail("both premises must be equalities")
+        if not (isinstance(p1, kind) and isinstance(p2, kind)):
+            fail(f"both premises must be {kinds}")
         if p1.rhs != p2.lhs:
             fail("middle expressions differ")
-        if goal != Eq(p1.lhs, p2.rhs):
+        if goal != kind(p1.lhs, p2.rhs):
             fail("conclusion does not chain the premises")
 
     elif rule in (Rule.SUBST_LEFT, Rule.SUBST_RIGHT):
@@ -394,15 +392,6 @@ def check_step(step: Step, context: Context) -> None:
             produced = type(k)(k.lhs, eq.lhs)
         if goal != produced:
             fail("conclusion is not the substituted comparison")
-
-    elif rule is Rule.LT_TRANS:
-        p1, p2 = premises
-        if not (isinstance(p1, Lt) and isinstance(p2, Lt)):
-            fail("both premises must be strict comparisons")
-        if p1.rhs != p2.lhs:
-            fail("middle expressions differ")
-        if goal != Lt(p1.lhs, p2.rhs):
-            fail("conclusion does not chain the premises")
 
     elif rule is Rule.ADD_BOTH:
         (p,) = premises

@@ -14,11 +14,11 @@ none.  A report's ``status`` is one of ``ok``, ``parse-error``,
 parsed expression is then an ``AngleLit``, which the kernel sums as it is.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
-:func:`run_script`, which returns its exit code and report; the commands only
-render reports.  ``--json`` renders one report object (newline-delimited, one
-per file, for ``corpus``); JSON reports carry ``elapsed_ms: null`` so that
-identical inputs produce byte-identical output, and wall-clock timing appears
-only in the human-readable rendering.
+:func:`run_script`, which returns its exit code and report.  Every command
+returns its exit code, reports and human lines, and :func:`main` alone
+renders them: ``--json`` prints one report object per line (one per file for
+``corpus``) with ``elapsed_ms: null``, so that identical inputs produce
+byte-identical output; wall-clock timing appears only in the human rendering.
 """
 
 from __future__ import annotations
@@ -92,14 +92,17 @@ def _report(
     }
 
 
-def _emit(args, reports: Sequence[dict], human_lines: Sequence[str], started: float) -> None:
-    if args.json:
-        for report in reports:
-            print(json.dumps(report, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
+# What a command returns: its exit code, its reports and their human lines.
+_Outcome = tuple[int, list[dict], list[str]]
+
+
+class _Rejected(Exception):
+    """An ``eval`` or ``compare`` operand with no result to report: the exit
+    code, report and human line that :func:`main` renders instead."""
+
+    def __init__(self, code: int, report: dict, line: str):
+        super().__init__(line)
+        self.outcome: _Outcome = (code, [report], [line])
 
 
 def _read_file(path: str | Path) -> Optional[str]:
@@ -113,29 +116,23 @@ def _read_file(path: str | Path) -> Optional[str]:
     return None
 
 
-def _literal_angles(expr_text: str, command: str, args, started: float):
-    """Parse a literal-only expression; on failure report and return None."""
+def _literal_angles(expr_text: str, command: str) -> list:
+    """The angles of a literal-only expression; raises _Rejected otherwise."""
     try:
         expr = parse_expr(expr_text)
     except ParseError as exc:
         rep = _report(command, "parse-error", span=exc.span, detail={"message": exc.message})
-        _emit(args, [rep], [_parse_error_line(rep)], started)
-        return None
+        raise _Rejected(EXIT_PARSE, rep, _parse_error_line(rep)) from None
     variables = sorted(expr.variables())
     if variables:
         rep = _report(command, "parse-error", detail={"message": f"variable {variables[0]!r} in a literal-only expression"})
-        _emit(args, [rep], [f"error: variable {variables[0]!r} is not allowed here"], started)
-        return None
+        raise _Rejected(EXIT_PARSE, rep, f"error: variable {variables[0]!r} is not allowed here")
     return list(expr.terms)
 
 
-def _too_large(command: str, args, started: float) -> int:
-    """Report a sum that was computed exactly but has a coordinate with more
-    digits than ``str(int)`` converts (the interpreter's digit limit)."""
-    message = "result too large to print: a coordinate has more digits than the interpreter converts to text"
-    rep = _report(command, "too-large", detail={"message": message})
-    _emit(args, [rep], [f"error: {message}"], started)
-    return EXIT_TOO_LARGE
+# A sum computed exactly whose coordinate has more digits than ``str(int)``
+# converts (the interpreter's digit limit) exits EXIT_TOO_LARGE.
+_TOO_LARGE = "result too large to print: a coordinate has more digits than the interpreter converts to text"
 
 
 def _approx_radians(total: AngleSum) -> float:
@@ -215,54 +212,41 @@ def _corpus_note(rep: dict) -> str:
     return f"{rep['detail']['steps']} steps, {rep['satisfied']}/{rep['trials']} trials"
 
 
-def _cmd_script(args) -> int:
+def _cmd_script(args) -> _Outcome:
     """``check`` and ``modelcheck``: one script through :func:`run_script`."""
-    started = time.perf_counter()
     text = _read_file(args.path)
     if text is None:
-        return EXIT_IO
+        return EXIT_IO, [], []
     code, rep = run_script(args.command, text, args.path, args.trials, args.seed)
-    _emit(args, [rep], _script_lines(rep), started)
-    return code
+    return code, [rep], _script_lines(rep)
 
 
-def _cmd_compare(args) -> int:
-    started = time.perf_counter()
-    lhs = _literal_angles(args.lhs, "compare", args, started)
-    if lhs is None:
-        return EXIT_PARSE
-    rhs = _literal_angles(args.rhs, "compare", args, started)
-    if rhs is None:
-        return EXIT_PARSE
+def _cmd_compare(args) -> _Outcome:
+    lhs, rhs = _literal_angles(args.lhs, "compare"), _literal_angles(args.rhs, "compare")
     sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
     verdict = compare_sums(sum_l, sum_r).name
     try:
         text_l, text_r = str(sum_l), str(sum_r)
     except ValueError:
-        return _too_large("compare", args, started)
+        raise _Rejected(EXIT_TOO_LARGE, _report("compare", "too-large", detail={"message": _TOO_LARGE}),
+                        f"error: {_TOO_LARGE}") from None
     rep = _report("compare", "ok", result=verdict, detail={"lhs": text_l, "rhs": text_r})
-    _emit(args, [rep], [verdict, f"lhs: {text_l}", f"rhs: {text_r}"], started)
-    return EXIT_OK
+    return EXIT_OK, [rep], [verdict, f"lhs: {text_l}", f"rhs: {text_r}"]
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
-    angles = _literal_angles(args.expr, "eval", args, started)
-    if angles is None:
-        return EXIT_PARSE
-    total = sum_multiset(angles)
+def _cmd_eval(args) -> _Outcome:
+    total = sum_multiset(_literal_angles(args.expr, "eval"))
     try:
         text = str(total)
     except ValueError:
-        return _too_large("eval", args, started)
+        raise _Rejected(EXIT_TOO_LARGE, _report("eval", "too-large", detail={"message": _TOO_LARGE}),
+                        f"error: {_TOO_LARGE}") from None
     detail: dict = {}
     human = [text]
     if args.approx:
         detail["approx_radians"] = approx = f"{_approx_radians(total):.10f}"
         human.append(f"approx: {approx} rad")
-    rep = _report("eval", "ok", result=text, detail=detail or None)
-    _emit(args, [rep], human, started)
-    return EXIT_OK
+    return EXIT_OK, [_report("eval", "ok", result=text, detail=detail or None)], human
 
 
 def _corpus_files() -> list[Path]:
@@ -272,13 +256,12 @@ def _corpus_files() -> list[Path]:
     return sorted(p for p in root.glob("*.eap") if "_broken" not in p.name)
 
 
-def _cmd_corpus(args) -> int:
-    started = time.perf_counter()
+def _cmd_corpus(args) -> _Outcome:
     results: list[tuple[int, dict]] = []
     for path in _corpus_files():
         text = _read_file(path)
         if text is None:
-            return EXIT_IO
+            return EXIT_IO, [], []
         results.append(run_script("corpus", text, path.name, args.trials, args.seed))
     codes = [code for code, _ in results]
     failures = [code for code in codes if code in (EXIT_PARSE, EXIT_STEP, EXIT_COUNTEREXAMPLE)]
@@ -287,8 +270,7 @@ def _cmd_corpus(args) -> int:
     width = max((len(rep["file"]) for rep in reports), default=0)
     rows = [f"{rep['file'].ljust(width)}  {rep['status']:<15} {_corpus_note(rep)}" for rep in reports]
     good = sum(1 for rep in reports if rep["status"] == "ok")
-    _emit(args, reports, rows + [f"{good}/{len(reports)} file(s) ok"], started)
-    return exit_code
+    return exit_code, reports, rows + [f"{good}/{len(reports)} file(s) ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +329,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        code, reports, lines = args.func(args)
+    except _Rejected as exc:
+        code, reports, lines = exc.outcome
+    if code == EXIT_IO:  # _read_file printed the error; there is no report
+        return code
+    if args.json:
+        for report in reports:
+            print(json.dumps(report, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+        print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

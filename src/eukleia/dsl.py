@@ -150,43 +150,37 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        # Declared variable names; None accepts any name (a standalone expression).
+        self._declared: Optional[set[str]] = None
+        # Every label so far, and the labels in scope: one frame per open cases branch.
+        self._labels: set[str] = set()
+        self._scope: list[set[str]] = [set()]
 
     # -- token plumbing ----------------------------------------------------
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
 
-    def _take(self) -> _Token:
+    def _unexpected(self, *expected: str) -> ParseError:
         tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
+        found = "end of input" if tok.kind == "eof" else repr(tok.text)
+        return ParseError(tok.span, f"unexpected {found}", expected=expected)
 
     def _expect(self, kind: str, what: Optional[str] = None) -> _Token:
-        tok = self._peek()
+        """Consume the next token, which must be of ``kind`` (``what`` names it in errors)."""
+        tok = self._tokens[self._pos]
         if tok.kind != kind:
-            raise ParseError(tok.span, f"unexpected {self._describe(tok)}", expected=(what or kind,))
-        return self._take()
+            raise self._unexpected(what or kind)
+        self._pos += 1
+        return tok
 
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "ident" and tok.text.lower() == word
-
-    def _expect_keyword(self, word: str) -> _Token:
-        tok = self._peek()
-        if not self._at_keyword(word):
-            raise ParseError(tok.span, f"unexpected {self._describe(tok)}", expected=(word,))
-        return self._take()
-
-    def expect_eof(self) -> None:
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise ParseError(tok.span, f"unexpected {self._describe(tok)} after the expression",
-                             expected=("end of input",))
+    def _keyword(self, word: str) -> bool:
+        """Consume the next token if it is the keyword ``word``."""
+        tok = self._tokens[self._pos]
+        if tok.kind == "ident" and tok.text.lower() == word:
+            self._pos += 1
+            return True
+        return False
 
     # -- names -------------------------------------------------------------
 
@@ -196,16 +190,22 @@ class _Parser:
             raise ParseError(tok.span, f"{tok.text!r} is reserved and cannot name a {what}")
         return tok
 
+    def _declare_label(self, tok: _Token) -> None:
+        if tok.text in self._labels:
+            raise ParseError(tok.span, f"duplicate label {tok.text!r}")
+        self._labels.add(tok.text)
+        self._scope[-1].add(tok.text)
+
     # -- expressions -------------------------------------------------------
 
-    def parse_expr(self, declared: Optional[set[str]]) -> MultisetExpr:
+    def parse_expr(self) -> MultisetExpr:
         self._expect("{")
         terms: list[Term] = []
         if self._peek().kind != "}":
-            terms.append(self._parse_term(declared))
+            terms.append(self._parse_term())
             while self._peek().kind == ",":
-                self._take()
-                terms.append(self._parse_term(declared))
+                self._pos += 1
+                terms.append(self._parse_term())
         self._expect("}")
         return MultisetExpr(tuple(terms))
 
@@ -216,7 +216,7 @@ class _Parser:
         except ValueError:  # longer than the interpreter's int conversion limit
             raise ParseError(tok.span, f"integer literal too long ({len(tok.text.lstrip('-'))} digits)") from None
 
-    def _parse_term(self, declared: Optional[set[str]]) -> Term:
+    def _parse_term(self) -> Term:
         tok = self._expect("ident", "term")
         if tok.text == "R":
             return angle_from_slope_vector(0, 1)
@@ -237,71 +237,60 @@ class _Parser:
             return angle
         if tok.text.lower() in _RESERVED:
             raise ParseError(tok.span, f"{tok.text!r} is reserved and cannot name a variable")
-        if declared is not None and tok.text not in declared:
+        if self._declared is not None and tok.text not in self._declared:
             raise ParseError(tok.span, f"undeclared variable {tok.text!r}")
         return tok.text
 
     # -- judgments ---------------------------------------------------------
 
-    def _parse_judgment(self, declared: Optional[set[str]]) -> Judgment:
+    def _parse_judgment(self) -> Judgment:
         tok = self._peek()
         form = _JUDGMENTS.get(tok.text.lower()) if tok.kind == "ident" else None
         if form is None:
-            raise ParseError(tok.span, f"unexpected {self._describe(tok)}",
-                             expected=("Eq", "Lt", "Split", "Congr", "False"))
-        self._take()
+            raise self._unexpected("Eq", "Lt", "Split", "Congr", "False")
+        self._pos += 1
         judgment, of_exprs, arity = form
         operand = self.parse_expr if of_exprs else self._parse_term
-        return judgment(*[operand(declared) for _ in range(arity)])
+        return judgment(*[operand() for _ in range(arity)])
 
     # -- proofs ------------------------------------------------------------
 
     def parse_derivation(self) -> Derivation:
-        if not self._at_keyword("vars"):
+        if not self._keyword("vars"):
             raise ParseError(self._peek().span, "missing vars header", expected=("vars",))
-        self._take()
         variables: list[str] = []
-        declared: set[str] = set()
+        self._declared = set()
         while self._peek().kind == "ident":
             tok = self._name("variable")
-            if tok.text in declared:
+            if tok.text in self._declared:
                 raise ParseError(tok.span, f"variable {tok.text!r} declared twice")
-            declared.add(tok.text)
+            self._declared.add(tok.text)
             variables.append(tok.text)
         self._expect(";")
 
-        all_labels: set[str] = set()
-        scope: list[set[str]] = [set()]
-
-        def declare_label(tok: _Token) -> None:
-            if tok.text in all_labels:
-                raise ParseError(tok.span, f"duplicate label {tok.text!r}")
-            all_labels.add(tok.text)
-            scope[-1].add(tok.text)
-
         hypotheses: list[Hypothesis] = []
-        while self._at_keyword("hyp"):
-            self._take()
+        while self._keyword("hyp"):
             label = self._name("hypothesis label")
-            declare_label(label)
+            self._declare_label(label)
             self._expect(":")
-            judgment = self._parse_judgment(declared)
+            judgment = self._parse_judgment()
             self._expect(";")
             hypotheses.append(Hypothesis(label.text, judgment))
 
         steps: list[Step] = []
         while self._peek().kind != "eof":
-            steps.append(self._parse_step(declared, scope, declare_label))
+            steps.append(self._parse_step())
 
         return Derivation(tuple(variables), tuple(hypotheses), tuple(steps))
 
-    def _parse_step(self, declared: set[str], scope: list[set[str]], declare_label) -> Step:
+    def _parse_step(self) -> Step:
         label = self._name("step label")
-        if len(scope) - 1 > MAX_CASES_DEPTH:
+        if len(self._scope) - 1 > MAX_CASES_DEPTH:
             raise ParseError(label.span, f"cases nested deeper than {MAX_CASES_DEPTH} levels")
         self._expect(":")
-        judgment = self._parse_judgment(declared)
-        self._expect_keyword("by")
+        judgment = self._parse_judgment()
+        if not self._keyword("by"):
+            raise self._unexpected("by")
         rule_tok = self._expect("ident", "rule name")
         rule = _RULES_BY_NAME.get(rule_tok.text.lower())
         if rule is None:
@@ -312,27 +301,27 @@ class _Parser:
         premises: list[str] = []
 
         if rule is Rule.CASES:
-            case_pair = (self.parse_expr(declared), self.parse_expr(declared))
+            case_pair = (self.parse_expr(), self.parse_expr())
             parsed: list[tuple[Step, ...]] = []
             for _ in range(3):
                 self._expect("{")
-                scope.append({"case"})
+                self._scope.append({"case"})
                 block: list[Step] = []
                 while self._peek().kind != "}":
-                    block.append(self._parse_step(declared, scope, declare_label))
-                scope.pop()
+                    block.append(self._parse_step())
+                self._scope.pop()
                 self._expect("}")
                 parsed.append(tuple(block))
             branches = tuple(parsed)
         else:
             while self._peek().kind == "ident":
-                ref = self._take()
-                if not any(ref.text in frame for frame in scope):
+                ref = self._expect("ident")
+                if not any(ref.text in frame for frame in self._scope):
                     raise ParseError(ref.span, f"unknown reference {ref.text!r}")
                 premises.append(ref.text)
 
         self._expect(";")
-        declare_label(label)
+        self._declare_label(label)
         return Step(label.text, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
                     span=label.span)
 
@@ -344,8 +333,10 @@ def parse_expr(text: str) -> MultisetExpr:
     expression check for variables themselves.
     """
     parser = _Parser(_lex(text))
-    expr = parser.parse_expr(declared=None)
-    parser.expect_eof()
+    expr = parser.parse_expr()
+    tok = parser._peek()
+    if tok.kind != "eof":
+        raise ParseError(tok.span, f"unexpected {tok.text!r} after the expression", expected=("end of input",))
     return expr
 
 

@@ -151,19 +151,6 @@ def angle_from_rays(apex, p, q) -> AngleLit:
     return angle_from_slope_vector(int(dot * scale), int(abs(cross) * scale))
 
 
-def _order(ax: int, ay: int, bx: int, by: int) -> Ordering:
-    upper_a = ay > 0 or (ay == 0 and ax > 0)
-    upper_b = by > 0 or (by == 0 and bx > 0)
-    if upper_a != upper_b:
-        return Ordering.LESS if upper_a else Ordering.GREATER
-    cross = ax * by - ay * bx
-    if cross > 0:
-        return Ordering.LESS
-    if cross < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
 def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
     """Order two directions exactly by argument in [0, 2*pi).
 
@@ -171,7 +158,16 @@ def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
     the two arguments differ by less than pi, so the sign of the cross
     product decides, and a zero cross product means the same direction.
     """
-    return _order(a.x, a.y, b.x, b.y)
+    upper_a = a.y > 0 or (a.y == 0 and a.x > 0)
+    upper_b = b.y > 0 or (b.y == 0 and b.x > 0)
+    if upper_a != upper_b:
+        return Ordering.LESS if upper_a else Ordering.GREATER
+    cross = a.x * b.y - a.y * b.x
+    if cross > 0:
+        return Ordering.LESS
+    if cross < 0:
+        return Ordering.GREATER
+    return Ordering.EQUAL
 
 
 _UNIT = PlaneVector(1, 0)
@@ -181,33 +177,35 @@ def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
     """Total measure of a finite multiset of angles.
 
     Reduces the elements pairwise, one level of a balanced tree at a time,
-    over ``(windings, x, y)`` triples.  Each node multiplies its two
-    directions as Gaussian integers, divides out the gcd of the product so
-    the direction stays primitive, and adds the two winding counts plus a
-    carry: both arguments lie in [0, 2*pi), so their sum wraps past a full
-    turn exactly when the product's argument is below the left operand's.
-    An odd element at the end of a level passes up unchanged.  The result
-    is canonical, so it does not depend on the iteration order.
+    over ``(windings, x, y, lower)`` tuples; ``lower`` says the argument of
+    ``(x, y)`` is in [pi, 2*pi).  Each node multiplies its two directions as
+    Gaussian integers, divides out the gcd so the direction stays primitive,
+    and adds the two winding counts plus a carry.  Writing each argument as
+    ``pi*h + r`` (``h`` the lower bit, ``0 <= r < pi``), the floor of the
+    sum over pi is ``h1 + h2`` or one more, and also ``h + 2*carry`` for the
+    product, so the carry is 1 exactly when ``h1 + h2 > h``.  An odd element
+    at the end of a level passes up unchanged.  The result is canonical, so
+    it does not depend on the iteration order.
     """
-    level = [(0, a.x, a.y) for a in angles]
+    level = [(0, a.x, a.y, False) for a in angles]
     if not level:
         return AngleSum(0, _UNIT)
     while len(level) > 1:
         paired = []
         for i in range(1, len(level), 2):
-            w1, x1, y1 = level[i - 1]
-            w2, x2, y2 = level[i]
+            w1, x1, y1, lower1 = level[i - 1]
+            w2, x2, y2, lower2 = level[i]
             x = x1 * x2 - y1 * y2
             y = x1 * y2 + y1 * x2
             g = gcd(x, y)
             if g != 1:
                 x, y = x // g, y // g
-            carry = _order(x, y, x1, y1) is Ordering.LESS
-            paired.append((w1 + w2 + carry, x, y))
+            lower = y < 0 or (y == 0 and x < 0)
+            paired.append((w1 + w2 + (lower1 + lower2 > lower), x, y, lower))
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    windings, x, y = level[0]
+    windings, x, y, _ = level[0]
     return AngleSum(windings, PlaneVector(x, y))
 
 

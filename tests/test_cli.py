@@ -528,3 +528,49 @@ def test_fuzz_script_commands(fuzz_path, data, modelcheck, json_out):
     fuzz_path.write_bytes(data)
     argv = ["modelcheck", str(fuzz_path), "--trials", "5"] if modelcheck else ["check", str(fuzz_path)]
     assert_documented(*call(argv + (["--json"] if json_out else [])), json_out)
+
+
+# ---------------------------------------------------------------------------
+# Exact output of the paths that report no result, recorded before every
+# report was rendered in main().
+
+_DEGENERATE = "degenerate angle literal: the argument is not strictly between 0 and pi"
+_REPORT_TAIL = ('"elapsed_ms": null, "file": null, "result": null, "satisfied": null, "span": {span}, '
+                '"status": "parse-error", "step": null, "trials": null, "valuation": null}}')
+
+# operand -> (human line, JSON report with COMMAND standing for the command name)
+REJECTED_OPERANDS = {
+    "{ang(3/-4)}": (f"parse error at 1:2: {_DEGENERATE}",
+                    f'{{"command": "COMMAND", "detail": {{"message": "{_DEGENERATE}"}}, '
+                    + _REPORT_TAIL.format(span='{"column": 2, "length": 9, "line": 1}')),
+    "{R} {": ("parse error at 1:5: unexpected '{' after the expression",
+              '{"command": "COMMAND", "detail": {"message": "unexpected \'{\' after the expression"}, '
+              + _REPORT_TAIL.format(span='{"column": 5, "length": 1, "line": 1}')),
+    "{x}": ("error: variable 'x' is not allowed here",
+            '{"command": "COMMAND", "detail": {"message": "variable \'x\' in a literal-only expression"}, '
+            + _REPORT_TAIL.format(span="null")),
+}
+
+
+class TestRejectedOutput:
+    @pytest.mark.parametrize("operand", sorted(REJECTED_OPERANDS))
+    @pytest.mark.parametrize("place", ["eval", "compare-lhs", "compare-rhs"])
+    def test_eval_and_compare(self, operand, place):
+        argv = {"eval": ["eval", operand], "compare-lhs": ["compare", operand, "{R}"],
+                "compare-rhs": ["compare", "{R}", operand]}[place]
+        line, report = REJECTED_OPERANDS[operand]
+        code, out, err = call(argv)
+        assert (code, err) == (EXIT_PARSE, "")
+        human, elapsed = out.split("\n", 1)
+        assert human == line
+        assert elapsed.startswith("elapsed: ") and elapsed.endswith(" ms\n") and elapsed.count("\n") == 1
+        assert call([*argv, "--json"]) == (EXIT_PARSE, report.replace("COMMAND", argv[0]) + "\n", "")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["check", "modelcheck"])
+    def test_missing_file(self, tmp_path, command, json_flag):
+        missing = tmp_path / "missing.eap"
+        code, out, err = call([command, str(missing), *json_flag])
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        assert str(missing) in err

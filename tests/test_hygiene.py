@@ -76,3 +76,25 @@ def test_no_unread_private_definitions(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unread = {name: line for name, line in _private_definitions(tree).items() if name not in read}
     assert not unread, ", ".join(f"{path.name}:{line}: {name!r} defined but never read" for name, line in sorted(unread.items()))
+
+
+# Where the package may print: main() renders every report, and _read_file
+# reports a file it cannot read.
+PRINTERS = {("cli.py", "main"), ("cli.py", "_read_file")}
+
+
+def _print_calls(tree: ast.Module):
+    """The top-level definition (None for the module body) and line of each ``print`` call."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                yield owner, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_prints_only_where_reports_are_rendered(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stray = [f"{path.name}:{line}: print in {owner or 'the module body'}"
+             for owner, line in _print_calls(tree) if (path.name, owner) not in PRINTERS]
+    assert not stray, ", ".join(stray)

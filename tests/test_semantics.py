@@ -445,7 +445,7 @@ def rule_instance(rule, rng):
     if rule is Rule.WHOLE_PART:
         m = _random_expr(rng)
         extra = MultisetExpr(tuple(_random_term(rng) for _ in range(rng.randint(1, 3))))
-        return [], Lt(m, m.union(extra))
+        return [], Lt(m, MultisetExpr(m.terms + extra.terms))
     if rule is Rule.SPLIT_EQ:
         if rng.random() < 0.5:
             # Compose a split that actually holds, so the premise fires.
