@@ -14,13 +14,19 @@ onto a known whole is satisfied by drawing one part and solving for the
 other; Eq hypotheses with a lone variable side are solved by composition.
 Candidates that construction cannot guarantee are still checked against
 every hypothesis before they are used.
+
+A derivation's steps are compiled once per model check.  The measure is
+additive, so an Eq/Lt judgment compares the same way once the terms common
+to both sides are cancelled; each distinct cancelled side and each distinct
+comparison is interned, and under one valuation every side is summed at
+most once, and only when a step that is reached needs it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from .calculus import (
     Congr,
@@ -28,6 +34,8 @@ from .calculus import (
     Eq,
     Falsum,
     Judgment,
+    Lt,
+    MultisetExpr,
     Rule,
     Split,
     Step,
@@ -37,7 +45,7 @@ from .calculus import (
     judgment_truth,
     judgment_variables,
 )
-from .kernel import AngleLit, AngleOverflow, add_two, angle_from_slope_vector
+from .kernel import AngleLit, AngleOverflow, Ordering, add_two, angle_from_slope_vector, compare_sums, sum_multiset
 
 __all__ = [
     "Counterexample",
@@ -341,17 +349,84 @@ class ModelCheckReport:
         return {"trials": self.trials, "satisfied": self.satisfied, "counterexample": cx}
 
 
-def _first_false(steps: Sequence[Step], valuation: Valuation) -> Optional[Step]:
-    for step in steps:
-        if step.rule is Rule.CASES and step.case_pair is not None:
-            m, n = step.case_pair
-            for hyp, branch in zip(case_hypotheses(m, n), step.branches):
-                if eval_judgment(hyp, valuation):
-                    bad = _first_false(branch, valuation)
-                    if bad is not None:
-                        return bad
-                    break
-        if not eval_judgment(step.judgment, valuation):
+# A compiled judgment: the index of an interned Eq/Lt check, or a Split,
+# Congr or False judgment left to eval_judgment.
+_Test = Union[int, Judgment]
+
+
+class _CompiledSteps:
+    """A derivation's steps with every Eq/Lt judgment cancelled and interned.
+
+    ``Eq A B`` and ``Lt A B`` compare ``A - B`` with ``B - A`` (multiset
+    differences): the common terms add the same measure to both sides.  This
+    holds for the step judgments and for the three comparisons of each
+    ``cases`` step.  ``steps`` mirrors the step tree as ``(step, test,
+    branches)``, with ``branches`` a ``(test, compiled branch)`` pair per
+    case.  Raises UnboundVariable for an undeclared variable in any of them.
+    """
+
+    def __init__(self, derivation: Derivation):
+        self._declared = set(derivation.variables)
+        self._sides: dict[MultisetExpr, int] = {}
+        self._checks: dict[tuple[Ordering, int, int], int] = {}
+        self.steps = self._compile(derivation.steps)
+        self._side_terms = [side.terms for side in self._sides]
+        self._check_list = list(self._checks)
+
+    def _compile(self, steps: Sequence[Step]) -> tuple:
+        compiled = []
+        for step in steps:
+            branches = ()
+            if step.rule is Rule.CASES and step.case_pair is not None:
+                cases = [self._test(h) for h in case_hypotheses(*step.case_pair)]
+                branches = tuple(zip(cases, map(self._compile, step.branches)))
+            compiled.append((step, self._test(step.judgment), branches))
+        return tuple(compiled)
+
+    def _test(self, j: Judgment) -> _Test:
+        stray = judgment_variables(j) - self._declared
+        if stray:
+            raise UnboundVariable(sorted(stray)[0])
+        if not isinstance(j, (Eq, Lt)):
+            return j
+        lhs, rhs = j.lhs.counts(), j.rhs.counts()
+        sides = (self._sides.setdefault(MultisetExpr(tuple(d.elements())), len(self._sides))
+                 for d in (lhs - rhs, rhs - lhs))
+        key = (Ordering.EQUAL if isinstance(j, Eq) else Ordering.LESS, *sides)
+        return self._checks.setdefault(key, len(self._checks))
+
+    def first_false(self, valuation: Valuation) -> Optional[Step]:
+        """The first step, in proof order, whose judgment fails under
+        ``valuation``; a branch is entered only when its case holds."""
+        sums: list = [None] * len(self._side_terms)
+        truth: list = [None] * len(self._check_list)
+
+        def holds(test: _Test) -> bool:
+            if not isinstance(test, int):
+                return eval_judgment(test, valuation)
+            if truth[test] is None:
+                wanted, lhs, rhs = self._check_list[test]
+                for i in (lhs, rhs):
+                    if sums[i] is None:
+                        sums[i] = sum_multiset([valuation[t] if isinstance(t, str) else t
+                                                for t in self._side_terms[i]])
+                truth[test] = compare_sums(sums[lhs], sums[rhs]) is wanted
+            return truth[test]
+
+        return _walk(self.steps, holds)
+
+
+def _walk(steps: tuple, holds: Callable[[_Test], bool]) -> Optional[Step]:
+    # A function, not a closure: a recursive closure made per trial would be
+    # a reference cycle, left to the cyclic garbage collector.
+    for step, test, branches in steps:
+        for case, branch in branches:
+            if holds(case):
+                bad = _walk(branch, holds)
+                if bad is not None:
+                    return bad
+                break
+        if not holds(test):
             return step
     return None
 
@@ -363,10 +438,16 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
     comparison holds under the valuation.  The first counterexample (lowest
     trial index) stops the run, and so do the first ``VACUOUS_STREAK``
     trials when none of them met the hypotheses.  The sampling plan is built
-    once for all trials.  Identical inputs produce identical reports.
+    once for all trials, and so are the compiled steps: Eq/Lt judgments with
+    their common terms cancelled and their distinct sides interned, so that
+    a trial sums each distinct side at most once.  A counterexample still
+    names the first false step and its judgment as written.  Identical
+    inputs produce identical reports.  Raises UnboundVariable when a
+    hypothesis, step or case comparison mentions an undeclared variable.
     """
     hyp_judgments = [h.judgment for h in derivation.hypotheses]
     plan = SamplingPlan(derivation.variables, hyp_judgments)
+    compiled = _CompiledSteps(derivation)
     satisfied = 0
     for i in range(trials):
         try:
@@ -377,7 +458,7 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
                 return ModelCheckReport(trials=i + 1, satisfied=0, counterexample=None)
             continue
         satisfied += 1
-        bad = _first_false(derivation.steps, valuation)
+        bad = compiled.first_false(valuation)
         if bad is not None:
             return ModelCheckReport(
                 trials=i + 1,

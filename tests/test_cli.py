@@ -242,6 +242,28 @@ class TestModelcheck:
         code, _ = run(capsys, "modelcheck", str(CORPUS_DIR / "prop13_broken.eap"))
         assert code == EXIT_STEP
 
+    # sha256 of ``modelcheck <file> --trials 200 --seed 7 --json`` run from
+    # the corpus directory, for each top-level corpus file, with its exit
+    # code; recorded before derivation steps were compiled for model checking.
+    GOLDEN = {
+        "four_rights.eap": (0, "01f85ace74f28291cab697398a6d06e83a2612fb3568bf0cce16f9ebb1a69f74"),
+        "postulate5.eap": (0, "113aaf132746f3eb48f180c6ad90c41bb267c2552f8061b84efcc1c7c0b3f197"),
+        "prop13.eap": (0, "ce1d8f163a106791998427aeae2bf84478cd6ee91e8efd1451db8db14d9fd196"),
+        "prop13_broken.eap": (3, "4baa011f3ac80050e77108eeedbcbccb0ddf7ba135678fb24a5cd170073f5dbf"),
+        "prop15.eap": (0, "c31ac36f9f7f4afe7e277809dab54076ead16fe51b5df9ff536393e6b7d936ce"),
+        "prop16.eap": (0, "c29fbcd9e4556290d4f0d2f63b944b118375b463ec2a4e7991d7deed47c188ef"),
+        "prop25.eap": (0, "c1c87effe70b51e7d72cf5f00c71d6fd4cbd830528816c93a9fdb0b495f2e75b"),
+    }
+
+    def test_golden_covers_the_corpus(self):
+        assert sorted(p.name for p in CORPUS_DIR.glob("*.eap")) == sorted(self.GOLDEN)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_json_golden(self, capsys, monkeypatch, name):
+        monkeypatch.chdir(CORPUS_DIR)
+        code, out = run(capsys, "modelcheck", name, "--trials", "200", "--seed", "7", "--json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.GOLDEN[name]
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         # The rule set is sound over the kernel model, so a real counterexample
         # cannot come from a checked file; fake the analysis result to pin the

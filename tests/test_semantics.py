@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -14,13 +16,14 @@ from eukleia.calculus import (
     Rule,
     Split,
     Step,
+    case_hypotheses,
     check_derivation,
     literal_judgment_truth,
     multiset,
 )
 from eukleia.dsl import parse_proof
-from eukleia.kernel import AngleOverflow, Ordering, add_two, compare_multisets, right_angle
-from eukleia import semantics
+from eukleia.kernel import AngleOverflow, Ordering, add_two, compare_multisets, right_angle, sum_multiset
+from eukleia import kernel, semantics
 from eukleia.semantics import (
     SamplingPlan,
     Unsatisfied,
@@ -376,6 +379,220 @@ class TestModelCheck:
         report = model_check_derivation(parse_proof(text), trials=60, seed=2)
         assert report.counterexample is None
         assert report.satisfied == 60
+
+
+# ---------------------------------------------------------------------------
+# Compiled steps against the walk they replace
+
+def _first_false(steps, valuation):
+    """Reference walk: the model checker's step loop before steps were
+    compiled, evaluating every judgment and case comparison in full."""
+    for step in steps:
+        if step.rule is Rule.CASES and step.case_pair is not None:
+            m, n = step.case_pair
+            for hyp, branch in zip(case_hypotheses(m, n), step.branches):
+                if eval_judgment(hyp, valuation):
+                    bad = _first_false(branch, valuation)
+                    if bad is not None:
+                        return bad
+                    break
+        if not eval_judgment(step.judgment, valuation):
+            return step
+    return None
+
+
+def _step(label, j, rule=Rule.HYPOTHESIS):
+    return Step(label, j, rule)
+
+
+def _cases(label, j, m, n, *branches):
+    return Step(label, j, Rule.CASES, case_pair=(m, n), branches=branches)
+
+
+def cases_counterexample():
+    """Unsound, built directly: with a = b + c, T4 fails exactly when the
+    third branch of S2 (c < b) is taken."""
+    return Derivation(
+        variables=(a, b, c),
+        hypotheses=(Hypothesis("H1", Split(a, b, c)),),
+        steps=(
+            _step("S1", Lt(multiset(b), multiset(a)), Rule.WHOLE_PART),
+            _cases("S2", Lt(multiset(b), multiset(a)), multiset(b), multiset(c),
+                   (_step("T1", Lt(multiset(b, b), multiset(a))),),
+                   (_step("T2", Eq(multiset(b, b), multiset(a))),),
+                   (_step("T3", Lt(multiset(c), multiset(b))),
+                    _step("T4", Lt(multiset(a, c), multiset(b, c, c))))),
+            _step("S3", Eq(multiset(a), multiset(b, c)), Rule.SPLIT_EQ),
+        ),
+    )
+
+
+def nested_cases_counterexample():
+    """Unsound, built directly: X4 fails when a < b < a + a, two branches deep."""
+    whole = Lt(multiset(b), multiset(a, b))
+    return Derivation(
+        variables=(a, b),
+        steps=(
+            _cases("S1", whole, multiset(a), multiset(b),
+                   (_cases("X0", whole, multiset(a, a), multiset(b),
+                           (_step("X1", Lt(multiset(a, a), multiset(b))),),
+                           (_step("X2", Eq(multiset(a, a), multiset(b))),),
+                           (_step("X3", Lt(multiset(b), multiset(a, a))),
+                            _step("X4", Eq(multiset(a, b), multiset(b, b))))),),
+                   (_step("Y1", whole),),
+                   (_step("Z1", whole),)),
+        ),
+    )
+
+
+WALK_DERIVATIONS = {
+    **{p.relative_to(CORPUS_DIR).as_posix(): parse_proof(p.read_text(encoding="utf-8"))
+       for p in sorted(CORPUS_DIR.rglob("*.eap"))},
+    "cases-counterexample": cases_counterexample(),
+    "nested-cases-counterexample": nested_cases_counterexample(),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(WALK_DERIVATIONS)), seeds)
+def test_compiled_walk_matches_reference(name, seed):
+    d = WALK_DERIVATIONS[name]
+    try:
+        v = random_valuation(d.variables, [h.judgment for h in d.hypotheses], seed=seed, budget=200)
+    except Unsatisfied:
+        return
+    assert semantics._CompiledSteps(d).first_false(v) is _first_false(d.steps, v)
+
+
+def test_reference_walk_finds_counterexamples_in_branches():
+    # The property above must see counterexamples inside cases branches,
+    # not only derivations that always come out clean.
+    found = set()
+    for name in ("cases-counterexample", "nested-cases-counterexample"):
+        d = WALK_DERIVATIONS[name]
+        for seed in range(200):
+            bad = _first_false(d.steps, random_valuation(d.variables, [h.judgment for h in d.hypotheses],
+                                                         seed=seed))
+            found.add(bad and bad.label)
+    assert {"T4", "X4"} <= found
+
+
+_plain_steps = st.builds(_step, st.just("S"), _judgments)
+_step_trees = st.recursive(
+    st.lists(_plain_steps, max_size=3),
+    lambda branch: st.lists(st.one_of(_plain_steps, st.builds(
+        lambda j, m, n, bs: _cases("C", j, m, n, *map(tuple, bs)),
+        _judgments, _sides, _sides, st.tuples(branch, branch, branch))), max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(_step_trees, st.fixed_dictionaries({n: _pool for n in "abc"}))
+def test_compiled_walk_matches_reference_on_generated_trees(steps, v):
+    # Valuations from the small pool make case comparisons tie or flip often.
+    d = Derivation(variables=(a, b, c), steps=tuple(steps))
+    assert semantics._CompiledSteps(d).first_false(v) is _first_false(d.steps, v)
+
+
+@st.composite
+def _sides_with_shared_terms(draw):
+    pool = draw(st.lists(draw_range, min_size=1, max_size=4))
+    side = st.lists(st.sampled_from(pool), max_size=6)
+    return draw(side), draw(side), draw(side)
+
+
+@given(_sides_with_shared_terms())
+def test_common_terms_cancel(sides):
+    lhs, rhs, common = sides
+    assert compare_multisets(lhs + common, rhs + common) is compare_multisets(lhs, rhs)
+
+
+class TestCompiledSteps:
+    def test_counterexample_inside_a_cases_branch(self):
+        # Recorded before steps were compiled: the report names the first
+        # false step and its judgment as written, not as cancelled.
+        report = model_check_derivation(cases_counterexample(), trials=50, seed=3)
+        assert report.to_dict() == {
+            "trials": 3,
+            "satisfied": 3,
+            "counterexample": {
+                "trial": 2,
+                "step": "T4",
+                "judgment": "Lt {a, c} {b, c, c}",
+                "valuation": {"a": "ang(-207/269)", "b": "ang(-7/19)", "c": "ang(16/5)"},
+            },
+        }
+
+    def test_trials_leave_no_cyclic_garbage(self):
+        # Garbage only the cyclic collector can free makes it run often,
+        # which shows as tail latency on short model checks.
+        d = load_proof("prop25")
+        gc.collect()
+        gc.disable()
+        try:
+            model_check_derivation(d, trials=20, seed=7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_stray_variable_on_both_sides(self):
+        # Cancelling {z} against {z} must not hide that z is undeclared.
+        d = Derivation(variables=(a,), steps=(_step("S1", Eq(multiset("z"), multiset("z")), Rule.EQ_REFL),))
+        with pytest.raises(UnboundVariable) as exc:
+            model_check_derivation(d, trials=5, seed=0)
+        assert exc.value.args == ("z",)
+
+    def test_stray_variable_in_a_cases_pair(self):
+        same = Eq(multiset(a), multiset(a))
+        d = Derivation(variables=(a,), steps=(_cases("S1", same, multiset(a, "z"), multiset("z"), (), (), ()),))
+        with pytest.raises(UnboundVariable) as exc:
+            model_check_derivation(d, trials=5, seed=0)
+        assert exc.value.args == ("z",)
+
+
+def split_chain_script(growth: int) -> str:
+    """Two splits onto variable wholes, then ``growth`` addboth steps whose
+    two sides differ only by S4's: the benchmark's generated split chains."""
+    lines = ["vars w1 w2 p q r;", "hyp H1: Split w1 p q;", "hyp H2: Split w2 w1 r;",
+             "S1: Eq {w1} {p, q} by spliteq H1;", "S2: Eq {w2} {w1, r} by spliteq H2;",
+             "S3: Eq {w1, r} {p, q, r} by addboth S1;", "S4: Eq {w2} {p, q, r} by eqtrans S2 S3;",
+             "S5: Lt {p} {p, q} by wholepart;", "S6: Lt {p} {w1} by substright S1 S5;"]
+    left, right, prev = ["w2"], ["p", "q", "r"], "S4"
+    added = itertools.cycle(["w1", "R", "p", "ang(3/4)", "q", "w2", "r"])
+    for i in range(1, growth + 1):
+        t = next(added)
+        left, right = left + [t], right + [t]
+        lines.append(f"G{i}: Eq {{{', '.join(left)}}} {{{', '.join(right)}}} by addboth {prev};")
+        prev = f"G{i}"
+    return "\n".join(lines) + "\n"
+
+
+def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
+    d = parse_proof(split_chain_script(24))
+    check_derivation(d)
+    sides = set()
+    for step in d.steps:
+        lhs, rhs = step.judgment.lhs.counts(), step.judgment.rhs.counts()
+        sides |= {frozenset((lhs - rhs).items()), frozenset((rhs - lhs).items())}
+    calls = 0
+
+    def counted(angles):
+        nonlocal calls
+        calls += 1
+        return sum_multiset(angles)
+
+    # The kernel's own name too, so that sums reached through
+    # compare_multisets are counted as well.
+    monkeypatch.setattr(kernel, "sum_multiset", counted)
+    monkeypatch.setattr(semantics, "sum_multiset", counted, raising=False)
+    trials = 50
+    report = model_check_derivation(d, trials=trials, seed=7)
+    assert (report.satisfied, report.counterexample) == (trials, None)
+    assert len(sides) == 8
+    # Each distinct cancelled side at most once a trial; summing every
+    # judgment's two sides would make 2 * 30 calls a trial.
+    assert calls <= trials * len(sides)
 
 
 # ---------------------------------------------------------------------------
