@@ -1,11 +1,12 @@
 """Command-line front end: check proofs, compare and evaluate expressions,
 model-check scripts, and run the bundled corpus.
 
-Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 parse error,
-3 step error, 4 model counterexample, 5 vacuous model check (trials ran but
-no valuation met the hypotheses, so no step was checked), 6 an ``eval`` or
-``compare`` sum too large to print (a coordinate has more digits than the
-interpreter converts to text).  For ``corpus`` the first parse, step or
+Exit codes are a stable contract: 0 ok, 1 I/O failure (including a
+``corpus`` directory that is missing or holds no script to check), 2 parse
+error, 3 step error, 4 model counterexample, 5 vacuous model check (trials
+ran but no valuation met the hypotheses, so no step was checked), 6 an
+``eval`` or ``compare`` sum too large to print (a coordinate has more digits
+than the interpreter converts to text).  For ``corpus`` the first parse, step or
 counterexample failure sets the exit code, and 5 applies only when there is
 none.  A report's ``status`` is one of ``ok``, ``parse-error``,
 ``step-error``, ``counterexample``, ``vacuous`` and ``too-large``.
@@ -97,23 +98,23 @@ _Outcome = tuple[int, list[dict], list[str]]
 
 
 class _Rejected(Exception):
-    """An ``eval`` or ``compare`` operand with no result to report: the exit
-    code, report and human line that :func:`main` renders instead."""
+    """A command with no result to report: the exit code, report and human
+    line that :func:`main` renders instead.  An I/O failure has no report."""
 
-    def __init__(self, code: int, report: dict, line: str):
+    def __init__(self, code: int, report: Optional[dict], line: str):
         super().__init__(line)
-        self.outcome: _Outcome = (code, [report], [line])
+        self.outcome: _Outcome = (code, [] if report is None else [report], [line])
 
 
-def _read_file(path: str | Path) -> Optional[str]:
-    """The file's text; on failure print an ``error:`` line and return None."""
+def _read_file(path: str | Path) -> str:
+    """The file's text; raises _Rejected with an ``error:`` line if it cannot be read."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: not valid UTF-8 (byte {exc.start}: {exc.reason})", file=sys.stderr)
-    return None
+        message = f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+    raise _Rejected(EXIT_IO, None, f"error: {message}")
 
 
 def _literal_angles(expr_text: str, command: str) -> list:
@@ -214,10 +215,7 @@ def _corpus_note(rep: dict) -> str:
 
 def _cmd_script(args) -> _Outcome:
     """``check`` and ``modelcheck``: one script through :func:`run_script`."""
-    text = _read_file(args.path)
-    if text is None:
-        return EXIT_IO, [], []
-    code, rep = run_script(args.command, text, args.path, args.trials, args.seed)
+    code, rep = run_script(args.command, _read_file(args.path), args.path, args.trials, args.seed)
     return code, [rep], _script_lines(rep)
 
 
@@ -250,19 +248,21 @@ def _cmd_eval(args) -> _Outcome:
 
 
 def _corpus_files() -> list[Path]:
+    """The scripts ``corpus`` checks; raises _Rejected if there are none."""
     # Deliberately broken scripts (demo material for the checker's rejection
     # paths) sit next to the good ones; skip them and the mutations folder.
     root = corpus_dir()
-    return sorted(p for p in root.glob("*.eap") if "_broken" not in p.name)
+    files = sorted(p for p in root.glob("*.eap") if "_broken" not in p.name)
+    if not files:
+        reason = ("no .eap file to check" if root.is_dir() else
+                  "not a directory" if root.exists() else "no such directory")
+        raise _Rejected(EXIT_IO, None, f"error: {root}: {reason}")
+    return files
 
 
 def _cmd_corpus(args) -> _Outcome:
-    results: list[tuple[int, dict]] = []
-    for path in _corpus_files():
-        text = _read_file(path)
-        if text is None:
-            return EXIT_IO, [], []
-        results.append(run_script("corpus", text, path.name, args.trials, args.seed))
+    results = [run_script("corpus", _read_file(path), path.name, args.trials, args.seed)
+               for path in _corpus_files()]
     codes = [code for code, _ in results]
     failures = [code for code in codes if code in (EXIT_PARSE, EXIT_STEP, EXIT_COUNTEREXAMPLE)]
     exit_code = failures[0] if failures else (EXIT_VACUOUS if EXIT_VACUOUS in codes else EXIT_OK)
@@ -334,7 +334,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, reports, lines = args.func(args)
     except _Rejected as exc:
         code, reports, lines = exc.outcome
-    if code == EXIT_IO:  # _read_file printed the error; there is no report
+    if code == EXIT_IO:  # nothing was read, so there is no report; the error goes to stderr
+        for line in lines:
+            print(line, file=sys.stderr)
         return code
     if args.json:
         for report in reports:

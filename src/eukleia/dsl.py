@@ -29,6 +29,11 @@ References are resolved while parsing: citing a label that is not yet in
 scope (including any forward reference) is a parse error.  Within a cases
 branch the branch's comparison is cited as ``case``.  A step nested in more
 than ``MAX_CASES_DEPTH`` cases branches is a parse error.
+
+A standalone expression (:func:`parse_expr`) of ``R`` and ``ang`` literals
+only, written without comments, is read in one pattern pass without the
+lexer.  Every other text, and every text with an error, goes to the token
+parser, which alone reports parse errors.
 """
 
 from __future__ import annotations
@@ -100,15 +105,15 @@ _JUDGMENTS = {"eq": (Eq, True, 2), "lt": (Lt, True, 2), "split": (Split, False, 
               "congr": (Congr, False, 2), "false": (Falsum, False, 0)}
 
 
-# One alternative per token class, tried in order.  [^\W\d] also admits
-# numerals such as "²", "½" and "Ⅷ", which _lex rejects: an identifier starts
-# with a letter (str.isalpha) or "_".  A "-" before no digit is "other".
+# One alternative per token class, tried in order.  [^\W0-9] also admits
+# numerals such as "²", "½", "Ⅷ" and "٣", which _lex rejects: an identifier
+# starts with a letter (str.isalpha) or "_".  A "-" before no digit is "other".
 _TOKEN = re.compile(r"""
     (?P<newline>\n)
   | (?P<blank>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<int>-?[0-9]+)
-  | (?P<ident>[^\W\d]\w*)
+  | (?P<ident>[^\W0-9]\w*)
   | (?P<punct>[{}(),:;/])
   | (?P<other>.)
 """, re.VERBOSE)
@@ -326,12 +331,50 @@ class _Parser:
                     span=label.span)
 
 
+# A literal-only standalone expression, read without the lexer: _LITERAL_EXPR
+# matches exactly the texts whose tokens are "{", then "R" and "ang" ( INT / INT )
+# terms separated by ",", then "}", with blanks between any two of them.  Each
+# word must be followed by a blank, ",", "}" or "(", so "Rx" and "angle" do not
+# match.  In such a text every "R" is a term and every "(" opens an ang term,
+# so _LITERAL_TERM finds the terms in order, an "R" as the pair ("", "").
+_BLANKS = r"[ \t\r\n]*"
+_LITERAL = rf"(?:R|[aA][nN][gG]{_BLANKS}\({_BLANKS}-?[0-9]+{_BLANKS}/{_BLANKS}-?[0-9]+{_BLANKS}\)){_BLANKS}"
+_LITERAL_EXPR = re.compile(rf"{_BLANKS}\{{{_BLANKS}(?:{_LITERAL}(?:,{_BLANKS}{_LITERAL})*)?\}}{_BLANKS}")
+_LITERAL_TERM = re.compile(rf"R|\({_BLANKS}(-?[0-9]+){_BLANKS}/{_BLANKS}(-?[0-9]+)")
+
+
+def _literal_terms(text: str) -> Optional[list[Term]]:
+    """The terms of a literal-only expression, read in one pattern pass; None
+    when the token parser must read ``text``: it is not literal-only, an
+    integer is longer than the interpreter converts, or a literal is
+    degenerate."""
+    if _LITERAL_EXPR.fullmatch(text) is None:
+        return None
+    angles = {("", ""): angle_from_slope_vector(0, 1)}  # each distinct pair, converted once
+    terms: list[Term] = []
+    for pair in _LITERAL_TERM.findall(text):
+        angle = angles.get(pair)
+        if angle is None:
+            try:
+                angle = angles[pair] = angle_from_slope_vector(int(pair[0]), int(pair[1]))
+            except ValueError:  # the digit limit, or DegenerateAngle
+                return None
+        terms.append(angle)
+    return terms
+
+
 def parse_expr(text: str) -> MultisetExpr:
     """Parse a standalone multiset expression such as ``{R, ang(3/4), a}``.
 
     Variables are accepted syntactically; callers that need a literal-only
-    expression check for variables themselves.
+    expression check for variables themselves.  A literal-only expression
+    without comments takes one pattern pass (:func:`_literal_terms`); any
+    other text, and every text with an error, goes to the token parser, which
+    alone reports errors.  Either way the result is the same.
     """
+    terms = _literal_terms(text)
+    if terms is not None:
+        return MultisetExpr(tuple(terms))
     parser = _Parser(_lex(text))
     expr = parser.parse_expr()
     tok = parser._peek()

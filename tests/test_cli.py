@@ -335,6 +335,20 @@ class TestCorpus:
         assert code == EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("setup, reason", [
+        (lambda path: None, "no such directory"),
+        (lambda path: path.mkdir(), "no .eap file to check"),
+        (lambda path: path.write_text("vars;", encoding="utf-8"), "not a directory"),
+        (lambda path: (path.mkdir(), (path / "prop13_broken.eap").write_text("vars;", encoding="utf-8")),
+         "no .eap file to check"),
+    ], ids=["missing", "empty", "file", "only-broken"])
+    def test_nothing_to_check_is_an_io_error(self, tmp_path, monkeypatch, setup, reason, json_flag):
+        root = tmp_path / "corpus"
+        setup(root)
+        monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(root))
+        assert call(["corpus", "--trials", "1", *json_flag]) == (EXIT_IO, "", f"error: {root}: {reason}\n")
+
     def test_env_override_with_parse_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "junk.eap").write_text("not a proof", encoding="utf-8")
         monkeypatch.setenv(cli.CORPUS_DIR_ENV, str(tmp_path))
@@ -596,3 +610,52 @@ class TestRejectedOutput:
         assert (code, out) == (EXIT_IO, "")
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         assert str(missing) in err
+
+
+# ---------------------------------------------------------------------------
+# Exact ``eval --json`` and ``compare --json`` output for literal operands,
+# recorded while the token parser read every operand: large, spread over
+# lines, and rejected ones.
+
+_big_rng = random.Random(10)
+BIG_OPERAND = [random_angle(_big_rng, 20) for _ in range(13000)]
+MULTILINE = "\r\n{ ANG( 3 / 4 ),\n\tAng(-0/\n007)\n, R ,ang(0/7) ,\n aNg ( -12 / 8 )\n}\n"
+DIGITS_4400 = "7" * 4400
+
+# name -> (argv without --json, exit code, sha256 of the output)
+LITERAL_GOLDEN = {
+    "eval-13000": (["eval", multiset(BIG_OPERAND)], EXIT_OK,
+                   "b578f97bd38a3ad5770420121ed75f1441007e7403ae6f893b24f928439646d2"),
+    "compare-13000": (["compare", multiset(BIG_OPERAND[:6500]), multiset(BIG_OPERAND[6500:])], EXIT_OK,
+                      "46c100e028ceb2c05c6458e71425aadaa71dd8293c7f20c4f079a176c204d8a1"),
+    "eval-multiline": (["eval", MULTILINE], EXIT_OK,
+                       "8d8b2563871a6bad9bd19263339751032270188da178b9de729f6b887d1b3c06"),
+    "compare-multiline": (["compare", MULTILINE, "{ R\n,\tR }"], EXIT_OK,
+                          "df96738618c9d60e88ec5e4f452a5efc9774b22cae96b31aa56a901cd09b678f"),
+    "compare-comment": (["compare", "{R, # comment\n ang(1/2)}", "{ang(-1/1)}"], EXIT_OK,
+                        "36e6ba474035a76af4189e522f70a90bfecc2036fe4522e8dd264c61a7dee8b6"),
+    "eval-degenerate-zero": (["eval", "{R, ang(1/0)}"], EXIT_PARSE,
+                             "cefbe115f140c27aa96098680cf5a1993f3fc19fc1652f882b95d6d92ca22a45"),
+    "eval-degenerate-negative": (["eval", "{\nang(2/-1)}"], EXIT_PARSE,
+                                 "4e5370d7f13aca1ad4eb083b0c604c35fb65bd6225c191d3ae39b3a3ea4274de"),
+    "compare-degenerate-rhs": (["compare", "{R}", "{ang(1/\n0)}"], EXIT_PARSE,
+                               "c3679abd3e1029938f8e20ae212337910a3777dc2159336c656f582bc2ba1d8b"),
+    "eval-4400-digits": (["eval", f"{{R, ang(1/{DIGITS_4400})}}"], EXIT_PARSE,
+                         "c54b522400c9e922c085c395e3505b9eb3301fb3f65ac38e1da94d749df47bcd"),
+    "eval-arabic-digit": (["eval", "{ang(٣/4)}"], EXIT_PARSE,
+                          "725e809c2cd8bae240665385142474ad73d59c5348a436b0009b20f21b927877"),
+    "eval-trailing-junk": (["eval", "{R} junk"], EXIT_PARSE,
+                           "51420b435dde5983e989e8887ec2efa1b58951bdc219b346003bef0c250b8e6d"),
+    "eval-variable-Rx": (["eval", "{R, Rx}"], EXIT_PARSE,
+                         "07de8a4e817c08eb60ad3cd4ba326bb91201c03bc63c35e73f7ffe02df070489"),
+    "compare-variable-r": (["compare", "{r}", "{R}"], EXIT_PARSE,
+                           "6eebff86fd318b2501f843d924f578eb56e4180a56f93bbb1632f9703d84f89c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_GOLDEN))
+def test_literal_operand_json_matches_golden(name):
+    argv, expected_code, digest = LITERAL_GOLDEN[name]
+    code, out, err = call([*argv, "--json"])
+    assert (code, err) == (expected_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
-from eukleia.dsl import ParseError, SourceSpan, _lex, format_derivation, parse_expr, parse_proof
+from eukleia.dsl import (ParseError, SourceSpan, _lex, _literal_terms, _Parser, format_derivation, parse_expr,
+                         parse_proof)
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang
@@ -326,3 +327,79 @@ class TestLexer:
             parse_expr("{a  # unclosed")
         assert (err.value.span.line, err.value.span.column) == (1, 5)
         assert "end of input" in err.value.message
+
+
+# ---------------------------------------------------------------------------
+# parse_expr reads a literal-only expression in one pattern pass; the token
+# parser is the reference it must match, value for value and error for error.
+
+def _token_parse_expr(text: str) -> MultisetExpr:
+    parser = _Parser(_lex(text))
+    expr = parser.parse_expr()
+    tok = parser._peek()
+    if tok.kind != "eof":
+        raise ParseError(tok.span, f"unexpected {tok.text!r} after the expression", expected=("end of input",))
+    return expr
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ("error", str(err), err.span)
+
+
+DIGITS_4400 = "7" * 4400  # past the interpreter's default int conversion limit of 4300 digits
+# Repeated choices and the extra small positive y weight the draws toward
+# texts the pattern pass reads; the rest exercise every way to fall back.
+_SPECIAL_INTS = st.sampled_from(["-0", "007", "-0012", DIGITS_4400, "-" + DIGITS_4400, "٣", "1٣", "-"])
+_XS = st.one_of(st.integers(-40, 40).map(str), st.integers(-10**30, 10**30).map(str), st.integers(-9, 9).map(str),
+                _SPECIAL_INTS)
+_YS = st.one_of(st.integers(1, 40).map(str), st.integers(1, 10**30).map(str), st.integers(1, 9).map(str), _XS)
+_ANG_HEADS = st.sampled_from(["ang", "ang", "ang", "ANG", "Ang", "aNg", "angx"])
+_TERM_TOKENS = st.one_of(
+    st.builds(lambda head, x, y: [head, "(", x, "/", y, ")"], _ANG_HEADS, _XS, _YS),
+    st.sampled_from([["R"], ["R"], ["R"], ["Rx"], ["r"], ["a"], ["ang", "(", "1", "/", "0", ")"],
+                     ["ang", "(", "2", "/", "-1", ")"]]),
+)
+_GAPS = st.sampled_from(["", "", "", " ", " ", "\n", "\t", "\r\n", " \n\t ", "# comment\n"])
+_TAILS = st.sampled_from([[], [], [], [], ["junk"], ["}"], [",", "R"], ["# trailing"], ["R"]])
+
+
+@st.composite
+def expression_texts(draw):
+    """A braced list of terms, some tokens dropped, with a gap before every token."""
+    tokens = ["{"]
+    for i, term in enumerate(draw(st.lists(_TERM_TOKENS, max_size=6))):
+        tokens += ([","] if i else []) + term
+    tokens += ["}"] + draw(_TAILS)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    gaps = draw(st.lists(_GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
+
+
+class TestLiteralFastPath:
+    @settings(max_examples=1000, deadline=None)
+    @example("{ang(1/0)}")
+    @example("{R, ang(2/-1)}")
+    @example(f"{{ang(1/{DIGITS_4400})}}")
+    @example("{ang(٣/1)}")
+    @example("{R, # comment\n ang(1/2)}")
+    @example("{R} junk")
+    @example("{Rx, R}")
+    @example("{R, angle(1/2)}")
+    @given(expression_texts())
+    def test_matches_the_token_parser(self, text):
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+
+    @pytest.mark.parametrize("text", ["{}", " \n{ }\r\n", "{R}", "{ ANG ( -0 / 007 ) ,\n\tR,aNg(1/2) }"])
+    def test_literal_only_text_takes_the_pattern_pass(self, text):
+        terms = _literal_terms(text)
+        assert terms is not None and MultisetExpr(tuple(terms)) == _token_parse_expr(text)
+
+    @pytest.mark.parametrize("text", ["{a}", "{Rx}", "{r}", "{R # c\n}", "{ang(1/0)}", "{ang(2/-1)}",
+                                      f"{{ang({DIGITS_4400}/1)}}", "{ang(٣/1)}", "{R} junk", "{R,}", "{R\u00a0}",
+                                      "{R}\f"])
+    def test_other_text_goes_to_the_token_parser(self, text):
+        assert _literal_terms(text) is None

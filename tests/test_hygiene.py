@@ -1,6 +1,8 @@
 """Source hygiene the test suite can check with the standard library alone."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -78,9 +80,8 @@ def test_no_unread_private_definitions(path):
     assert not unread, ", ".join(f"{path.name}:{line}: {name!r} defined but never read" for name, line in sorted(unread.items()))
 
 
-# Where the package may print: main() renders every report, and _read_file
-# reports a file it cannot read.
-PRINTERS = {("cli.py", "main"), ("cli.py", "_read_file")}
+# Where the package may print: main() renders every report and error line.
+PRINTERS = {("cli.py", "main")}
 
 
 def _print_calls(tree: ast.Module):
@@ -98,3 +99,29 @@ def test_prints_only_where_reports_are_rendered(path):
     stray = [f"{path.name}:{line}: print in {owner or 'the module body'}"
              for owner, line in _print_calls(tree) if (path.name, owner) not in PRINTERS]
     assert not stray, ", ".join(stray)
+
+
+def _pattern_sources(path: Path) -> list[str]:
+    """The source of each compiled pattern at the module's top level, and of
+    each string literal passed to a function of ``re``."""
+    module = importlib.import_module(f"eukleia.{path.stem}")
+    sources = [value.pattern for value in vars(module).values() if isinstance(value, re.Pattern)]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.args and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
+            sources.append(node.args[0].value)
+    return sources
+
+
+# Integers accept ASCII digits only, and \d also matches other decimal digits
+# such as "٣"; a digit class in a pattern is written [0-9].
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_patterns_name_ascii_digits(path):
+    stray = [source for source in _pattern_sources(path) if "\\d" in source]
+    assert not stray, f"{path.name}: \\d in {stray}"
+
+
+def test_pattern_scan_sees_the_parser_patterns():
+    # The lexer's token pattern and the two patterns of the literal pass.
+    assert len(_pattern_sources(PACKAGE / "dsl.py")) >= 3
