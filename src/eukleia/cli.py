@@ -1,22 +1,22 @@
 """Command-line front end: check proofs, compare and evaluate expressions,
 model-check scripts, and run the bundled corpus.
 
-Exit codes are a stable contract: 0 ok, 1 I/O failure (including a
-``corpus`` directory that is missing or holds no script to check), 2 parse
-error, 3 step error, 4 model counterexample, 5 vacuous model check (trials
-ran but no valuation met the hypotheses, so no step was checked), 6 an
-``eval`` or ``compare`` sum too large to print (a coordinate has more digits
-than the interpreter converts to text).  For ``corpus`` the first parse, step or
-counterexample failure sets the exit code, and 5 applies only when there is
-none.  A report's ``status`` is one of ``ok``, ``parse-error``,
-``step-error``, ``counterexample``, ``vacuous`` and ``too-large``.
+A report's ``status`` decides the exit code (``_EXIT_CODES``), a stable
+contract: ``ok`` 0, ``parse-error`` 2, ``step-error`` 3, ``counterexample`` 4,
+``vacuous`` 5 (no valuation met the hypotheses, or none was drawn, so no step
+was checked) and ``too-large`` 6 (an ``eval`` or ``compare`` sum with a
+coordinate of more digits than the interpreter converts to text).  A command
+with no report, because it could read nothing (including a ``corpus``
+directory that is missing or holds no script to check), exits 1.  For
+``corpus`` the first parse, step or counterexample failure sets the exit code,
+and 5 applies only when there is none.
 
 ``eval`` and ``compare`` accept literal-only expressions: each term of the
 parsed expression is then an ``AngleLit``, which the kernel sums as it is.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
-:func:`run_script`, which returns its exit code and report.  Every command
-returns its exit code, reports and human lines, and :func:`main` alone
+:func:`run_script`, which returns its report.  Every command returns its
+reports and human lines, and :func:`main` alone derives the exit code and
 renders them: ``--json`` prints one report object per line (one per file for
 ``corpus``) with ``elapsed_ms: null``, so that identical inputs produce
 byte-identical output; wall-clock timing appears only in the human rendering.
@@ -59,51 +59,41 @@ def corpus_dir() -> Path:
     return Path(override) if override else bundled_corpus_dir()
 
 
-def _span_dict(span: Optional[SourceSpan]) -> Optional[dict]:
-    if span is None:
-        return None
-    return {"line": span.line, "column": span.column, "length": span.length}
+# Each report status and the exit code it gives.
+_EXIT_CODES = {"ok": EXIT_OK, "parse-error": EXIT_PARSE, "step-error": EXIT_STEP,
+               "counterexample": EXIT_COUNTEREXAMPLE, "vacuous": EXIT_VACUOUS, "too-large": EXIT_TOO_LARGE}
+
+# The fields of every report, each None unless its command sets it.
+_FIELDS = dict.fromkeys(("command", "status", "file", "step", "span", "valuation", "result", "trials", "satisfied",
+                         "detail", "elapsed_ms"))
 
 
-def _report(
-    command: str,
-    status: str,
-    *,
-    file: Optional[str] = None,
-    step: Optional[str] = None,
-    span: Optional[SourceSpan] = None,
-    valuation: Optional[dict] = None,
-    result: Optional[str] = None,
-    trials: Optional[int] = None,
-    satisfied: Optional[int] = None,
-    detail: Optional[dict] = None,
-) -> dict:
-    return {
-        "command": command,
-        "status": status,
-        "file": file,
-        "step": step,
-        "span": _span_dict(span),
-        "valuation": valuation,
-        "result": result,
-        "trials": trials,
-        "satisfied": satisfied,
-        "detail": detail,
-        "elapsed_ms": None,
-    }
+def _report(command: str, status: str, span: Optional[SourceSpan] = None, **fields) -> dict:
+    rep = {**_FIELDS, **fields, "command": command, "status": status}
+    if span is not None:
+        rep["span"] = {"line": span.line, "column": span.column, "length": span.length}
+    return rep
 
 
-# What a command returns: its exit code, its reports and their human lines.
-_Outcome = tuple[int, list[dict], list[str]]
+def _exit_code(reports: list[dict]) -> int:
+    """The first code that is neither ok nor vacuous, else vacuous if any
+    report is, else ok; one report gives its own code."""
+    codes = [_EXIT_CODES[rep["status"]] for rep in reports]
+    failures = [code for code in codes if code not in (EXIT_OK, EXIT_VACUOUS)]
+    return failures[0] if failures else (EXIT_VACUOUS if EXIT_VACUOUS in codes else EXIT_OK)
+
+
+# What a command returns: its reports and their human lines.
+_Outcome = tuple[list[dict], list[str]]
 
 
 class _Rejected(Exception):
-    """A command with no result to report: the exit code, report and human
-    line that :func:`main` renders instead.  An I/O failure has no report."""
+    """A command with no result to report: the report and human line that
+    :func:`main` renders instead.  An I/O failure has no report."""
 
-    def __init__(self, code: int, report: Optional[dict], line: str):
+    def __init__(self, report: Optional[dict], line: str):
         super().__init__(line)
-        self.outcome: _Outcome = (code, [] if report is None else [report], [line])
+        self.outcome: _Outcome = ([] if report is None else [report], [line])
 
 
 def _read_file(path: str | Path) -> str:
@@ -114,26 +104,34 @@ def _read_file(path: str | Path) -> str:
         message = str(exc)
     except UnicodeDecodeError as exc:
         message = f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
-    raise _Rejected(EXIT_IO, None, f"error: {message}")
+    raise _Rejected(None, f"error: {message}")
 
 
-def _literal_angles(expr_text: str, command: str) -> list:
+def _literal_angles(expr_text: str, command: str) -> tuple:
     """The angles of a literal-only expression; raises _Rejected otherwise."""
     try:
-        expr = parse_expr(expr_text)
+        terms = parse_expr(expr_text).terms
     except ParseError as exc:
-        rep = _report(command, "parse-error", span=exc.span, detail={"message": exc.message})
-        raise _Rejected(EXIT_PARSE, rep, _parse_error_line(rep)) from None
-    variables = sorted(expr.variables())
-    if variables:
-        rep = _report(command, "parse-error", detail={"message": f"variable {variables[0]!r} in a literal-only expression"})
-        raise _Rejected(EXIT_PARSE, rep, f"error: variable {variables[0]!r} is not allowed here")
-    return list(expr.terms)
+        rep = _report(command, "parse-error", exc.span, detail={"message": exc.message})
+        raise _Rejected(rep, _parse_error_line(rep)) from None
+    if terms and isinstance(terms[0], str):  # variables sort first, by name
+        rep = _report(command, "parse-error", detail={"message": f"variable {terms[0]!r} in a literal-only expression"})
+        raise _Rejected(rep, f"error: variable {terms[0]!r} is not allowed here")
+    return terms
 
 
-# A sum computed exactly whose coordinate has more digits than ``str(int)``
-# converts (the interpreter's digit limit) exits EXIT_TOO_LARGE.
 _TOO_LARGE = "result too large to print: a coordinate has more digits than the interpreter converts to text"
+
+
+def _printable(command: str, *sums: AngleSum) -> list[str]:
+    """Each sum as text; raises _Rejected with a ``too-large`` report when a
+    coordinate has more digits than ``str(int)`` converts (the interpreter's
+    digit limit)."""
+    try:
+        return [str(total) for total in sums]
+    except ValueError:
+        raise _Rejected(_report(command, "too-large", detail={"message": _TOO_LARGE}),
+                        f"error: {_TOO_LARGE}") from None
 
 
 def _approx_radians(total: AngleSum) -> float:
@@ -150,31 +148,27 @@ def _approx_radians(total: AngleSum) -> float:
 # Subcommands
 
 def run_script(command: str, text: str, file: Optional[str], trials: Optional[int] = None,
-               seed: int = 0) -> tuple[int, dict]:
+               seed: int = 0) -> dict:
     """Parse and check one script, then model-check it unless ``trials`` is None;
-    return the exit code and the report, which ``command`` and ``file`` label."""
+    return the report, which ``command`` and ``file`` label."""
     try:
         derivation = parse_proof(text)
     except ParseError as exc:
-        return EXIT_PARSE, _report(command, "parse-error", file=file, span=exc.span,
-                                   detail={"message": exc.message})
+        return _report(command, "parse-error", exc.span, file=file, detail={"message": exc.message})
     try:
         check_derivation(derivation)
     except StepError as exc:
-        return EXIT_STEP, _report(command, "step-error", file=file, step=exc.label, span=exc.span,
-                                  detail={"message": exc.reason})
+        return _report(command, "step-error", exc.span, file=file, step=exc.label, detail={"message": exc.reason})
     steps = {"steps": len(derivation.steps)}
     if trials is None:
-        return EXIT_OK, _report(command, "ok", file=file, detail=steps)
+        return _report(command, "ok", file=file, detail=steps)
     outcome = model_check_derivation(derivation, trials, seed)
     cx = outcome.to_dict()["counterexample"]
     if cx is not None:
-        return EXIT_COUNTEREXAMPLE, _report(command, "counterexample", file=file, step=cx["step"],
-                                            valuation=cx["valuation"], trials=outcome.trials,
-                                            satisfied=outcome.satisfied)
-    code, status = (EXIT_VACUOUS, "vacuous") if outcome.vacuous else (EXIT_OK, "ok")
-    return code, _report(command, status, file=file, trials=outcome.trials, satisfied=outcome.satisfied,
-                         detail=steps)
+        return _report(command, "counterexample", file=file, step=cx["step"], valuation=cx["valuation"],
+                       trials=outcome.trials, satisfied=outcome.satisfied)
+    return _report(command, "vacuous" if outcome.vacuous else "ok", file=file, trials=outcome.trials,
+                   satisfied=outcome.satisfied, detail=steps)
 
 
 def _parse_error_line(rep: dict) -> str:
@@ -215,36 +209,28 @@ def _corpus_note(rep: dict) -> str:
 
 def _cmd_script(args) -> _Outcome:
     """``check`` and ``modelcheck``: one script through :func:`run_script`."""
-    code, rep = run_script(args.command, _read_file(args.path), args.path, args.trials, args.seed)
-    return code, [rep], _script_lines(rep)
+    rep = run_script(args.command, _read_file(args.path), args.path, args.trials, args.seed)
+    return [rep], _script_lines(rep)
 
 
 def _cmd_compare(args) -> _Outcome:
     lhs, rhs = _literal_angles(args.lhs, "compare"), _literal_angles(args.rhs, "compare")
     sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
     verdict = compare_sums(sum_l, sum_r).name
-    try:
-        text_l, text_r = str(sum_l), str(sum_r)
-    except ValueError:
-        raise _Rejected(EXIT_TOO_LARGE, _report("compare", "too-large", detail={"message": _TOO_LARGE}),
-                        f"error: {_TOO_LARGE}") from None
+    text_l, text_r = _printable("compare", sum_l, sum_r)
     rep = _report("compare", "ok", result=verdict, detail={"lhs": text_l, "rhs": text_r})
-    return EXIT_OK, [rep], [verdict, f"lhs: {text_l}", f"rhs: {text_r}"]
+    return [rep], [verdict, f"lhs: {text_l}", f"rhs: {text_r}"]
 
 
 def _cmd_eval(args) -> _Outcome:
     total = sum_multiset(_literal_angles(args.expr, "eval"))
-    try:
-        text = str(total)
-    except ValueError:
-        raise _Rejected(EXIT_TOO_LARGE, _report("eval", "too-large", detail={"message": _TOO_LARGE}),
-                        f"error: {_TOO_LARGE}") from None
+    (text,) = _printable("eval", total)
     detail: dict = {}
     human = [text]
     if args.approx:
         detail["approx_radians"] = approx = f"{_approx_radians(total):.10f}"
         human.append(f"approx: {approx} rad")
-    return EXIT_OK, [_report("eval", "ok", result=text, detail=detail or None)], human
+    return [_report("eval", "ok", result=text, detail=detail or None)], human
 
 
 def _corpus_files() -> list[Path]:
@@ -256,21 +242,17 @@ def _corpus_files() -> list[Path]:
     if not files:
         reason = ("no .eap file to check" if root.is_dir() else
                   "not a directory" if root.exists() else "no such directory")
-        raise _Rejected(EXIT_IO, None, f"error: {root}: {reason}")
+        raise _Rejected(None, f"error: {root}: {reason}")
     return files
 
 
 def _cmd_corpus(args) -> _Outcome:
-    results = [run_script("corpus", _read_file(path), path.name, args.trials, args.seed)
+    reports = [run_script("corpus", _read_file(path), path.name, args.trials, args.seed)
                for path in _corpus_files()]
-    codes = [code for code, _ in results]
-    failures = [code for code in codes if code in (EXIT_PARSE, EXIT_STEP, EXIT_COUNTEREXAMPLE)]
-    exit_code = failures[0] if failures else (EXIT_VACUOUS if EXIT_VACUOUS in codes else EXIT_OK)
-    reports = [rep for _, rep in results]
     width = max((len(rep["file"]) for rep in reports), default=0)
     rows = [f"{rep['file'].ljust(width)}  {rep['status']:<15} {_corpus_note(rep)}" for rep in reports]
     good = sum(1 for rep in reports if rep["status"] == "ok")
-    return exit_code, reports, rows + [f"{good}/{len(reports)} file(s) ok"]
+    return reports, rows + [f"{good}/{len(reports)} file(s) ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,35 +277,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse a proof script and check every step")
     p_check.add_argument("path")
-    p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=_cmd_script, trials=None, seed=0)
 
     p_compare = sub.add_parser("compare", help="compare two literal multiset expressions")
     p_compare.add_argument("lhs")
     p_compare.add_argument("rhs")
-    p_compare.add_argument("--json", action="store_true")
     p_compare.set_defaults(func=_cmd_compare)
 
     p_eval = sub.add_parser("eval", help="evaluate a literal multiset expression")
     p_eval.add_argument("expr")
     p_eval.add_argument("--approx", action="store_true",
                         help="also print an advisory floating-point radian value")
-    p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_model = sub.add_parser("modelcheck", help="check a script, then model-check it on random valuations")
     p_model.add_argument("path")
     p_model.add_argument("--trials", type=_trial_count, default=1000)
     p_model.add_argument("--seed", type=int, default=0)
-    p_model.add_argument("--json", action="store_true")
     p_model.set_defaults(func=_cmd_script)
 
     p_corpus = sub.add_parser("corpus", help="check and model-check every bundled corpus file")
     p_corpus.add_argument("--trials", type=_trial_count, default=200)
     p_corpus.add_argument("--seed", type=int, default=0)
-    p_corpus.add_argument("--json", action="store_true")
     p_corpus.set_defaults(func=_cmd_corpus)
 
+    for subparser in sub.choices.values():  # last, so that usage and help list --json last
+        subparser.add_argument("--json", action="store_true")
     return parser
 
 
@@ -331,13 +310,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, reports, lines = args.func(args)
+        reports, lines = args.func(args)
     except _Rejected as exc:
-        code, reports, lines = exc.outcome
-    if code == EXIT_IO:  # nothing was read, so there is no report; the error goes to stderr
+        reports, lines = exc.outcome
+    if not reports:  # nothing was read, so there is no report; the error goes to stderr
         for line in lines:
             print(line, file=sys.stderr)
-        return code
+        return EXIT_IO
     if args.json:
         for report in reports:
             print(json.dumps(report, sort_keys=True))
@@ -345,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in lines:
             print(line)
         print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
-    return code
+    return _exit_code(reports)
 
 
 if __name__ == "__main__":  # pragma: no cover

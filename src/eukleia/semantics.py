@@ -334,8 +334,8 @@ class ModelCheckReport:
 
     @property
     def vacuous(self) -> bool:
-        """Trials ran but no valuation met the hypotheses, so nothing was checked."""
-        return self.trials > 0 and self.satisfied == 0
+        """No valuation met the hypotheses, or none was drawn, so nothing was checked."""
+        return self.satisfied == 0
 
     def to_dict(self) -> dict:
         cx = None

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import shutil
 import sys
 import time
@@ -209,8 +210,10 @@ class TestModelcheck:
         assert rep["trials"] == 40 and rep["satisfied"] == 40
 
     def test_zero_trials(self, capsys):
+        # No valuation is drawn, so no step is checked.
         code, (rep,) = run_json(capsys, "modelcheck", str(CORPUS_DIR / "prop16.eap"), "--trials", "0")
-        assert code == EXIT_OK
+        assert code == EXIT_VACUOUS
+        assert rep["status"] == "vacuous"
         assert rep["trials"] == 0 and rep["satisfied"] == 0
 
     def test_unsatisfiable_hypotheses_are_vacuous(self, capsys, tmp_path):
@@ -227,8 +230,8 @@ class TestModelcheck:
         assert code == EXIT_VACUOUS
         assert out.startswith(f"vacuous: {path} (0/1 trials satisfied the hypotheses")
         code, (rep,) = run_json(capsys, "modelcheck", str(path), "--trials", "0")
-        assert code == EXIT_OK
-        assert rep["status"] == "ok"
+        assert code == EXIT_VACUOUS
+        assert rep["status"] == "vacuous"
 
     @pytest.mark.parametrize("argv", [["modelcheck", str(CORPUS_DIR / "prop16.eap")], ["corpus"]],
                              ids=["modelcheck", "corpus"])
@@ -294,6 +297,15 @@ class TestCorpus:
         names = [rep["file"] for rep in reports]
         assert names == sorted(names)
         assert all(rep["status"] == "ok" for rep in reports)
+
+    def test_zero_trials_are_vacuous(self, capsys):
+        code, reports = run_json(capsys, "corpus", "--trials", "0")
+        assert code == EXIT_VACUOUS
+        assert len(reports) == 6
+        assert all((rep["status"], rep["trials"], rep["satisfied"]) == ("vacuous", 0, 0) for rep in reports)
+        code, out = run(capsys, "corpus", "--trials", "0")
+        assert code == EXIT_VACUOUS
+        assert "0/6 file(s) ok" in out
 
     def test_broken_files_not_collected(self):
         names = [p.name for p in cli._corpus_files()]
@@ -659,3 +671,61 @@ def test_literal_operand_json_matches_golden(name):
     code, out, err = call([*argv, "--json"])
     assert (code, err) == (expected_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# The documented contract: README's exit-code table, status list and JSON
+# field list are the tables the CLI derives its exit codes and reports from.
+
+README = (CORPUS_DIR.parent.parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_list(lead: str) -> list[str]:
+    """The backquoted names in the README sentence part that follows ``lead``."""
+    match = re.search(re.escape(lead) + r"(.*?)\.\s", README, re.S)
+    assert match, lead
+    return re.findall(r"`([^`]+)`", match.group(1))
+
+
+class TestReadmeContract:
+    def test_exit_code_table(self):
+        rows = re.findall(r"^\| ([0-9]+) +\| (`[a-z-]+`|-) \|", README, re.M)
+        documented = {int(code): status.strip("`") for code, status in rows}
+        assert documented == {EXIT_IO: "-", **{code: status for status, code in cli._EXIT_CODES.items()}}
+        assert len(rows) == len(documented)  # one row per code
+
+    def test_status_list(self):
+        assert _readme_list("`status` is one of") == list(cli._EXIT_CODES)
+
+    def test_json_fields(self):
+        assert _readme_list("with the fields") == list(cli._FIELDS)
+        assert set(cli._FIELDS) == JSON_FIELDS
+
+
+# sha256 of stdout for ``--help`` and of stderr for two usage errors, with
+# COLUMNS=80, recorded before ``--json`` was added to every subcommand in one
+# loop; argparse's layout is the running interpreter's (Python 3.11 here).
+HELP_GOLDEN = {
+    "eukleia": (["--help"], 0, "3aa909f8bd09fa6c8ae8bc90272a8362076fa9e9e5ee6223cc460f4e98c78a4a"),
+    "check": (["check", "--help"], 0, "b118e4141f1ad61017f1f782b10e9f9704768c6bd2c9900991ae6354e2b9a573"),
+    "compare": (["compare", "--help"], 0, "0c2551512277e473a10b2b2ab7c5fe766e004ec5cd6b12280fbdfd23299f75ae"),
+    "eval": (["eval", "--help"], 0, "4d5eba65240ea436287b1060d026237c77adb4bbe781bf0a7f72a774bd0fc72c"),
+    "modelcheck": (["modelcheck", "--help"], 0, "4aaace2b4e5d82e864372cdfd0ffd2bc69e69c2ef5f47b148da7d24f44c5f6c5"),
+    "corpus": (["corpus", "--help"], 0, "c57e2509520bee46e9a7449ed60447759b1b6717589ac5df13ae851310645ce9"),
+    "negative-trials": (["modelcheck", "x.eap", "--trials", "-5"], 2,
+                        "c6979b17b03d837cf53c10253bf2dd837e6efca71672892c15cd2a2b6f22f2f1"),
+    "missing-operand": (["eval"], 2, "4e1a6110685f882b65da61a18bfcfc8a4e2fcf517cd500ddd73ba318160478af"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_GOLDEN))
+def test_help_and_usage_errors_match_golden(monkeypatch, name):
+    argv, expected_code, digest = HELP_GOLDEN[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == expected_code
+    shown, silent = (out, err) if expected_code == 0 else (err, out)
+    assert silent.getvalue() == ""
+    assert hashlib.sha256(shown.getvalue().encode()).hexdigest() == digest

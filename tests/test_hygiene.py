@@ -125,3 +125,27 @@ def test_patterns_name_ascii_digits(path):
 def test_pattern_scan_sees_the_parser_patterns():
     # The lexer's token pattern and the two patterns of the literal pass.
     assert len(_pattern_sources(PACKAGE / "dsl.py")) >= 3
+
+
+# Where cli.py may read an exit code: the status table, the rule that folds a
+# command's reports into one code, and main(), which returns it.
+EXIT_CODE_READERS = {"_EXIT_CODES", "_exit_code", "main"}
+
+
+def test_exit_codes_come_from_report_statuses():
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stray = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = {top.name}
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            owners = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            owners = set()
+        stray += [f"cli.py:{node.lineno}: {node.id} read in {', '.join(sorted(owners)) or 'the module body'}"
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("EXIT_")
+                  and not owners & EXIT_CODE_READERS]
+    assert not stray, ", ".join(stray)
