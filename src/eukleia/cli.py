@@ -11,8 +11,11 @@ directory that is missing or holds no script to check), exits 1.  For
 ``corpus`` the first parse, step or counterexample failure sets the exit code,
 and 5 applies only when there is none.
 
-``eval`` and ``compare`` accept literal-only expressions: each term of the
-parsed expression is then an ``AngleLit``, which the kernel sums as it is.
+``eval`` and ``compare`` accept literal-only expressions: each term is then an
+``AngleLit``, which the kernel sums as it is.  The literal pattern passes of
+``dsl`` read such an operand into its angles in the order written, unsorted;
+any other operand goes to :func:`parse_expr`, which reports the parse error
+or the variable.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
 :func:`run_script`, which returns its report.  Every command returns its
@@ -35,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
-from .dsl import ParseError, SourceSpan, parse_expr, parse_proof
+from .dsl import ParseError, SourceSpan, _literal_terms, parse_expr, parse_proof
 from .kernel import AngleSum, compare_sums, sum_multiset
 from .semantics import model_check_derivation
 
@@ -107,8 +110,12 @@ def _read_file(path: str | Path) -> str:
     raise _Rejected(None, f"error: {message}")
 
 
-def _literal_angles(expr_text: str, command: str) -> tuple:
-    """The angles of a literal-only expression; raises _Rejected otherwise."""
+def _literal_angles(expr_text: str, command: str) -> Sequence:
+    """The angles of a literal-only expression, in no particular order;
+    raises _Rejected otherwise."""
+    angles = _literal_terms(expr_text)  # unsorted: eval and compare only sum them
+    if angles is not None:
+        return angles
     try:
         terms = parse_expr(expr_text).terms
     except ParseError as exc:

@@ -10,7 +10,10 @@ One regular expression, ``_TOKEN``, defines the tokens: IDENT is a letter or
 ``_`` followed by alphanumerics and ``_``; INT is ``-?[0-9]+`` (ASCII digits);
 each of ``{ } ( ) , : ; /`` is a token whose kind is the character itself.
 Blanks and newlines separate tokens, ``#`` starts a comment running to the
-end of the line, and any other character is a parse error.
+end of the line, and any other character is a parse error.  The lexer keeps
+each token's text and start offset; line and column are computed from the
+offsets, with the newline offsets built once per parse, only for the spans
+that are reported: a parse error and each step label's ``Step.span``.
 
 Grammar::
 
@@ -31,7 +34,7 @@ branch the branch's comparison is cited as ``case``.  A step nested in more
 than ``MAX_CASES_DEPTH`` cases branches is a parse error.
 
 A standalone expression (:func:`parse_expr`) of ``R`` and ``ang`` literals
-only, written without comments, is read in one pattern pass without the
+only, written without comments, is read in two pattern passes without the
 lexer.  Every other text, and every text with an error, goes to the token
 parser, which alone reports parse errors.
 """
@@ -39,8 +42,10 @@ parser, which alone reports parse errors.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import compress, islice
+from typing import Optional
 
 from .calculus import (
     Congr,
@@ -99,158 +104,176 @@ _RESERVED = {"vars", "hyp", "by", "eq", "lt", "split", "congr", "false", "ang", 
 
 _RULES_BY_NAME = {r.value: r for r in Rule}
 
+_RIGHT_ANGLE = angle_from_slope_vector(0, 1)
+
 # Each judgment head, lowercase: its class, whether its operands are
 # expressions (else terms), and how many it takes.
 _JUDGMENTS = {"eq": (Eq, True, 2), "lt": (Lt, True, 2), "split": (Split, False, 3),
               "congr": (Congr, False, 2), "false": (Falsum, False, 0)}
 
 
-# One alternative per token class, tried in order.  [^\W0-9] also admits
-# numerals such as "²", "½", "Ⅷ" and "٣", which _lex rejects: an identifier
-# starts with a letter (str.isalpha) or "_".  A "-" before no digit is "other".
-_TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<blank>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[^\W0-9]\w*)
-  | (?P<punct>[{}(),:;/])
-  | (?P<other>.)
-""", re.VERBOSE)
+# One alternative per token class, tried in order: int, ident, punctuation,
+# comment, and any other character.  Blanks and newlines match no alternative,
+# so finditer skips them.  [^\W0-9] also admits numerals such as "²", "½", "Ⅷ"
+# and "٣", and a "-" before no digit is "other": _Parser rejects both.
+_TOKEN = re.compile(r"-?[0-9]+|[^\W0-9]\w*|[{}(),:;/]|#[^\n]*|[^ \t\r\n]")
+
+# First characters: of an int, of any token but an ident ("" is the end of
+# input), and of a valid token, which is one of those or an ident starting
+# with "_" or a letter (str.isalpha).
+_INT_STARTS = frozenset("-0123456789")
+_NOT_IDENT_STARTS = frozenset("{}(),:;/") | _INT_STARTS | {""}
+_TOKEN_STARTS = _NOT_IDENT_STARTS | {"_"}
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | int | eof | the punctuation character itself
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        kind, start, end = m.lastgroup, m.start(), m.end()
-        if kind == "newline":
-            line, line_start = line + 1, end
-        elif kind == "comment":
-            end = start  # end of input right after a comment sits at the "#"
-        elif kind != "blank":
-            word, column = m.group(), start - line_start + 1
-            if kind == "punct":
-                kind = word
-            elif kind == "other" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
-                message = "malformed integer" if word == "-" else f"unexpected character {word[0]!r}"
-                raise ParseError(SourceSpan(line, column, 1), message)
-            tokens.append(_Token(kind, word, line, column))
-    tokens.append(_Token("eof", "", line, end - line_start + 1))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``text``: their texts and start offsets, comments dropped,
+    ending with the end of input, ``""``.  A token's kind follows from its
+    first character: a punctuation mark is its own kind, ``-`` or a digit
+    starts an int, anything else an ident.  Tokens are not validated here."""
+    texts: list[str] = []
+    starts: list[int] = []
+    matches = _TOKEN.finditer(text)
+    while chunk := list(islice(matches, 1024)):  # bounded: no match object outlives its chunk
+        texts += map(re.Match.group, chunk)
+        starts += map(re.Match.start, chunk)
+    end = len(text)
+    if "#" in text:  # every "#" starts a comment or is inside one
+        if texts[-1][0] == "#" and starts[-1] + len(texts[-1]) == end:
+            end = starts[-1]  # end of input right after a comment sits at the "#"
+        kept = [word[0] != "#" for word in texts]
+        texts, starts = list(compress(texts, kept)), list(compress(starts, kept))
+    texts.append("")
+    starts.append(end)
+    return texts, starts
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    def __init__(self, text: str):
+        self._text = text
+        self._texts, self._starts = _lex(text)
+        self._lines: Optional[list[int]] = None  # each line's start offset, built for the first span
         self._pos = 0
         # Declared variable names; None accepts any name (a standalone expression).
         self._declared: Optional[set[str]] = None
         # Every label so far, and the labels in scope: one frame per open cases branch.
         self._labels: set[str] = set()
         self._scope: list[set[str]] = [set()]
+        # Each distinct token text is checked once; only a text with a bad token
+        # is scanned in order, for the first one.
+        bad = {word for word in set(self._texts)
+               if word == "-" or not (word[:1].isalpha() or word[:1] in _TOKEN_STARTS)}
+        if bad:
+            at = min(map(self._texts.index, bad))
+            word = self._texts[at]
+            message = "malformed integer" if word == "-" else f"unexpected character {word[0]!r}"
+            raise ParseError(self._span(at, 1), message)
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _span(self, at: int, length: Optional[int] = None) -> SourceSpan:
+        """The span of token ``at``, or of ``length`` characters from its start."""
+        if self._lines is None:
+            self._lines = [0, *(m.end() for m in re.finditer("\n", self._text))]
+        offset = self._starts[at]
+        line = bisect_right(self._lines, offset)
+        return SourceSpan(line, offset - self._lines[line - 1] + 1, length or max(1, len(self._texts[at])))
 
     def _unexpected(self, *expected: str) -> ParseError:
-        tok = self._tokens[self._pos]
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(tok.span, f"unexpected {found}", expected=expected)
+        word = self._texts[self._pos]
+        found = repr(word) if word else "end of input"
+        return ParseError(self._span(self._pos), f"unexpected {found}", expected=expected)
 
-    def _expect(self, kind: str, what: Optional[str] = None) -> _Token:
-        """Consume the next token, which must be of ``kind`` (``what`` names it in errors)."""
-        tok = self._tokens[self._pos]
-        if tok.kind != kind:
-            raise self._unexpected(what or kind)
+    def _expect(self, punct: str) -> None:
+        """Consume the next token, which must be the punctuation mark ``punct``."""
+        if self._texts[self._pos] != punct:
+            raise self._unexpected(punct)
         self._pos += 1
-        return tok
+
+    def _ident(self, what: str) -> str:
+        """Consume the next token, which must be an identifier (``what`` names it in errors)."""
+        word = self._texts[self._pos]
+        if word[:1] in _NOT_IDENT_STARTS:
+            raise self._unexpected(what)
+        self._pos += 1
+        return word
 
     def _keyword(self, word: str) -> bool:
         """Consume the next token if it is the keyword ``word``."""
-        tok = self._tokens[self._pos]
-        if tok.kind == "ident" and tok.text.lower() == word:
+        if self._texts[self._pos].lower() == word:
             self._pos += 1
             return True
         return False
 
     # -- names -------------------------------------------------------------
 
-    def _name(self, what: str) -> _Token:
-        tok = self._expect("ident", what)
-        if tok.text.lower() in _RESERVED or tok.text == "R":
-            raise ParseError(tok.span, f"{tok.text!r} is reserved and cannot name a {what}")
-        return tok
+    def _name(self, what: str) -> str:
+        word = self._ident(what)
+        if word.lower() in _RESERVED or word == "R":
+            raise ParseError(self._span(self._pos - 1), f"{word!r} is reserved and cannot name a {what}")
+        return word
 
-    def _declare_label(self, tok: _Token) -> None:
-        if tok.text in self._labels:
-            raise ParseError(tok.span, f"duplicate label {tok.text!r}")
-        self._labels.add(tok.text)
-        self._scope[-1].add(tok.text)
+    def _declare_label(self, label: str, at: int) -> None:
+        if label in self._labels:
+            raise ParseError(self._span(at), f"duplicate label {label!r}")
+        self._labels.add(label)
+        self._scope[-1].add(label)
 
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> MultisetExpr:
         self._expect("{")
         terms: list[Term] = []
-        if self._peek().kind != "}":
+        if self._texts[self._pos] != "}":
             terms.append(self._parse_term())
-            while self._peek().kind == ",":
+            while self._texts[self._pos] == ",":
                 self._pos += 1
                 terms.append(self._parse_term())
         self._expect("}")
         return MultisetExpr(tuple(terms))
 
     def _int(self) -> int:
-        tok = self._expect("int", "integer")
+        word = self._texts[self._pos]
+        if word[:1] not in _INT_STARTS:
+            raise self._unexpected("integer")
+        self._pos += 1
         try:
-            return int(tok.text)
+            return int(word)
         except ValueError:  # longer than the interpreter's int conversion limit
-            raise ParseError(tok.span, f"integer literal too long ({len(tok.text.lstrip('-'))} digits)") from None
+            raise ParseError(self._span(self._pos - 1),
+                             f"integer literal too long ({len(word.lstrip('-'))} digits)") from None
 
     def _parse_term(self) -> Term:
-        tok = self._expect("ident", "term")
-        if tok.text == "R":
-            return angle_from_slope_vector(0, 1)
-        if tok.text.lower() == "ang":
+        at = self._pos
+        word = self._ident("term")
+        if word == "R":
+            return _RIGHT_ANGLE
+        lower = word.lower()
+        if lower == "ang":
             self._expect("(")
             x = self._int()
             self._expect("/")
             y = self._int()
-            close = self._expect(")")
+            self._expect(")")
             try:
                 angle = angle_from_slope_vector(x, y)
             except DegenerateAngle:
-                length = close.column + 1 - tok.column if close.line == tok.line else len(tok.text)
-                raise ParseError(
-                    SourceSpan(tok.line, tok.column, length),
-                    "degenerate angle literal: the argument is not strictly between 0 and pi",
-                ) from None
+                # From "ang" through ")" when both are on one line, else "ang" alone.
+                start, close = self._starts[at], self._starts[self._pos - 1]
+                length = close + 1 - start if self._text.find("\n", start, close) < 0 else len(word)
+                raise ParseError(self._span(at, length),
+                                 "degenerate angle literal: the argument is not strictly between 0 and pi") from None
             return angle
-        if tok.text.lower() in _RESERVED:
-            raise ParseError(tok.span, f"{tok.text!r} is reserved and cannot name a variable")
-        if self._declared is not None and tok.text not in self._declared:
-            raise ParseError(tok.span, f"undeclared variable {tok.text!r}")
-        return tok.text
+        if lower in _RESERVED:
+            raise ParseError(self._span(at), f"{word!r} is reserved and cannot name a variable")
+        if self._declared is not None and word not in self._declared:
+            raise ParseError(self._span(at), f"undeclared variable {word!r}")
+        return word
 
     # -- judgments ---------------------------------------------------------
 
     def _parse_judgment(self) -> Judgment:
-        tok = self._peek()
-        form = _JUDGMENTS.get(tok.text.lower()) if tok.kind == "ident" else None
+        form = _JUDGMENTS.get(self._texts[self._pos].lower())
         if form is None:
             raise self._unexpected("Eq", "Lt", "Split", "Congr", "False")
         self._pos += 1
@@ -262,44 +285,45 @@ class _Parser:
 
     def parse_derivation(self) -> Derivation:
         if not self._keyword("vars"):
-            raise ParseError(self._peek().span, "missing vars header", expected=("vars",))
+            raise ParseError(self._span(self._pos), "missing vars header", expected=("vars",))
         variables: list[str] = []
         self._declared = set()
-        while self._peek().kind == "ident":
-            tok = self._name("variable")
-            if tok.text in self._declared:
-                raise ParseError(tok.span, f"variable {tok.text!r} declared twice")
-            self._declared.add(tok.text)
-            variables.append(tok.text)
+        while self._texts[self._pos][:1] not in _NOT_IDENT_STARTS:
+            name = self._name("variable")
+            if name in self._declared:
+                raise ParseError(self._span(self._pos - 1), f"variable {name!r} declared twice")
+            self._declared.add(name)
+            variables.append(name)
         self._expect(";")
 
         hypotheses: list[Hypothesis] = []
         while self._keyword("hyp"):
             label = self._name("hypothesis label")
-            self._declare_label(label)
+            self._declare_label(label, self._pos - 1)
             self._expect(":")
             judgment = self._parse_judgment()
             self._expect(";")
-            hypotheses.append(Hypothesis(label.text, judgment))
+            hypotheses.append(Hypothesis(label, judgment))
 
         steps: list[Step] = []
-        while self._peek().kind != "eof":
+        while self._texts[self._pos]:
             steps.append(self._parse_step())
 
         return Derivation(tuple(variables), tuple(hypotheses), tuple(steps))
 
     def _parse_step(self) -> Step:
+        at = self._pos
         label = self._name("step label")
         if len(self._scope) - 1 > MAX_CASES_DEPTH:
-            raise ParseError(label.span, f"cases nested deeper than {MAX_CASES_DEPTH} levels")
+            raise ParseError(self._span(at), f"cases nested deeper than {MAX_CASES_DEPTH} levels")
         self._expect(":")
         judgment = self._parse_judgment()
         if not self._keyword("by"):
             raise self._unexpected("by")
-        rule_tok = self._expect("ident", "rule name")
-        rule = _RULES_BY_NAME.get(rule_tok.text.lower())
+        rule_name = self._ident("rule name")
+        rule = _RULES_BY_NAME.get(rule_name.lower())
         if rule is None:
-            raise ParseError(rule_tok.span, f"unknown rule {rule_tok.text!r}")
+            raise ParseError(self._span(self._pos - 1), f"unknown rule {rule_name!r}")
 
         case_pair: Optional[tuple[MultisetExpr, MultisetExpr]] = None
         branches: tuple[tuple[Step, ...], ...] = ()
@@ -312,45 +336,49 @@ class _Parser:
                 self._expect("{")
                 self._scope.append({"case"})
                 block: list[Step] = []
-                while self._peek().kind != "}":
+                while self._texts[self._pos] != "}":
                     block.append(self._parse_step())
                 self._scope.pop()
                 self._expect("}")
                 parsed.append(tuple(block))
             branches = tuple(parsed)
         else:
-            while self._peek().kind == "ident":
-                ref = self._expect("ident")
-                if not any(ref.text in frame for frame in self._scope):
-                    raise ParseError(ref.span, f"unknown reference {ref.text!r}")
-                premises.append(ref.text)
+            while self._texts[self._pos][:1] not in _NOT_IDENT_STARTS:
+                ref = self._ident("reference")
+                if not any(ref in frame for frame in self._scope):
+                    raise ParseError(self._span(self._pos - 1), f"unknown reference {ref!r}")
+                premises.append(ref)
 
         self._expect(";")
-        self._declare_label(label)
-        return Step(label.text, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
-                    span=label.span)
+        self._declare_label(label, at)
+        return Step(label, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
+                    span=self._span(at))
 
 
-# A literal-only standalone expression, read without the lexer: _LITERAL_EXPR
-# matches exactly the texts whose tokens are "{", then "R" and "ang" ( INT / INT )
-# terms separated by ",", then "}", with blanks between any two of them.  Each
-# word must be followed by a blank, ",", "}" or "(", so "Rx" and "angle" do not
-# match.  In such a text every "R" is a term and every "(" opens an ang term,
-# so _LITERAL_TERM finds the terms in order, an "R" as the pair ("", "").
+# A literal-only standalone expression, read without the lexer.  Replacing each
+# "R" and each "ang" ( INT / INT ) literal (_LITERAL) by "x" and dropping the
+# blanks leaves "{x,x,...,x}", one "x" per replacement, exactly when the text's
+# tokens are "{", such literals separated by ",", and "}": any other character
+# (so "Rx" fails by its stray "x") or two literals with no "," between them
+# spoils that form.  In such a text every "R" is a term and every "(" opens an
+# ang term, so _LITERAL_TERM finds the terms in order, an "R" as the pair
+# ("", "").  No pattern repeats a group over the whole text, for which sre
+# would keep backtracking state per character.
 _BLANKS = r"[ \t\r\n]*"
-_LITERAL = rf"(?:R|[aA][nN][gG]{_BLANKS}\({_BLANKS}-?[0-9]+{_BLANKS}/{_BLANKS}-?[0-9]+{_BLANKS}\)){_BLANKS}"
-_LITERAL_EXPR = re.compile(rf"{_BLANKS}\{{{_BLANKS}(?:{_LITERAL}(?:,{_BLANKS}{_LITERAL})*)?\}}{_BLANKS}")
+_LITERAL = re.compile(rf"R|[aA][nN][gG]{_BLANKS}\({_BLANKS}-?[0-9]+{_BLANKS}/{_BLANKS}-?[0-9]+{_BLANKS}\)")
 _LITERAL_TERM = re.compile(rf"R|\({_BLANKS}(-?[0-9]+){_BLANKS}/{_BLANKS}(-?[0-9]+)")
+_DROP_BLANKS = str.maketrans("", "", " \t\r\n")
 
 
 def _literal_terms(text: str) -> Optional[list[Term]]:
-    """The terms of a literal-only expression, read in one pattern pass; None
-    when the token parser must read ``text``: it is not literal-only, an
-    integer is longer than the interpreter converts, or a literal is
-    degenerate."""
-    if _LITERAL_EXPR.fullmatch(text) is None:
+    """The terms of a literal-only expression in the order written, read in
+    two pattern passes; None when the token parser must read ``text``: it is
+    not literal-only, an integer is longer than the interpreter converts, or
+    a literal is degenerate."""
+    replaced, count = _LITERAL.subn("x", text)
+    if replaced.translate(_DROP_BLANKS) != "{" + ",".join(["x"] * count) + "}":
         return None
-    angles = {("", ""): angle_from_slope_vector(0, 1)}  # each distinct pair, converted once
+    angles = {("", ""): _RIGHT_ANGLE}  # each distinct pair, converted once
     terms: list[Term] = []
     for pair in _LITERAL_TERM.findall(text):
         angle = angles.get(pair)
@@ -368,24 +396,25 @@ def parse_expr(text: str) -> MultisetExpr:
 
     Variables are accepted syntactically; callers that need a literal-only
     expression check for variables themselves.  A literal-only expression
-    without comments takes one pattern pass (:func:`_literal_terms`); any
+    without comments takes two pattern passes (:func:`_literal_terms`); any
     other text, and every text with an error, goes to the token parser, which
     alone reports errors.  Either way the result is the same.
     """
     terms = _literal_terms(text)
     if terms is not None:
         return MultisetExpr(tuple(terms))
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     expr = parser.parse_expr()
-    tok = parser._peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.span, f"unexpected {tok.text!r} after the expression", expected=("end of input",))
+    word = parser._texts[parser._pos]
+    if word:
+        raise ParseError(parser._span(parser._pos), f"unexpected {word!r} after the expression",
+                         expected=("end of input",))
     return expr
 
 
 def parse_proof(text: str) -> Derivation:
     """Parse a full proof script; raises ParseError with a source span."""
-    return _Parser(_lex(text)).parse_derivation()
+    return _Parser(text).parse_derivation()
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,17 @@ def angle_from_slope_vector(x: int, y: int) -> AngleLit:
     if y <= 0:
         raise DegenerateAngle(f"vector ({x}, {y}) does not point strictly above the x-axis")
     g = gcd(abs(x), y)
-    return AngleLit(x // g, y // g)
+    return _reduced_angle(x // g, y // g)
+
+
+def _reduced_angle(x: int, y: int) -> AngleLit:
+    """The AngleLit of a pair already reduced with ``y > 0``, built without
+    running the checks of ``AngleLit.__post_init__`` again."""
+    angle = object.__new__(AngleLit)
+    fields = angle.__dict__  # written directly: the frozen class's __setattr__ refuses
+    fields["x"] = x
+    fields["y"] = y
+    return angle
 
 
 def right_angle() -> AngleLit:

@@ -20,6 +20,18 @@ def random_angle(rng: random.Random, bound: int = 50) -> AngleLit:
             return angle_from_slope_vector(x, y)
 
 
+def nested_cases_script(depth: int) -> str:
+    """``depth`` cases steps, each in the first branch of the one before;
+    the innermost step, ``X``, sits ``depth`` branches deep on line depth + 3."""
+    goal = "Lt {a} {b}"
+    lines = ["vars a b;", "hyp H: Lt {a} {b};"]
+    lines += [f"K{i}: {goal} by cases {{a}} {{b}} {{" for i in range(depth)]
+    lines.append(f"X: {goal} by hypothesis H;")
+    lines += [f"}} {{ Y{i}: {goal} by hypothesis H; }} {{ Z{i}: {goal} by hypothesis H; }};"
+              for i in reversed(range(depth))]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def corpus_dir() -> Path:
     return CORPUS_DIR

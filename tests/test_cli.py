@@ -20,7 +20,7 @@ from eukleia.dsl import MAX_CASES_DEPTH, parse_expr
 from eukleia.kernel import sum_multiset
 from eukleia.semantics import Counterexample, ModelCheckReport
 
-from conftest import CORPUS_DIR, ang, random_angle
+from conftest import CORPUS_DIR, ang, nested_cases_script, random_angle
 
 JSON_FIELDS = {"command", "status", "file", "step", "span", "valuation", "result",
                "trials", "satisfied", "detail", "elapsed_ms"}
@@ -430,18 +430,6 @@ class TestPipeline:
         main(["eval", "{R}"])
         assert not layer_calls
         capsys.readouterr()
-
-
-def nested_cases_script(depth: int) -> str:
-    """``depth`` cases steps, each in the first branch of the one before;
-    the innermost step, ``X``, sits ``depth`` branches deep on line depth + 3."""
-    goal = "Lt {a} {b}"
-    lines = ["vars a b;", "hyp H: Lt {a} {b};"]
-    lines += [f"K{i}: {goal} by cases {{a}} {{b}} {{" for i in range(depth)]
-    lines.append(f"X: {goal} by hypothesis H;")
-    lines += [f"}} {{ Y{i}: {goal} by hypothesis H; }} {{ Z{i}: {goal} by hypothesis H; }};"
-              for i in reversed(range(depth))]
-    return "\n".join(lines) + "\n"
 
 
 class TestCasesNesting:

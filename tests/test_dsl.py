@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +10,7 @@ from eukleia.dsl import (ParseError, SourceSpan, _lex, _literal_terms, _Parser, 
                          parse_proof)
 from eukleia.kernel import right_angle
 
-from conftest import CORPUS_DIR, ang
+from conftest import CORPUS_DIR, ang, nested_cases_script, random_angle
 
 R = right_angle()
 
@@ -235,6 +237,106 @@ class TestRoundTrip:
         assert parse_expr(str(e)) == e
 
 
+# ---------------------------------------------------------------------------
+# parse_proof results as text: the printed derivation and every step's span,
+# or the error and its span.  The digests were recorded with the lexer that
+# built one token object per token, line and column included; the reader must
+# keep them byte for byte.
+
+def _proof_outcome(text: str) -> str:
+    try:
+        derivation = parse_proof(text)
+    except ParseError as err:
+        return f"error {err} {err.span}"
+    spans: list[str] = []
+
+    def walk(steps):
+        for step in steps:
+            spans.append(f"{step.label} {step.span}")
+            for branch in step.branches:
+                walk(branch)
+
+    walk(derivation.steps)
+    return format_derivation(derivation) + "\n".join(spans)
+
+
+PROP13 = (CORPUS_DIR / "prop13.eap").read_text(encoding="utf-8")
+SCRIPT_GOLDEN_TEXTS = {
+    **{path.relative_to(CORPUS_DIR).as_posix(): path.read_text(encoding="utf-8")
+       for path in sorted(CORPUS_DIR.glob("*.eap")) + sorted((CORPUS_DIR / "mutations").glob("*.eap"))},
+    "nested-100": nested_cases_script(100),
+    "nested-600": nested_cases_script(600),
+    "trailing-comment": PROP13 + "# the end, no newline",
+    "trailing-comment-unterminated": "vars a;\nS1: Eq {a} {a} by eqrefl  # no semicolon  ",
+    "comment-then-newline-unterminated": "vars a;\nS1: Eq {a} {a} by eqrefl  # no semicolon\n\t \n",
+    "crlf": PROP13.replace("\n", "\r\n"),
+    "crlf-undeclared": "vars a;\r\nhyp H1: Lt {a} {R};\r\n  S1: Eq {a} {b} by eqrefl;\r\n",
+    "degenerate-one-line": "vars;\nS1: Eq {R, ang(1 / 0)} {R} by eqrefl;\n",
+    "degenerate-two-lines": "vars;\nS1: Eq {R, ang(1 /\n 0)} {R} by eqrefl;\n",
+    "integer-too-long": "vars;\nS1: Eq {ang(1/" + "7" * 4400 + ")} {R} by eqrefl;\n",
+    "end-inside-expression": "vars a;\nS1: Eq {a",
+    "lex-percent": "vars a;\nS1: Eq {a} {a} by eqrefl; %\n",
+    "lex-lone-minus": "vars;\nS1: Eq {ang(- 1/2)} {R} by eqrefl;\n",
+    "lex-superscript": "vars a²;\nhyp H²: Lt {a²} {²a};\n",
+    "lex-roman-numeral": "vars a;\n  Ⅷ: Eq {a} {a} by eqrefl;\n",
+    "lex-arabic-digit": "vars a;\nS1: Eq {ang(٣/4)} {R} by eqrefl;\n",
+    "lex-no-break-space": "vars a;\nS1: Eq {a}\u00a0{a} by eqrefl;\n",
+    "lex-nul": "vars a;\r\n\x00",
+    "lex-after-parse-error": "vars a b;\nS1: Oops {a} {b}\n by eqrefl; ½\n",
+    "lex-inside-comment-ignored": "vars a; # ² % ½ -\nS1: Eq {a} {a} by eqrefl;\n",
+    "non-ascii-identifiers": "vars é1 _x;\nhyp Ω: Lt {é1} {_x};\nS1: Lt {é1} {_x} by hypothesis Ω;\n",
+}
+
+SCRIPT_GOLDEN = {
+    "comment-then-newline-unterminated": "3b5fad93853cc68170285b40111df81759789c9e61b894ba4851205a26c81be9",
+    "crlf": "728615d3e8f85d285c1985eb17d2d8eb6026b22f48a65f4fa0007751f6bfe825",
+    "crlf-undeclared": "73b8e7d3039d7616457125727c0a69bb4d5b5b936556585a40ce9cfd81fc9189",
+    "degenerate-one-line": "03e9557ee44b2a051f3a2d90e7577eb629fa4dce5293e266fb87db9e98de2f17",
+    "degenerate-two-lines": "0449bab50dce11e7e953e650ede9e07877410e8b94bedd991fd148b457645866",
+    "end-inside-expression": "0c2888cb973ae331ecbe5ee7617c59587edf9eb6547b0970079a7e085dd2e1ef",
+    "four_rights.eap": "db6caa06cf49f29a62c2fddd5bb0df525cb1476e0fdb2d5d9afa1bdf24487a5c",
+    "integer-too-long": "756f017685d3bcff08e715bbabdb63a6faf218efc924d76871a536d7f276c9ab",
+    "lex-after-parse-error": "e0616c11ff0f256b20b6d5dbbafae3785d5f97a20c803f028ad6c46e8a4b119f",
+    "lex-arabic-digit": "e8b007a8fcf687432218ad766c38fbef9ba09e8ca357c99b65973296b735a726",
+    "lex-inside-comment-ignored": "766bbf39f7f15e1ea82d33213fe671e1da0a4607fc6f9c52f732132ba3dc143d",
+    "lex-lone-minus": "1eaa94b0114172014bf18cd35587493f262f60bf7c7735cf0c161eacdaa98fdc",
+    "lex-no-break-space": "b445ca2bfa238d4d3b812767162768c9f07b7fa799c7182e61dca815071a7f3c",
+    "lex-nul": "a502acc4f53e2a8ac30e223fda895bc64b7fb38a8f98c2254d1de7c4cb8e5db5",
+    "lex-percent": "e06c5858f5facf33215c1ed4d01591112187178bfb276e7cf8c0e27420520ccd",
+    "lex-roman-numeral": "07ad377c0f6673ba04efa080044bb9d8f0b78f4b81333b8e2bdedcc25b41ed6a",
+    "lex-superscript": "7d6a7d743bd72ccf2f0d5ffce7d5c7c29ca2ca714b7c22f200c7e4388d8aeb05",
+    "mutations/m01_wrong_rule.eap": "1c21ab2d2e51ff6f7b158595a29ab5705a2b3155a9683a0f19b982f922bf21a1",
+    "mutations/m02_swapped_premises.eap": "4fea3d744d871815bf9f96d0f1ca8a7b248690115a2024ee4329cfc8c7e20464",
+    "mutations/m03_multiplicity.eap": "f846738bc2721aae6d2b49c9c4292ed9ff3c8ae72d9b8c1d31163507a0a9c746",
+    "mutations/m04_dropped_add.eap": "43f6084f0d1a016d99b8e525547fb2416d8ca5f29b73bc3316f907e1f197a4f8",
+    "mutations/m05_split_reversed.eap": "b2b8a9959dcce35d321eb823c6a64e6bc47cf2b0267a83ef7bfe6178f4bf9474",
+    "mutations/m06_wholepart_not_contained.eap": "60f46206660cde2f7fa28abcafce938ec971e87056d98aefb554164e2f3844d3",
+    "mutations/m07_cases_branch_goal.eap": "c5025d838c4af478916e416d9df9789df3ac332e95535141f546ff5b0f42c108",
+    "mutations/m08_kernel_false.eap": "a53e93cfe3580b8a494dd67146f7caa766332391806e8fb5f01a913cde627a1c",
+    "mutations/m09_kernel_vars.eap": "b397c0f690e311939bbcc91951c84dff0894b62996fcbb99a882e895d9a6706a",
+    "mutations/m10_wrong_premise.eap": "0348f1ba9628f701bd615e480eb4275bea4f0d7acdbfcbc18c1a551a073b6584",
+    "mutations/m11_ltasym_not_mirrored.eap": "91d4332951944edb4cfbea93eafe666649c34a50af370201d348c02b541f3534",
+    "mutations/m12_addboth_mismatch.eap": "d32a462b0ae1e2b96b30da8d044fd0d19d6864ccb12f03c56955f100b04fb9af",
+    "nested-100": "9aa7710f16a8563f3977c203e6efc47eeb39ca82d121904e3cfd4e01a04acf01",
+    "nested-600": "487678bfaae5e7b6a4883cf87ea29f6370da3ed9f815f917da7c074a0408f279",
+    "non-ascii-identifiers": "4ae88fff8b345d9b76d5361bd3b7b717e29a2f514e9fc0dbdd13c1d4bf356b7e",
+    "postulate5.eap": "017e9d33e90f2c501431611af98d0e120c42be1036bf4f27078ce484c3d4ee4c",
+    "prop13.eap": "728615d3e8f85d285c1985eb17d2d8eb6026b22f48a65f4fa0007751f6bfe825",
+    "prop13_broken.eap": "f69cbc2c7508d55fb8f6164783c123d582f7f9cf1729f3bdcd3e4de3f5450332",
+    "prop15.eap": "44334e21e38e95bb17168105c60acc54a9d60ccf21c9bec0b96ba8a38461a5ec",
+    "prop16.eap": "1eccef498f59ad74bbaae1bc346499b57198923532d601dfe7c4de6001b61bcb",
+    "prop25.eap": "ce7dc0c1cf0f86f680ac165839c72bda58f179db06552250d35a38259b435060",
+    "trailing-comment": "728615d3e8f85d285c1985eb17d2d8eb6026b22f48a65f4fa0007751f6bfe825",
+    "trailing-comment-unterminated": "e5a46e7f2d63ba97ed439866dcd9d8e9732ae92f6d5a733075b7af2a1a16adb9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_GOLDEN_TEXTS))
+def test_parse_proof_matches_golden(name):
+    outcome = _proof_outcome(SCRIPT_GOLDEN_TEXTS[name])
+    assert hashlib.sha256(outcome.encode()).hexdigest() == SCRIPT_GOLDEN[name]
+
+
 # The character-loop lexer that ``_lex`` replaced, kept as the reference its
 # tokens, positions and errors must match.  It emits plain tuples with its
 # own kind names.
@@ -294,6 +396,19 @@ def _old_lex(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+def _new_lex(text: str) -> list[tuple[str, str, int, int]]:
+    """The parser's tokens as (kind, text, line, column): the kind follows from
+    the first character, and line and column from the token's start offset
+    through the parser's span function."""
+    parser = _Parser(text)  # lexes, and rejects a bad token
+    tokens = []
+    for at, word in enumerate(parser._texts):
+        kind = "eof" if not word else word if word in _PUNCT else "int" if word[0] in "-0123456789" else "ident"
+        span = parser._span(at, 1)
+        tokens.append((kind, word, span.line, span.column))
+    return tokens
+
+
 def _lex_outcome(lex, text):
     """The tokens as (kind, text, line, column) with the old kind names, or the error."""
     try:
@@ -309,18 +424,20 @@ class TestLexer:
     @settings(max_examples=500)
     @given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=40).map("".join))
     def test_matches_the_old_lexer(self, text):
-        assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text)
+        assert _lex_outcome(_new_lex, text) == _lex_outcome(_old_lex, text)
 
-    @pytest.mark.parametrize("text", ["-", "a -", "{ang(-/1)}", "x # c", "x\n# c", "# c", "", "a\n  \t", "²", "_²½", "Ⅷ", "é1"])
+    @pytest.mark.parametrize("text", ["-", "a -", "{ang(-/1)}", "x # c", "x\n# c", "# c", "", "a\n  \t", "²", "_²½", "Ⅷ", "é1",
+                                      "a#b", "a\r\n# c\r\n  ", "##", "-1-2", "a # c\n#", "\n\n  x"])
     def test_edge_cases_match_the_old_lexer(self, text):
-        assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text)
+        assert _lex_outcome(_new_lex, text) == _lex_outcome(_old_lex, text)
 
     def test_corpus_tokens_match_the_old_lexer(self):
         for path in sorted(CORPUS_DIR.glob("*.eap")) + sorted((CORPUS_DIR / "mutations").glob("*.eap")):
             text = path.read_text(encoding="utf-8")
-            assert _lex_outcome(_lex, text) == _lex_outcome(_old_lex, text), path.name
-            for tok in _lex(text):
-                assert tok.span == SourceSpan(tok.line, tok.column, max(1, len(tok.text)))
+            assert _lex_outcome(_new_lex, text) == _lex_outcome(_old_lex, text), path.name
+            parser = _Parser(text)
+            for at, (_, word, line, column) in enumerate(_new_lex(text)):
+                assert parser._span(at) == SourceSpan(line, column, max(1, len(word)))
 
     def test_end_of_input_after_a_comment_sits_at_the_hash(self):
         with pytest.raises(ParseError) as err:
@@ -329,16 +446,43 @@ class TestLexer:
         assert "end of input" in err.value.message
 
 
+
+def _peak_bytes(fn, arg) -> int:
+    """The most memory ``fn(arg)`` held at once while it ran, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    # Neither reader holds state per input character beyond its result: sre
+    # keeps about 70 bytes of backtracking state per character for a group
+    # repeated over the whole text, which would put either far over its bound.
+
+    def test_lexing_a_500_kb_script(self):
+        text = (CORPUS_DIR / "prop13.eap").read_text(encoding="utf-8")
+        script = text * (500_000 // len(text) + 1)
+        assert _peak_bytes(_lex, script) < 30 * len(script)
+
+    def test_reading_a_13000_term_literal_operand(self):
+        rng = random.Random(10)
+        operand = str(MultisetExpr(tuple(random_angle(rng, 20) for _ in range(13000))))
+        assert _peak_bytes(parse_expr, operand) < 20 * len(operand)
+
 # ---------------------------------------------------------------------------
 # parse_expr reads a literal-only expression in one pattern pass; the token
 # parser is the reference it must match, value for value and error for error.
 
 def _token_parse_expr(text: str) -> MultisetExpr:
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     expr = parser.parse_expr()
-    tok = parser._peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.span, f"unexpected {tok.text!r} after the expression", expected=("end of input",))
+    word = parser._texts[parser._pos]
+    if word:
+        raise ParseError(parser._span(parser._pos), f"unexpected {word!r} after the expression",
+                         expected=("end of input",))
     return expr
 
 

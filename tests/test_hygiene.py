@@ -122,6 +122,19 @@ def test_patterns_name_ascii_digits(path):
     assert not stray, f"{path.name}: \\d in {stray}"
 
 
+# pyproject.toml requires Python 3.10: no module may use later syntax, and no
+# pattern a possessive quantifier or an atomic group, which re compiles from 3.11.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_patterns_compile_on_python_3_10(path):
+    stray = [source for source in _pattern_sources(path) if re.search(r"[*+?}]\+|\(\?>", source)]
+    assert not stray, f"{path.name}: possessive quantifier or atomic group in {stray}"
+
+
 def test_pattern_scan_sees_the_parser_patterns():
     # The lexer's token pattern and the two patterns of the literal pass.
     assert len(_pattern_sources(PACKAGE / "dsl.py")) >= 3

@@ -21,6 +21,7 @@ from eukleia.kernel import (
     compare_sums,
     right_angle,
     sum_multiset,
+    _reduced_angle,
 )
 
 from conftest import ang, random_angle
@@ -96,6 +97,16 @@ class TestConstructors:
             PlaneVector(0, 0)
         with pytest.raises(ValueError):
             PlaneVector(2, 6)
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_unchecked_construction_equals_the_checked_one(self, x, y):
+        # angle_from_slope_vector builds its already-reduced result without
+        # AngleLit's checks; the value must not differ from a checked one.
+        g = gcd(abs(x), y)
+        checked, unchecked = AngleLit(x // g, y // g), _reduced_angle(x // g, y // g)
+        assert type(unchecked) is AngleLit
+        assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
+        assert angle_from_slope_vector(x, y) == checked
 
     @given(nonzero_upper)
     def test_constructor_output_is_canonical(self, xy):
