@@ -14,8 +14,9 @@ and 5 applies only when there is none.
 ``eval`` and ``compare`` accept literal-only expressions: each term is then an
 ``AngleLit``, which the kernel sums as it is.  The literal pattern passes of
 ``dsl`` read such an operand into its angles in the order written, unsorted;
-any other operand goes to :func:`parse_expr`, which reports the parse error
-or the variable.
+any other operand goes straight to the token parser behind
+:func:`parse_expr`, which reports the parse error or the variable, so no
+operand takes the literal pass twice.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
 :func:`run_script`, which returns its report.  Every command returns its
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
-from .dsl import ParseError, SourceSpan, _literal_terms, parse_expr, parse_proof
+from .dsl import ParseError, SourceSpan, _literal_terms, _parse_expr_tokens, parse_proof
 from .kernel import AngleSum, compare_sums, sum_multiset
 from .semantics import model_check_derivation
 
@@ -117,7 +118,7 @@ def _literal_angles(expr_text: str, command: str) -> Sequence:
     if angles is not None:
         return angles
     try:
-        terms = parse_expr(expr_text).terms
+        terms = _parse_expr_tokens(expr_text).terms  # the literal pass is not run again
     except ParseError as exc:
         rep = _report(command, "parse-error", exc.span, detail={"message": exc.message})
         raise _Rejected(rep, _parse_error_line(rep)) from None

@@ -403,6 +403,12 @@ def parse_expr(text: str) -> MultisetExpr:
     terms = _literal_terms(text)
     if terms is not None:
         return MultisetExpr(tuple(terms))
+    return _parse_expr_tokens(text)
+
+
+def _parse_expr_tokens(text: str) -> MultisetExpr:
+    """:func:`parse_expr` by the token parser alone, for a text the literal
+    pass has already turned down."""
     parser = _Parser(text)
     expr = parser.parse_expr()
     word = parser._texts[parser._pos]

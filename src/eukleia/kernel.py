@@ -43,7 +43,16 @@ class DegenerateAngle(ValueError):
 
 
 class AngleOverflow(ValueError):
-    """Two angles were composed into a measure of pi or more."""
+    """Two angles were composed into a measure of pi or more.
+
+    ``args`` holds the two angles; the message is formatted only when the
+    exception is shown, since the sampler rejects overflowing candidates by
+    the thousand and never shows them.
+    """
+
+    def __str__(self) -> str:
+        b, c = self.args
+        return f"{b} + {c} measures at least pi"
 
 
 class Ordering(Enum):
@@ -123,17 +132,17 @@ def angle_from_slope_vector(x: int, y: int) -> AngleLit:
     if y <= 0:
         raise DegenerateAngle(f"vector ({x}, {y}) does not point strictly above the x-axis")
     g = gcd(abs(x), y)
-    return _reduced_angle(x // g, y // g)
+    return _reduced(AngleLit, x // g, y // g)
 
 
-def _reduced_angle(x: int, y: int) -> AngleLit:
-    """The AngleLit of a pair already reduced with ``y > 0``, built without
-    running the checks of ``AngleLit.__post_init__`` again."""
-    angle = object.__new__(AngleLit)
-    fields = angle.__dict__  # written directly: the frozen class's __setattr__ refuses
+def _reduced(cls, x: int, y: int):
+    """The AngleLit or PlaneVector of a pair that already meets the class's
+    invariants, built without running its ``__post_init__`` checks again."""
+    value = object.__new__(cls)
+    fields = value.__dict__  # written directly: the frozen class's __setattr__ refuses
     fields["x"] = x
     fields["y"] = y
-    return angle
+    return value
 
 
 def right_angle() -> AngleLit:
@@ -216,7 +225,7 @@ def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
             paired.append(level[-1])
         level = paired
     windings, x, y, _ = level[0]
-    return AngleSum(windings, PlaneVector(x, y))
+    return AngleSum(windings, _reduced(PlaneVector, x, y))
 
 
 def compare_sums(a: AngleSum, b: AngleSum) -> Ordering:
@@ -249,6 +258,6 @@ def add_two(b: AngleLit, c: AngleLit) -> AngleLit:
     x = b.x * c.x - b.y * c.y
     y = b.x * c.y + b.y * c.x
     if y <= 0:
-        raise AngleOverflow(f"{b} + {c} measures at least pi")
+        raise AngleOverflow(b, c)
     g = gcd(abs(x), y)
-    return AngleLit(x // g, y // g)
+    return _reduced(AngleLit, x // g, y // g)

@@ -12,8 +12,8 @@ Valuations are generated by construction rather than by filtering: a
 and derives the rest.  Splitting is the inverse of ``add_two``, so a split
 onto a known whole is satisfied by drawing one part and solving for the
 other; Eq hypotheses with a lone variable side are solved by composition.
-Candidates that construction cannot guarantee are still checked against
-every hypothesis before they are used.
+A candidate is then checked only against the hypotheses construction does
+not guarantee (Lt, unsolved and cycle-broken ones) before it is used.
 
 A derivation's steps are compiled once per model check.  The measure is
 additive, so an Eq/Lt judgment compares the same way once the terms common
@@ -101,16 +101,30 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
 # Randomized valuations
 
 _COORD_RANGE = 20
+_SPAN = 2 * _COORD_RANGE + 1  # coordinates per axis
+_BITS = _SPAN.bit_length()
+# _ANGLES[x][y - 1] is the canonical angle of the vector (x - 20, y); building
+# the 41 x 20 table once costs about half a millisecond.
+_ANGLES = tuple(tuple(angle_from_slope_vector(x - _COORD_RANGE, y) for y in range(1, _COORD_RANGE + 1))
+                for x in range(_SPAN))
 
 
 def _random_angle(rng: random.Random) -> AngleLit:
     # Coordinates uniform in [-20, 20], rejecting the closed lower half-plane;
-    # canonicalization folds non-reduced duplicates.
+    # canonicalization folds non-reduced duplicates.  The draws are those of
+    # rng.randint(-20, 20) for x and then y: randint takes _BITS random bits
+    # until they fall below _SPAN (random.Random._randbelow), so the stream,
+    # and every valuation drawn from a seed, stays the same.
+    getrandbits = rng.getrandbits
     while True:
-        x = rng.randint(-_COORD_RANGE, _COORD_RANGE)
-        y = rng.randint(-_COORD_RANGE, _COORD_RANGE)
-        if y > 0:
-            return angle_from_slope_vector(x, y)
+        x = getrandbits(_BITS)
+        while x >= _SPAN:
+            x = getrandbits(_BITS)
+        y = getrandbits(_BITS)
+        while y >= _SPAN:
+            y = getrandbits(_BITS)
+        if y > _COORD_RANGE:
+            return _ANGLES[x][y - _COORD_RANGE - 1]
 
 
 def _split_off(whole: AngleLit, part: AngleLit) -> Optional[AngleLit]:
@@ -143,9 +157,11 @@ class SamplingPlan:
       composes ``v = t1 + ... + tk``.
 
     Roots on a dependency cycle are drawn instead, leaving their hypothesis
-    to the final check.  Lt hypotheses and anything not solved are only
-    checked: every candidate must satisfy every hypothesis under
-    :func:`eval_judgment` before it is returned.
+    to the final check.  Congr hypotheses and those whose rule is applied
+    hold for every candidate that construction completes; the rest, in
+    ``checks`` (Lt hypotheses, anything not solved and the cycle-broken
+    ones), must hold under :func:`eval_judgment` before a candidate is
+    returned.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -219,6 +235,10 @@ class SamplingPlan:
         known = set(drawn) | pinned.keys()
         pending = list(rules)
         actions = []
+        # Hypotheses every constructed candidate satisfies: a Congr (aliases
+        # and pins make its sides equal; a conflict is impossible), and the
+        # source of each rule that is applied, whose target it computes exactly.
+        exact = {i for i, h in enumerate(self.hypotheses) if isinstance(h, Congr)}
         while pending:
             ready = [r for r in pending
                      if all(isinstance(k, AngleLit) or k in known for k in rules[r][1])]
@@ -234,8 +254,9 @@ class SamplingPlan:
                 pending.remove(r)
                 continue
             for r in ready:
-                action, inputs, _ = rules[r]
+                action, inputs, i = rules[r]
                 actions.append((action, r, inputs))
+                exact.add(i)
                 known.add(r)
             pending = [r for r in pending if r not in known]
 
@@ -247,6 +268,7 @@ class SamplingPlan:
         self.actions = tuple(actions)
         literals = {k: k for _, _, inputs in actions for k in inputs if isinstance(k, AngleLit)}
         self.fixed: dict[Term, AngleLit] = {**literals, **pinned}
+        self.checks = tuple(h for i, h in enumerate(self.hypotheses) if i not in exact)
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates; return the first satisfying one."""
@@ -260,7 +282,7 @@ class SamplingPlan:
             if not self._derive(values):
                 continue
             valuation = {n: values[r] for n, r in self.roots}
-            if all(eval_judgment(h, valuation) for h in self.hypotheses):
+            if all(eval_judgment(h, valuation) for h in self.checks):
                 return valuation
         raise Unsatisfied(budget)
 
@@ -295,9 +317,10 @@ def random_valuation(
     :class:`SamplingPlan`: split wholes are composed from their parts, parts
     of splits onto known wholes are solved from the whole, ``Eq`` with a lone
     variable side is solved by composition, and Congr aliases or pins; the
-    remaining variables are drawn at random.  Every candidate is then checked
-    against every hypothesis, and a candidate that fails (an overflow, a
-    negative remainder, an Lt or other unsolved hypothesis) is rejected.
+    remaining variables are drawn at random.  A candidate is rejected when
+    construction fails (an overflow, a negative remainder) or when it fails a
+    hypothesis construction does not guarantee (an Lt, an unsolved or
+    cycle-broken one); every hypothesis holds for the valuation returned.
     Raises Unsatisfied once ``budget`` candidates have been rejected.
 
     ``plan`` is a plan already built from these variables and hypotheses;

@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eukleia import cli
+from eukleia import cli, dsl
 from eukleia.cli import (EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_TOO_LARGE,
                          EXIT_VACUOUS, main)
 from eukleia.dsl import MAX_CASES_DEPTH, parse_expr
@@ -601,6 +601,25 @@ class TestRejectedOutput:
         assert human == line
         assert elapsed.startswith("elapsed: ") and elapsed.endswith(" ms\n") and elapsed.count("\n") == 1
         assert call([*argv, "--json"]) == (EXIT_PARSE, report.replace("COMMAND", argv[0]) + "\n", "")
+
+    @pytest.mark.parametrize("operand", [*sorted(REJECTED_OPERANDS), "{R} # a comment", "{R, ang(1/2), a}"])
+    def test_literal_pass_runs_once_per_operand(self, operand, monkeypatch):
+        # An operand the literal pass turns down goes to the token parser
+        # alone, not through parse_expr, which would run the pass again.
+        calls = []
+        literal_terms = dsl._literal_terms
+
+        def counted(text):
+            calls.append(text)
+            return literal_terms(text)
+
+        monkeypatch.setattr(dsl, "_literal_terms", counted)
+        monkeypatch.setattr(cli, "_literal_terms", counted)
+        call(["eval", operand, "--json"])
+        assert calls == [operand]
+        calls.clear()
+        call(["compare", "{R}", operand, "--json"])
+        assert calls == ["{R}", operand]
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     @pytest.mark.parametrize("command", ["check", "modelcheck"])

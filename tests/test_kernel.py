@@ -21,7 +21,7 @@ from eukleia.kernel import (
     compare_sums,
     right_angle,
     sum_multiset,
-    _reduced_angle,
+    _reduced,
 )
 
 from conftest import ang, random_angle
@@ -100,13 +100,15 @@ class TestConstructors:
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
     def test_unchecked_construction_equals_the_checked_one(self, x, y):
-        # angle_from_slope_vector builds its already-reduced result without
-        # AngleLit's checks; the value must not differ from a checked one.
+        # angle_from_slope_vector, add_two and sum_multiset build their
+        # already-reduced results without the classes' checks; the value must
+        # not differ from a checked one.
         g = gcd(abs(x), y)
-        checked, unchecked = AngleLit(x // g, y // g), _reduced_angle(x // g, y // g)
-        assert type(unchecked) is AngleLit
-        assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
-        assert angle_from_slope_vector(x, y) == checked
+        for cls in (AngleLit, PlaneVector):
+            checked, unchecked = cls(x // g, y // g), _reduced(cls, x // g, y // g)
+            assert type(unchecked) is cls
+            assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
+        assert angle_from_slope_vector(x, y) == AngleLit(x // g, y // g)
 
     @given(nonzero_upper)
     def test_constructor_output_is_canonical(self, xy):
@@ -342,6 +344,16 @@ class TestAddTwo:
             add_two(ang(0, 1), ang(0, 1))
         with pytest.raises(AngleOverflow):
             add_two(ang(-1, 1), ang(-1, 1))
+
+    def test_overflow_message(self):
+        # The message is formatted lazily from the two angles, to the text it
+        # had when add_two formatted it on every overflow.
+        with pytest.raises(AngleOverflow) as info:
+            add_two(ang(-3, 4), ang(1, 2))
+        assert str(info.value) == "ang(-3/4) + ang(1/2) measures at least pi"
+        assert info.value.args == (ang(-3, 4), ang(1, 2))
+        with pytest.raises(AngleOverflow, match=r"^ang\(0/1\) \+ ang\(0/1\) measures at least pi$"):
+            add_two(right_angle(), right_angle())
 
     def test_split_soundness(self):
         rng = random.Random(53)

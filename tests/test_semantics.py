@@ -251,7 +251,9 @@ def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
     monkeypatch.setattr(semantics, "_random_angle", counted)
     report = model_check_derivation(load_proof(name), trials=200, seed=7)
     assert report.satisfied == 200
-    assert draws / report.satisfied <= 4
+    # At least one draw per satisfied trial: a sampler that stopped calling
+    # _random_angle through the module would pass the bound with none.
+    assert report.satisfied <= draws <= 4 * report.satisfied
 
 
 class TestSamplingPlan:
@@ -278,6 +280,84 @@ class TestSamplingPlan:
     def test_pinned_whole_is_split(self):
         v = random_valuation(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")], seed=8)
         assert add_two(v["p"], v["q"]) == v["w"] == right_angle()
+
+
+# ---------------------------------------------------------------------------
+# The sampler against the one it replaces
+
+def _reference_angle(rng):
+    """_random_angle as it was written on rng.randint."""
+    while True:
+        x = rng.randint(-20, 20)
+        y = rng.randint(-20, 20)
+        if y > 0:
+            return ang(x, y)
+
+
+def test_draw_stream_matches_randint():
+    # _random_angle reads rng.getrandbits directly; the angles and the state
+    # it leaves must be those of the randint loop on this interpreter.
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert [semantics._random_angle(fast) for _ in range(200)] == [_reference_angle(slow) for _ in range(200)]
+        assert fast.getstate() == slow.getstate(), f"seed {seed}"
+
+
+def _reference_sample(plan, seed, budget):
+    """SamplingPlan.sample before construction was trusted: every candidate
+    is checked against every hypothesis, drawing with randint."""
+    if plan.impossible:
+        raise Unsatisfied(budget)
+    rng = random.Random(seed)
+    for _ in range(budget):
+        values = dict(plan.fixed)
+        for root in plan.draws:
+            values[root] = _reference_angle(rng)
+        if not plan._derive(values):
+            continue
+        valuation = {n: values[r] for n, r in plan.roots}
+        if all(eval_judgment(h, valuation) for h in plan.hypotheses):
+            return valuation
+    raise Unsatisfied(budget)
+
+
+_NAMES = ("a", "b", "c", "d", "e")
+_name = st.sampled_from(_NAMES)
+_pin = st.sampled_from([R, ang(1, 1), ang(-1, 1), ang(3, 4), ang(-2, 7)])
+_side = st.lists(st.one_of(_name, _name, _pin), max_size=3).map(lambda ts: multiset(*ts))
+_hypothesis = st.one_of(
+    st.builds(Split, st.one_of(_name, _name, _pin), _name, st.one_of(_name, _name, _pin)),  # chains and cycles
+    st.builds(lambda v, side, flip: Eq(side, multiset(v)) if flip else Eq(multiset(v), side),
+              _name, _side, st.booleans()),
+    st.builds(Congr, _name, st.one_of(_name, _pin)),
+    st.builds(Congr, _pin, _name),
+    st.builds(lambda lhs, rhs: Lt(multiset(lhs), multiset(rhs)), st.one_of(_name, _pin), _name),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_hypothesis, max_size=5), st.integers(0, 2**32))
+def test_sample_matches_checking_every_hypothesis(hyps, seed):
+    plan = SamplingPlan(_NAMES, hyps)
+    try:
+        expected = _reference_sample(plan, seed, budget=40)
+    except Unsatisfied:
+        with pytest.raises(Unsatisfied):
+            plan.sample(seed, budget=40)
+        return
+    v = plan.sample(seed, budget=40)
+    assert list(v.items()) == list(expected.items())
+    assert all(eval_judgment(h, v) for h in hyps)
+
+
+def test_construction_leaves_only_open_hypotheses_to_check():
+    cyclic = [Split(a, b, c), Split(b, a, c)]
+    open_lt = Lt(multiset(b), multiset(c))
+    hyps = [Split(a, b, c), Split("d", a, "e"), Congr(b, "e"), Congr("e", ang(1, 3)),
+            Eq(multiset(c), multiset(ang(1, 3), ang(1, 3))), open_lt]
+    assert SamplingPlan(_NAMES, hyps).checks == (open_lt,)
+    # One of the two splits has its root drawn to break the cycle.
+    assert len(SamplingPlan(("a", "b", "c"), cyclic).checks) == 1
 
 
 # Any whole the sampler can split: the sum of two angles from its draw range.
