@@ -6,9 +6,12 @@ sorted tuple of terms, variables first.
 
 The judgment language has no connectives: a proof is a straight sequence of
 Eq/Lt/Split/Congr/False claims, each justified by one rule applied to earlier
-lines.  Three-way comparisons are eliminated with a dedicated Cases step
-carrying one sub-derivation per branch; the absurd judgment False, once
-established, yields any goal through the Hypothesis rule.
+lines.  Each claim compares two groups of angles by total measure
+(:func:`comparison`): a Split equates the whole with its two parts, a Congr
+two singletons, and False puts the empty group below itself.  Three-way
+comparisons are eliminated with a dedicated Cases step carrying one
+sub-derivation per branch; the absurd judgment False, once established,
+yields any goal through the Hypothesis rule.
 """
 
 from __future__ import annotations
@@ -18,14 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
 
-from .kernel import (
-    AngleLit,
-    AngleOverflow,
-    Ordering,
-    add_two,
-    compare_multisets,
-    right_angle,
-)
+from .kernel import AngleLit, Ordering, compare_multisets, right_angle
 
 if TYPE_CHECKING:
     from .dsl import SourceSpan
@@ -79,9 +75,6 @@ class MultisetExpr:
 
     def counts(self) -> Counter[Term]:
         return Counter(self.terms)
-
-    def variables(self) -> set[str]:
-        return {t for t in self.terms if isinstance(t, str)}
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_term(t) for t in self.terms) + "}"
@@ -148,50 +141,37 @@ def format_judgment(j: Judgment) -> str:
     return "False"
 
 
-def _term_variables(t: Term) -> set[str]:
-    return {t} if isinstance(t, str) else set()
+def comparison(j: Judgment) -> tuple[tuple[Term, ...], tuple[Term, ...], Ordering]:
+    """What ``j`` asserts: the terms of two groups of angles and the order
+    their total measures must stand in.  ``Split W p q`` is ``Eq {W} {p, q}``
+    (a whole below pi equals the sum of two parts exactly when they compose
+    to it), ``Congr a b`` is ``Eq {a} {b}`` and False is ``Lt {} {}``.
+    """
+    if isinstance(j, Eq):
+        return j.lhs.terms, j.rhs.terms, Ordering.EQUAL
+    if isinstance(j, Lt):
+        return j.lhs.terms, j.rhs.terms, Ordering.LESS
+    if isinstance(j, Split):
+        return (j.whole,), (j.part1, j.part2), Ordering.EQUAL
+    if isinstance(j, Congr):
+        return (j.a,), (j.b,), Ordering.EQUAL
+    return (), (), Ordering.LESS
 
 
 def judgment_variables(j: Judgment) -> set[str]:
-    if isinstance(j, (Eq, Lt)):
-        return j.lhs.variables() | j.rhs.variables()
-    if isinstance(j, Split):
-        return _term_variables(j.whole) | _term_variables(j.part1) | _term_variables(j.part2)
-    if isinstance(j, Congr):
-        return _term_variables(j.a) | _term_variables(j.b)
-    return set()
+    lhs, rhs, _ = comparison(j)
+    return {t for t in lhs + rhs if isinstance(t, str)}
 
 
 def judgment_truth(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
     """Kernel truth value of ``j``: an angle term denotes itself and a
     variable term ``valuation[name]`` (KeyError when missing).
 
-    Eq/Lt compare total measures exactly; Split holds when the parts compose
-    to the whole; Congr holds for identical canonical angles; False never holds.
+    The two sides of :func:`comparison` are summed and ordered exactly.
     """
-
-    def angle(t: Term) -> AngleLit:
-        return valuation[t] if isinstance(t, str) else t
-
-    if isinstance(j, (Eq, Lt)):
-        order = compare_multisets([angle(t) for t in j.lhs.terms], [angle(t) for t in j.rhs.terms])
-        return order is (Ordering.EQUAL if isinstance(j, Eq) else Ordering.LESS)
-    if isinstance(j, Split):
-        whole, part1, part2 = angle(j.whole), angle(j.part1), angle(j.part2)
-        try:
-            return add_two(part1, part2) == whole
-        except AngleOverflow:
-            return False
-    if isinstance(j, Congr):
-        return angle(j.a) == angle(j.b)
-    return False
-
-
-def literal_judgment_truth(j: Judgment) -> bool:
-    """Kernel truth value of a judgment that contains no variables."""
-    if judgment_variables(j):
-        raise ValueError("judgment contains variables")
-    return judgment_truth(j, {})
+    lhs, rhs, wanted = comparison(j)
+    return compare_multisets([valuation[t] if isinstance(t, str) else t for t in lhs],
+                             [valuation[t] if isinstance(t, str) else t for t in rhs]) is wanted
 
 
 # ---------------------------------------------------------------------------
@@ -417,26 +397,20 @@ def check_step(step: Step, context: Context) -> None:
         if not goal.lhs.counts() < goal.rhs.counts():
             fail("right side must extend the left side by a nonempty part")
 
-    elif rule is Rule.SPLIT_EQ:
+    elif rule in (Rule.SPLIT_EQ, Rule.CONGR_EQ):
         (p,) = premises
-        if not isinstance(p, Split):
-            fail("premise is not a split")
-        if goal != Eq(multiset(p.whole), multiset(p.part1, p.part2)):
-            fail("conclusion does not equate the whole with its two parts")
-
-    elif rule is Rule.CONGR_EQ:
-        (p,) = premises
-        if not isinstance(p, Congr):
-            fail("premise is not a congruence")
-        if goal != Eq(multiset(p.a), multiset(p.b)):
-            fail("conclusion does not equate the congruent singletons")
+        kind, noun, equated = ((Split, "split", "the whole with its two parts") if rule is Rule.SPLIT_EQ
+                               else (Congr, "congruence", "the congruent singletons"))
+        if not isinstance(p, kind):
+            fail(f"premise is not a {noun}")
+        lhs, rhs, _ = comparison(p)
+        if goal != Eq(MultisetExpr(lhs), MultisetExpr(rhs)):
+            fail(f"conclusion does not equate {equated}")
 
     elif rule is Rule.LT_IRREFL:
         (p,) = premises
         if not (isinstance(p, Lt) and p.lhs == p.rhs):
             fail("premise is not of the form Lt(M, M)")
-        if not isinstance(goal, Falsum):
-            fail("conclusion must be False")
 
     elif rule is Rule.LT_ASYM:
         p1, p2 = premises
@@ -444,8 +418,6 @@ def check_step(step: Step, context: Context) -> None:
             fail("both premises must be strict comparisons")
         if not (p1.lhs == p2.rhs and p1.rhs == p2.lhs):
             fail("premises are not mirrored comparisons")
-        if not isinstance(goal, Falsum):
-            fail("conclusion must be False")
 
     elif rule is Rule.EQ_LT_CLASH:
         eq, lt = premises
@@ -455,8 +427,6 @@ def check_step(step: Step, context: Context) -> None:
         mirrored = lt.lhs == eq.rhs and lt.rhs == eq.lhs
         if not (same or mirrored):
             fail("the comparison does not relate the equated expressions")
-        if not isinstance(goal, Falsum):
-            fail("conclusion must be False")
 
     elif rule is Rule.HYPOTHESIS:
         (p,) = premises
@@ -468,7 +438,7 @@ def check_step(step: Step, context: Context) -> None:
             fail("kernel evaluation needs a variable-free judgment")
         if isinstance(goal, Falsum):
             fail("kernel evaluation cannot produce False")
-        if not literal_judgment_truth(goal):
+        if not judgment_truth(goal, {}):
             fail("kernel refutes this judgment")
 
     elif rule is Rule.CASES:
@@ -477,6 +447,10 @@ def check_step(step: Step, context: Context) -> None:
     else:  # pragma: no cover - Rule is a closed enumeration
         fail(f"unhandled rule {rule.value}")
 
+    # Each of these rules refutes its premises.
+    if rule in (Rule.LT_IRREFL, Rule.LT_ASYM, Rule.EQ_LT_CLASH) and not isinstance(goal, Falsum):
+        fail("conclusion must be False")
+
 
 def _check_cases(step: Step, context: Context, fail) -> None:
     if step.case_pair is None:
@@ -484,7 +458,7 @@ def _check_cases(step: Step, context: Context, fail) -> None:
     if len(step.branches) != 3:
         fail("cases needs exactly three branches")
     m, n = step.case_pair
-    undeclared = (m.variables() | n.variables()) - context.declared
+    undeclared = judgment_variables(Eq(m, n)) - context.declared
     if undeclared:
         fail(f"undeclared variable {sorted(undeclared)[0]!r}")
     for idx, (branch, hyp) in enumerate(zip(step.branches, case_hypotheses(m, n)), start=1):

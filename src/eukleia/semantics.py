@@ -1,8 +1,9 @@
 """Model side: proof variables valued as concrete angles.
 
-A judgment becomes true or false once every variable denotes an angle.  It is
-evaluated directly: a variable term is looked up in the valuation and a
-literal term gives its own angle, with no substituted expression built.  The
+A judgment, a comparison of two groups of angles, becomes true or false once
+every variable denotes an angle.  It is evaluated directly: a variable term
+is looked up and a literal term gives its own angle, with no substituted
+expression built.  The
 checker's rules are exercised against this model by drawing randomized
 valuations that satisfy a derivation's hypotheses and asserting every step's
 judgment; a failure is a counterexample to the rule set, not an exception.
@@ -16,8 +17,8 @@ A candidate is then checked only against the hypotheses construction does
 not guarantee (Lt, unsolved and cycle-broken ones) before it is used.
 
 A derivation's steps are compiled once per model check.  The measure is
-additive, so an Eq/Lt judgment compares the same way once the terms common
-to both sides are cancelled; each distinct cancelled side and each distinct
+additive, so every judgment compares the same way once the terms common to
+both sides are cancelled; each distinct cancelled side and each distinct
 comparison is interned, and under one valuation every side is summed at
 most once, and only when a step that is reached needs it.
 """
@@ -25,8 +26,9 @@ most once, and only when a step that is reached needs it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
     Congr,
@@ -34,13 +36,13 @@ from .calculus import (
     Eq,
     Falsum,
     Judgment,
-    Lt,
     MultisetExpr,
     Rule,
     Split,
     Step,
     Term,
     case_hypotheses,
+    comparison,
     format_judgment,
     judgment_truth,
     judgment_variables,
@@ -87,7 +89,7 @@ class Unsatisfied(Exception):
 def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
     """Truth of a judgment once its variables denote concrete angles.
 
-    Terms are evaluated directly against ``valuation`` by
+    Both sides are summed from ``valuation`` by
     :func:`eukleia.calculus.judgment_truth`; no expression is rebuilt.
     Raises UnboundVariable for a variable missing from the valuation.
     """
@@ -372,20 +374,17 @@ class ModelCheckReport:
         return {"trials": self.trials, "satisfied": self.satisfied, "counterexample": cx}
 
 
-# A compiled judgment: the index of an interned Eq/Lt check, or a Split,
-# Congr or False judgment left to eval_judgment.
-_Test = Union[int, Judgment]
-
-
 class _CompiledSteps:
-    """A derivation's steps with every Eq/Lt judgment cancelled and interned.
+    """A derivation's steps with every judgment cancelled and interned.
 
-    ``Eq A B`` and ``Lt A B`` compare ``A - B`` with ``B - A`` (multiset
-    differences): the common terms add the same measure to both sides.  This
-    holds for the step judgments and for the three comparisons of each
-    ``cases`` step.  ``steps`` mirrors the step tree as ``(step, test,
-    branches)``, with ``branches`` a ``(test, compiled branch)`` pair per
-    case.  Raises UnboundVariable for an undeclared variable in any of them.
+    A judgment comparing ``A`` with ``B`` (:func:`eukleia.calculus.comparison`)
+    compares ``A - B`` with ``B - A`` (multiset differences): the common
+    terms add the same measure to both sides.  This holds for the step
+    judgments and for the three comparisons of each ``cases`` step.
+    ``steps`` mirrors the step tree as ``(step, test, branches)``, with
+    ``test`` an interned comparison's index and ``branches`` a ``(test,
+    compiled branch)`` pair per case.  Raises UnboundVariable for an
+    undeclared variable in any of them.
     """
 
     def __init__(self, derivation: Derivation):
@@ -406,17 +405,15 @@ class _CompiledSteps:
             compiled.append((step, self._test(step.judgment), branches))
         return tuple(compiled)
 
-    def _test(self, j: Judgment) -> _Test:
+    def _test(self, j: Judgment) -> int:
         stray = judgment_variables(j) - self._declared
         if stray:
             raise UnboundVariable(sorted(stray)[0])
-        if not isinstance(j, (Eq, Lt)):
-            return j
-        lhs, rhs = j.lhs.counts(), j.rhs.counts()
+        lhs, rhs, wanted = comparison(j)
+        lhs, rhs = Counter(lhs), Counter(rhs)
         sides = (self._sides.setdefault(MultisetExpr(tuple(d.elements())), len(self._sides))
                  for d in (lhs - rhs, rhs - lhs))
-        key = (Ordering.EQUAL if isinstance(j, Eq) else Ordering.LESS, *sides)
-        return self._checks.setdefault(key, len(self._checks))
+        return self._checks.setdefault((wanted, *sides), len(self._checks))
 
     def first_false(self, valuation: Valuation) -> Optional[Step]:
         """The first step, in proof order, whose judgment fails under
@@ -424,9 +421,7 @@ class _CompiledSteps:
         sums: list = [None] * len(self._side_terms)
         truth: list = [None] * len(self._check_list)
 
-        def holds(test: _Test) -> bool:
-            if not isinstance(test, int):
-                return eval_judgment(test, valuation)
+        def holds(test: int) -> bool:
             if truth[test] is None:
                 wanted, lhs, rhs = self._check_list[test]
                 for i in (lhs, rhs):
@@ -439,7 +434,7 @@ class _CompiledSteps:
         return _walk(self.steps, holds)
 
 
-def _walk(steps: tuple, holds: Callable[[_Test], bool]) -> Optional[Step]:
+def _walk(steps: tuple, holds: Callable[[int], bool]) -> Optional[Step]:
     # A function, not a closure: a recursive closure made per trial would be
     # a reference cycle, left to the cyclic garbage collector.
     for step, test, branches in steps:
@@ -461,7 +456,7 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
     comparison holds under the valuation.  The first counterexample (lowest
     trial index) stops the run, and so do the first ``VACUOUS_STREAK``
     trials when none of them met the hypotheses.  The sampling plan is built
-    once for all trials, and so are the compiled steps: Eq/Lt judgments with
+    once for all trials, and so are the compiled steps: judgments with
     their common terms cancelled and their distinct sides interned, so that
     a trial sums each distinct side at most once.  A counterexample still
     names the first false step and its judgment as written.  Identical

@@ -19,7 +19,7 @@ from eukleia.calculus import (
     check_derivation,
     check_step,
     derive_whole_part,
-    literal_judgment_truth,
+    judgment_truth,
     multiset,
 )
 from eukleia.kernel import right_angle
@@ -160,6 +160,18 @@ class TestHypothesisForms:
         check(Step("s", Eq(multiset(a), multiset(b)), Rule.CONGR_EQ, ("H1",)), context)
         fails(Step("s", Eq(multiset(a), multiset(c)), Rule.CONGR_EQ, ("H1",)), context, "congruent")
 
+    @pytest.mark.parametrize("rule, premise, goal, reason", [
+        (Rule.SPLIT_EQ, Congr(a, b), Eq(multiset(a), multiset(b)), "premise is not a split"),
+        (Rule.SPLIT_EQ, Split(a, b, c), Eq(multiset(a), multiset(b)),
+         "conclusion does not equate the whole with its two parts"),
+        (Rule.CONGR_EQ, Split(a, b, c), Eq(multiset(a), multiset(b, c)), "premise is not a congruence"),
+        (Rule.CONGR_EQ, Congr(a, b), Eq(multiset(b), multiset(a)),
+         "conclusion does not equate the congruent singletons"),
+    ])
+    def test_reasons(self, rule, premise, goal, reason):
+        err = fails(Step("s", goal, rule, ("H1",)), ctx(premise), reason)
+        assert err.reason == reason
+
     def test_hypothesis_restates(self):
         context = ctx(Lt(multiset(a), multiset(b)))
         check(Step("s", Lt(multiset(a), multiset(b)), Rule.HYPOTHESIS, ("H1",)), context)
@@ -199,6 +211,23 @@ class TestClashRules:
             check(Step("s", Falsum(), Rule.EQ_LT_CLASH, ("H1", "H2")), context)
         context = ctx(Eq(multiset(a), multiset(b)), Lt(multiset(a), multiset(c)))
         fails(Step("s", Falsum(), Rule.EQ_LT_CLASH, ("H1", "H2")), context, "relate")
+
+    @pytest.mark.parametrize("rule, premises, reason", [
+        (Rule.LT_IRREFL, [Lt(multiset(a), multiset(a))], "conclusion must be False"),
+        (Rule.LT_IRREFL, [Lt(multiset(a), multiset(b))], "premise is not of the form Lt(M, M)"),
+        (Rule.LT_ASYM, [Lt(multiset(a), multiset(b)), Lt(multiset(b), multiset(a))], "conclusion must be False"),
+        (Rule.LT_ASYM, [Lt(multiset(a), multiset(b)), Lt(multiset(a), multiset(b))],
+         "premises are not mirrored comparisons"),
+        (Rule.EQ_LT_CLASH, [Eq(multiset(a), multiset(b)), Lt(multiset(b), multiset(a))], "conclusion must be False"),
+        (Rule.EQ_LT_CLASH, [Eq(multiset(a), multiset(b)), Lt(multiset(a), multiset(c))],
+         "the comparison does not relate the equated expressions"),
+    ])
+    def test_conclusion_must_be_false(self, rule, premises, reason):
+        # A goal other than False is refused, but only once the premises
+        # pass: bad premises are reported first.
+        labels = tuple(f"H{i}" for i in range(1, len(premises) + 1))
+        err = fails(Step("s", Lt(multiset(a), multiset(b)), rule, labels), ctx(*premises), reason)
+        assert err.reason == reason
 
 
 class TestKernelEval:
@@ -362,9 +391,5 @@ class TestLocality:
 
 
 class TestLiteralTruth:
-    def test_rejects_variables(self):
-        with pytest.raises(ValueError):
-            literal_judgment_truth(Eq(multiset(a), multiset(a)))
-
     def test_falsum_is_false(self):
-        assert literal_judgment_truth(Falsum()) is False
+        assert judgment_truth(Falsum(), {}) is False

@@ -18,7 +18,6 @@ from eukleia.calculus import (
     Step,
     case_hypotheses,
     check_derivation,
-    literal_judgment_truth,
     multiset,
 )
 from eukleia.dsl import parse_proof
@@ -93,6 +92,29 @@ def _substitute(j, valuation):
     return j
 
 
+def _reference_truth(j, valuation):
+    """Reference truth table, one rule per judgment kind, kept apart from the
+    comparison every judgment is evaluated as: Eq/Lt order total measures,
+    Split composes its parts with add_two (false on overflow), Congr tests
+    identity of canonical angles, False never holds."""
+
+    def angle(t):
+        return valuation[t] if isinstance(t, str) else t
+
+    if isinstance(j, (Eq, Lt)):
+        order = compare_multisets([angle(t) for t in j.lhs.terms], [angle(t) for t in j.rhs.terms])
+        return order is (Ordering.EQUAL if isinstance(j, Eq) else Ordering.LESS)
+    if isinstance(j, Split):
+        whole, part1, part2 = angle(j.whole), angle(j.part1), angle(j.part2)
+        try:
+            return add_two(part1, part2) == whole
+        except AngleOverflow:
+            return False
+    if isinstance(j, Congr):
+        return angle(j.a) == angle(j.b)
+    return False
+
+
 # A small pool, so that terms often denote the same angle and Eq and Congr
 # come out true as well as false.  Two ang(1/1), or ang(3/4) and ang(4/3),
 # split R; ang(-1/1) parts overflow a Split.
@@ -106,6 +128,9 @@ _judgments = st.one_of(
     st.builds(Lt, _sides, _sides),
     st.builds(Split, _terms, _terms, _terms),
     st.builds(Split, st.just(R), _terms, _terms),
+    # Parts whose measures add up to pi or more: R + R, R + obtuse.
+    st.builds(Split, _terms, st.just(R), st.sampled_from([R, ang(-1, 1), ang(-7, 2)])),
+    st.builds(Split, _terms, st.sampled_from([R, ang(-1, 1), ang(-7, 2)]), st.just(R)),
     st.builds(Congr, _terms, _terms),
     st.just(Falsum()),
 )
@@ -117,7 +142,7 @@ _valuations = st.dictionaries(st.sampled_from("abc"), _pool).filter(lambda v: le
 @given(_judgments, _valuations)
 def test_direct_evaluation_matches_substitution(j, v):
     try:
-        expected = literal_judgment_truth(_substitute(j, v))
+        expected = _reference_truth(_substitute(j, v), {})
     except UnboundVariable:
         with pytest.raises(UnboundVariable):
             eval_judgment(j, v)
@@ -615,6 +640,34 @@ class TestCompiledSteps:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_split_congr_and_false_steps_are_compiled(self, monkeypatch):
+        # Every judgment kind is an interned comparison, inside cases
+        # branches and out: the walk never falls back to eval_judgment.
+        d = Derivation(
+            variables=(a, b, c, "d"),
+            hypotheses=(Hypothesis("H1", Split(a, b, c)), Hypothesis("H2", Congr(c, "d"))),
+            steps=(
+                _step("S1", Split(a, b, c)),
+                _step("S2", Congr(c, "d")),
+                _cases("S3", Congr("d", c), multiset(b), multiset(c),
+                       (_step("T1", Split(a, b, "d")), _step("T2", Congr("d", c))),
+                       (_step("U1", Congr(b, c)), _step("U2", Split(a, c, b))),
+                       (_step("V1", Split(a, "d", b)), _step("V2", Falsum()))),
+                _step("S4", Falsum()),
+            ),
+        )
+        valuations = [random_valuation(d.variables, [h.judgment for h in d.hypotheses], seed=seed)
+                      for seed in range(20)]
+        expected = [_first_false(d.steps, v) for v in valuations]
+        assert {step.label for step in expected} == {"S4", "V2"}
+
+        def refuse(j, valuation):
+            raise AssertionError(f"eval_judgment called on {j}")
+
+        monkeypatch.setattr(semantics, "eval_judgment", refuse)
+        compiled = semantics._CompiledSteps(d)
+        assert [compiled.first_false(v) for v in valuations] == expected
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
