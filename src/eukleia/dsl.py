@@ -37,6 +37,17 @@ A standalone expression (:func:`parse_expr`) of ``R`` and ``ang`` literals
 only, written without comments, is read in two pattern passes without the
 lexer.  Every other text, and every text with an error, goes to the token
 parser, which alone reports parse errors.
+
+A proof script (:func:`parse_proof`) is lexed with one more token class: a
+brace group holding no ``{ } # : ;`` and at least one non-blank character is
+one expression token.  Such a group is an expression wherever it stands,
+since a cases block holds steps, each with ``:`` and ``;``; ``{}`` and
+``{ }`` stay two tokens, as they may be empty blocks.  Each distinct
+expression text is read once per parse in two pattern passes, and a repeated
+one is the same :class:`MultisetExpr` object.  A script with an expression
+text those passes turn down, or with any parse error, is read again by the
+single-token lexer and parser, the reference that alone reports errors, so
+the result is the same either way.
 """
 
 from __future__ import annotations
@@ -126,14 +137,23 @@ _NOT_IDENT_STARTS = frozenset("{}(),:;/") | _INT_STARTS | {""}
 _TOKEN_STARTS = _NOT_IDENT_STARTS | {"_"}
 
 
-def _lex(text: str) -> tuple[list[str], list[int]]:
+# The script lexer's token pattern: an expression token, as the module
+# docstring describes it, or any token of _TOKEN.  The leading blanks come
+# before the first non-blank as a class of their own, so a group that does not
+# close tries each character once, with no backtracking between two repeats.
+_SCRIPT_TOKEN = re.compile(r"\{[ \t\r\n]*[^{}#:; \t\r\n][^{}#:;]*\}|" + _TOKEN.pattern)
+
+
+def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list[str], list[int]]:
     """The tokens of ``text``: their texts and start offsets, comments dropped,
     ending with the end of input, ``""``.  A token's kind follows from its
-    first character: a punctuation mark is its own kind, ``-`` or a digit
-    starts an int, anything else an ident.  Tokens are not validated here."""
+    first character: a punctuation mark is its own kind (``{`` followed by
+    more text is an expression token, which only ``_SCRIPT_TOKEN`` matches),
+    ``-`` or a digit starts an int, anything else an ident.  Tokens are not
+    validated here."""
     texts: list[str] = []
     starts: list[int] = []
-    matches = _TOKEN.finditer(text)
+    matches = token.finditer(text)
     while chunk := list(islice(matches, 1024)):  # bounded: no match object outlives its chunk
         texts += map(re.Match.group, chunk)
         starts += map(re.Match.start, chunk)
@@ -148,10 +168,16 @@ def _lex(text: str) -> tuple[list[str], list[int]]:
     return texts, starts
 
 
+class _TurnedDown(Exception):
+    """An expression token the pattern passes do not read: the script goes to
+    the reference parser."""
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, token: re.Pattern = _TOKEN):
         self._text = text
-        self._texts, self._starts = _lex(text)
+        self._texts, self._starts = _lex(text, token)
+        self._exprs: dict[str, MultisetExpr] = {}  # each expression token's text, read once
         self._lines: Optional[list[int]] = None  # each line's start offset, built for the first span
         self._pos = 0
         # Declared variable names; None accepts any name (a standalone expression).
@@ -222,6 +248,16 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> MultisetExpr:
+        word = self._texts[self._pos]
+        if len(word) > 1 and word[0] == "{":  # an expression token
+            expr = self._exprs.get(word)
+            if expr is None:
+                terms = _expr_terms(word, self._declared or set())
+                if terms is None:
+                    raise _TurnedDown
+                expr = self._exprs[word] = MultisetExpr(tuple(terms))
+            self._pos += 1
+            return expr
         self._expect("{")
         terms: list[Term] = []
         if self._texts[self._pos] != "}":
@@ -391,6 +427,42 @@ def _literal_terms(text: str) -> Optional[list[Term]]:
     return terms
 
 
+# An expression token of a script, read without the token parser.  _EXPR_TERM
+# matches a term: an "ang" ( INT / INT ) literal, else an identifier as _TOKEN
+# reads it, which "R" is too.  As in _literal_terms, replacing each match by
+# "x" and dropping the blanks leaves "{x,x,...,x}" exactly when the token
+# parser reads the same terms from the text, separated by ",".
+_EXPR_TERM = re.compile(rf"[aA][nN][gG]{_BLANKS}\({_BLANKS}(-?[0-9]+){_BLANKS}/{_BLANKS}(-?[0-9]+){_BLANKS}\)"
+                        r"|([^\W0-9]\w*)")
+
+
+def _expr_terms(text: str, declared: set[str]) -> Optional[list[Term]]:
+    """The terms of the expression token ``text`` in the order written, read
+    in two pattern passes; None when the token parser must read the script: a
+    term is not ``R``, a literal or a variable in ``declared`` (so the
+    reference reports it as reserved, undeclared or a bad character), an
+    integer is longer than the interpreter converts, a literal is degenerate,
+    or the text is not a comma-separated list of terms."""
+    replaced, count = _EXPR_TERM.subn("x", text)
+    if replaced.translate(_DROP_BLANKS) != "{" + ",".join(["x"] * count) + "}":
+        return None
+    terms: list[Term] = []
+    for x, y, word in _EXPR_TERM.findall(text):
+        if word:
+            if word in declared:
+                terms.append(word)
+            elif word == "R":
+                terms.append(_RIGHT_ANGLE)
+            else:
+                return None
+        else:
+            try:
+                terms.append(angle_from_slope_vector(int(x), int(y)))
+            except ValueError:  # the digit limit, or DegenerateAngle
+                return None
+    return terms
+
+
 def parse_expr(text: str) -> MultisetExpr:
     """Parse a standalone multiset expression such as ``{R, ang(3/4), a}``.
 
@@ -419,8 +491,16 @@ def _parse_expr_tokens(text: str) -> MultisetExpr:
 
 
 def parse_proof(text: str) -> Derivation:
-    """Parse a full proof script; raises ParseError with a source span."""
-    return _Parser(text).parse_derivation()
+    """Parse a full proof script; raises ParseError with a source span.
+
+    The script is lexed with expression tokens first.  When an expression
+    text is turned down or any parse error is raised, the single-token lexer
+    and parser read the script again and give the result or the error.
+    """
+    try:
+        return _Parser(text, _SCRIPT_TOKEN).parse_derivation()
+    except (ParseError, _TurnedDown):
+        return _Parser(text).parse_derivation()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ most once, and only when a step that is reached needs it.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
@@ -410,9 +409,15 @@ class _CompiledSteps:
         if stray:
             raise UnboundVariable(sorted(stray)[0])
         lhs, rhs, wanted = comparison(j)
-        lhs, rhs = Counter(lhs), Counter(rhs)
-        sides = (self._sides.setdefault(MultisetExpr(tuple(d.elements())), len(self._sides))
-                 for d in (lhs - rhs, rhs - lhs))
+        if not set(lhs).isdisjoint(rhs):  # each term of lhs cancels one equal term of rhs, if any is left
+            kept, rhs = [], list(rhs)
+            for t in lhs:
+                if t in rhs:
+                    rhs.remove(t)
+                else:
+                    kept.append(t)
+            lhs = kept
+        sides = (self._sides.setdefault(MultisetExpr(tuple(side)), len(self._sides)) for side in (lhs, rhs))
         return self._checks.setdefault((wanted, *sides), len(self._checks))
 
     def first_false(self, valuation: Valuation) -> Optional[Step]:

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
-from eukleia.dsl import (ParseError, SourceSpan, _lex, _literal_terms, _Parser, format_derivation, parse_expr,
-                         parse_proof)
+from eukleia import dsl
+from eukleia.dsl import (_SCRIPT_TOKEN, ParseError, SourceSpan, _lex, _literal_terms, _Parser, _TurnedDown,
+                         format_derivation, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang, nested_cases_script, random_angle
@@ -547,3 +550,207 @@ class TestLiteralFastPath:
                                       "{R}\f"])
     def test_other_text_goes_to_the_token_parser(self, text):
         assert _literal_terms(text) is None
+
+
+# ---------------------------------------------------------------------------
+# parse_proof lexes a brace group without "{ } # : ;" as one expression token
+# and reads each distinct one in two pattern passes; the single-token lexer and
+# parser are the reference it must match: an equal derivation with equal step
+# spans, or an equal error.
+
+def _reference_parse_proof(text: str):
+    return _Parser(text).parse_derivation()
+
+
+def _step_spans(steps) -> list:
+    spans = []
+    for step in steps:
+        spans.append((step.label, step.span))
+        for branch in step.branches:
+            spans += _step_spans(branch)
+    return spans
+
+
+def _script_outcome(parse, text):
+    try:
+        derivation = parse(text)
+    except ParseError as err:
+        return ("error", err.message, err.span, err.expected)
+    return derivation, _step_spans(derivation.steps)
+
+
+def _expression_tokens_only(text: str):
+    """The script read with expression tokens and no fallback; None when that
+    reading gives up (a parse error or an expression text it turns down)."""
+    try:
+        derivation = _Parser(text, _SCRIPT_TOKEN).parse_derivation()
+    except (ParseError, _TurnedDown):
+        return None
+    return derivation, _step_spans(derivation.steps)
+
+
+def _assert_matches_reference(text: str) -> None:
+    expected = _script_outcome(_reference_parse_proof, text)
+    assert _script_outcome(parse_proof, text) == expected
+    fast = _expression_tokens_only(text)
+    if fast is not None:  # whatever the fast reading accepts, the reference reads the same
+        assert fast == expected
+
+
+# Mostly terms and blanks the grammar accepts, so that about half the scripts
+# parse; the rest name an undeclared or reserved word, put a Unicode blank
+# the grammar does not accept, or write a literal the reader must turn down.
+_GOOD_TERMS = ["a", "b", "é1", "_x", "R", "ang(3/4)", "ang (1/ 2)", "ANG(\t-1 / 1)", "ang(\n4/3)", "ang(-0/007)"]
+_BAD_TERMS = ["r", "z", "Ω", "a²", "²a", "ang", "case", "Eq", "vars", "ang(1/0)", "ang(1 /\n 0)", "ang(٣/4)",
+              "ang(-/1)", f"ang(1/{DIGITS_4400})", "angle(1/2)", "Rx", "a b", "1", "(", "a)"]
+_SCRIPT_TERMS = st.sampled_from(_GOOD_TERMS * 40 + _BAD_TERMS)
+_SCRIPT_GAPS = st.sampled_from(["", "", "", " ", " ", "\n", "\t", "\r\n", "\n  "] * 40
+                               + ["# c\n", " # {a}; \n", "\u00a0", "\u2009"])
+
+
+@st.composite
+def _script_expressions(draw) -> str:
+    terms = draw(st.lists(_SCRIPT_TERMS, max_size=4))
+    gaps = draw(st.lists(_SCRIPT_GAPS, min_size=len(terms) + 2, max_size=len(terms) + 2))
+    if not terms:
+        return "{" + gaps[0] + "}"  # "{}", "{ }", or a comment or newline inside
+    body = [gap + term for gap, term in zip(gaps, terms)]
+    return "{" + ",".join(body) + gaps[-2] + gaps[-1] + "}"
+
+
+@st.composite
+def _script_judgments(draw) -> str:
+    head = draw(st.sampled_from(["Eq", "Eq", "Lt", "eq", "Split", "Congr", "False"]))
+    if head in ("Eq", "Lt", "eq"):
+        return f"{head} {draw(_script_expressions())} {draw(_script_expressions())}"
+    arity = {"Split": 3, "Congr": 2, "False": 0}[head]
+    return " ".join([head, *draw(st.lists(_SCRIPT_TERMS, min_size=arity, max_size=arity))])
+
+
+_SCRIPT_RULES = st.sampled_from(["eqrefl", "eqsym", "addboth", "eqtrans", "hypothesis", "kerneleval", "wholepart"])
+_BLOCKS = st.sampled_from(["{}", "{ }", "{\n}", "{ # none\n}"])
+
+
+def _script_steps(depth: int):
+    """Up to three steps, some of them cases steps; every label is "L@",
+    numbered once the script is complete."""
+    refs = ["", "", "H1", "L1"] + (["case"] if depth else [])
+    step = st.builds(lambda j, rule, ref: f"L@: {j} by {rule} {ref};",
+                     _script_judgments(), _SCRIPT_RULES, st.sampled_from(refs))
+    cases = st.builds(lambda j, x, y, blocks: f"L@: {j} by cases {x} {y} {' '.join(blocks)};",
+                      _script_judgments(), _script_expressions(), _script_expressions(),
+                      st.lists(_BLOCKS if depth >= 2 else st.one_of(_BLOCKS, _script_blocks(depth + 1)),
+                               min_size=3, max_size=3))
+    return st.lists(st.one_of(step, step, cases), max_size=3)
+
+
+def _script_blocks(depth: int):
+    return _script_steps(depth).map(lambda steps: "{ " + "\n".join(steps) + " }")
+
+
+@st.composite
+def proof_scripts(draw) -> str:
+    """Scripts over the grammar, with valid and invalid terms, comments and
+    blanks inside expressions, empty expressions and empty cases blocks, and
+    sometimes a token dropped."""
+    lines = [draw(st.sampled_from(["vars a b é1 _x;"] * 20 + ["vars a b;", "vars;", "vars a a;", "vars R;"]))]
+    lines += [f"hyp H{i}: {j};" for i, j in enumerate(draw(st.lists(_script_judgments(), max_size=2)), 1)]
+    lines += draw(_script_steps(0))
+    labels = itertools.count(1)
+    text = re.sub("@", lambda _: str(next(labels)), "\n".join(lines) + "\n")
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.1:  # drop one character that delimits tokens, anywhere in the script
+        marks = [i for i, ch in enumerate(text) if ch in "{}(),:;/"]
+        if marks:
+            at = rng.choice(marks)
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+_CORPUS_TEXTS = [path.read_text(encoding="utf-8")
+                 for path in sorted(CORPUS_DIR.glob("*.eap")) + sorted((CORPUS_DIR / "mutations").glob("*.eap"))]
+_EDIT_BYTES = st.sampled_from([b"{", b"}", b",", b":", b";", b"#", b" ", b"\n", b"a", b"R", b"z", b"0", b"-", b"(",
+                               b"ang(1/0)", b"\xc2\xb2", b"\xc2\xa0", b"\xff", b"\xe2\x80\x89"])
+
+
+@st.composite
+def edited_corpus_scripts(draw) -> str:
+    """A corpus script with up to four byte edits: a deletion, insertion or
+    replacement at a random offset, decoded with bad UTF-8 replaced."""
+    data = bytearray(draw(st.sampled_from(_CORPUS_TEXTS)).encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+        cut = at + (kind != "insert")
+        data[at:cut] = b"" if kind == "delete" else draw(_EDIT_BYTES)
+    return data.decode("utf-8", errors="replace")
+
+
+class TestExpressionTokens:
+    @settings(max_examples=200, deadline=None)
+    @example("vars a;\nS1: Eq {a, # comment\n a} {a,a} by eqrefl;\n")
+    @example("vars a;\nS1: Eq {} { } by eqrefl;\nS2: Lt {a} {a} by cases {} { } {} { } {\n};\n")
+    @example("vars a b;\nS1: Eq {a,\n  b} {b\r\n, a} by eqrefl;\n")
+    @example("vars a b;\nS1: Eq {a,\u00a0b} {a,\u2009b} by eqrefl;\n")
+    @example("vars a² _x;\nS1: Eq {a², _x} {²a} by eqrefl;\n")
+    @example("vars a;\nS1: Eq {a, case} {a} by eqrefl;\n")
+    @example("vars a;\nS1: Eq {ang} {R} by eqrefl;\n")
+    @example("vars a;\nS1: Eq {a, b} {a} by eqrefl;\n")
+    @example("vars;\nS1: Eq {R, ang(1/0)} {R} by eqrefl;\n")
+    @example("vars;\nS1: Eq {R, ang(1 /\n 0)} {R} by eqrefl;\n")
+    @example("vars;\nS1: Eq {ang(1/" + DIGITS_4400 + ")} {R} by eqrefl;\n")
+    @example("vars a;\nS1: Lt {a} {a} by cases {a} {a} { } { S2: Eq {a} {a} by eqrefl; } {a};\n")
+    @given(proof_scripts())
+    def test_generated_scripts_match_the_reference(self, text):
+        _assert_matches_reference(text)
+
+    @pytest.mark.parametrize("term", _GOOD_TERMS + _BAD_TERMS)
+    def test_each_term_matches_the_reference(self, term):
+        # One term at a time, so that no other error sends the script to the
+        # reference before the reader sees it.
+        _assert_matches_reference(f"vars a b é1 _x;\nS1: Eq {{a, {term}}} {{ {term}\n}} by eqrefl;\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_corpus_scripts())
+    def test_edited_corpus_scripts_match_the_reference(self, text):
+        _assert_matches_reference(text)
+
+    @pytest.mark.parametrize("name", sorted(SCRIPT_GOLDEN_TEXTS))
+    def test_golden_scripts_match_the_reference(self, name):
+        _assert_matches_reference(SCRIPT_GOLDEN_TEXTS[name])
+
+    def test_corpus_scripts_take_the_expression_tokens(self):
+        # Every corpus script, mutations included, parses without the fallback.
+        for text in _CORPUS_TEXTS:
+            assert _expression_tokens_only(text) == _script_outcome(_reference_parse_proof, text)
+
+    def test_empty_braces_stay_two_tokens(self):
+        texts, _ = _lex("{} { } {\n} {a} { a ,b\n}", _SCRIPT_TOKEN)
+        assert texts == ["{", "}", "{", "}", "{", "}", "{a}", "{ a ,b\n}", ""]
+
+    def test_each_distinct_expression_text_is_read_once(self, monkeypatch):
+        # A chain whose steps restate their premise's sides: addboth, eqsym, eqrefl.
+        lines, left, right, prev = ["vars a b c;", "hyp H: Eq {a} {b, c};"], ["a"], ["b", "c"], "H"
+        for i in range(1, 13):
+            added = ["R", "ang(3/4)", "a", "c"][i % 4]
+            left, right = left + [added], right + [added]
+            lhs, rhs = "{" + ", ".join(left) + "}", "{" + ", ".join(right) + "}"
+            lines += [f"A{i}: Eq {lhs} {rhs} by addboth {prev};", f"B{i}: Eq {rhs} {lhs} by eqsym A{i};",
+                      f"C{i}: Eq {lhs} {lhs} by eqrefl;"]
+            prev = f"A{i}"
+        text = "\n".join(lines) + "\n"
+        read = []
+
+        def counting(word, declared):
+            read.append(word)
+            return expr_terms(word, declared)
+
+        expr_terms = dsl._expr_terms
+        monkeypatch.setattr(dsl, "_expr_terms", counting)
+        derivation = parse_proof(text)
+        assert sorted(read) == sorted(set(re.findall(r"\{[^{}]*\}", text)))
+        assert len(read) == 2 + 2 * 12
+        for a, b, c in zip(*[iter(derivation.steps)] * 3):
+            assert a.judgment.lhs is b.judgment.rhs is c.judgment.lhs is c.judgment.rhs
+            assert a.judgment.rhs is b.judgment.lhs
+        assert _script_outcome(lambda t: derivation, text) == _script_outcome(_reference_parse_proof, text)

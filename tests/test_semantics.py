@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from eukleia.calculus import (
     Step,
     case_hypotheses,
     check_derivation,
+    comparison,
     multiset,
 )
 from eukleia.dsl import parse_proof
@@ -668,6 +670,23 @@ class TestCompiledSteps:
         monkeypatch.setattr(semantics, "eval_judgment", refuse)
         compiled = semantics._CompiledSteps(d)
         assert [compiled.first_false(v) for v in valuations] == expected
+
+    @settings(max_examples=200)
+    @given(st.lists(_judgments, max_size=6))
+    def test_sides_are_the_multiset_differences(self, judgments):
+        # Interned sides and checks as Counter differences give them, in the
+        # order the steps first use them.
+        sides, checks, tests = {}, {}, []
+        for j in judgments:
+            lhs, rhs, wanted = comparison(j)
+            pair = [sides.setdefault(MultisetExpr(tuple((Counter(x) - Counter(y)).elements())), len(sides))
+                    for x, y in ((lhs, rhs), (rhs, lhs))]
+            tests.append(checks.setdefault((wanted, *pair), len(checks)))
+        compiled = semantics._CompiledSteps(Derivation(variables=(a, b, c),
+                                                        steps=tuple(_step("S", j) for j in judgments)))
+        assert compiled._side_terms == [side.terms for side in sides]
+        assert compiled._check_list == list(checks)
+        assert [test for _, test, _ in compiled.steps] == tests
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
