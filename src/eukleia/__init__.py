@@ -8,11 +8,9 @@ from .kernel import (
     AngleSum,
     DegenerateAngle,
     Ordering,
-    PlaneVector,
     add_two,
     angle_from_rays,
     angle_from_slope_vector,
-    compare_args,
     compare_multisets,
     compare_sums,
     right_angle,
@@ -44,6 +42,7 @@ from .dsl import ParseError, SourceSpan, format_derivation, parse_expr, parse_pr
 from .semantics import (
     Counterexample,
     ModelCheckReport,
+    SamplingPlan,
     UnboundVariable,
     Unsatisfied,
     Valuation,

@@ -144,12 +144,12 @@ def _printable(command: str, *sums: AngleSum) -> list[str]:
 
 def _approx_radians(total: AngleSum) -> float:
     # atan2 takes floats; shifting both coordinates alike keeps the direction.
-    x, y = total.rep.x, total.rep.y
+    turns, x, y = total.turns_and_vector()
     shift = max(0, max(x.bit_length(), y.bit_length()) - 1000)
     a = math.atan2(y >> shift, x >> shift)
     if a < 0:
         a += 2 * math.pi
-    return 2 * math.pi * total.windings + a
+    return 2 * math.pi * turns + a
 
 
 # ---------------------------------------------------------------------------

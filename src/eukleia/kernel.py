@@ -2,14 +2,16 @@
 
 An angle is the direction of a primitive integer vector ``(x, y)`` with
 ``y > 0``; its measure is the argument of ``x + iy``, which is strictly
-between 0 and pi.  A sum of angles is a winding count plus a direction, and
-two sums combine by multiplying their directions as Gaussian integers and
-adding their winding counts, plus one when the product wraps past a full
-turn.  That combination is associative, so ``sum_multiset`` reduces a
-multiset pairwise in a balanced tree and the operands of each product stay
-of similar size.  Sums and comparisons of arbitrary finite multisets of
-angles stay in integer arithmetic throughout: no floats, no trigonometric
-evaluation, no rounding.
+between 0 and pi.  Euclid compares groups of angles but never forms an angle
+of pi or more, and the total of a group is read the same way here: a number
+of straight angles (pi each) plus one angle below pi, or none.  Two totals
+combine by multiplying their remainders as Gaussian integers; a product at
+or past pi is one more straight angle and the product rotated back by pi.
+That combination is associative, so ``sum_multiset`` reduces a multiset
+pairwise in a balanced tree and the operands of each product stay of similar
+size.  Sums and comparisons of arbitrary finite multisets of angles stay in
+integer arithmetic throughout: no floats, no trigonometric evaluation, no
+rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
 __all__ = [
     "AngleLit",
@@ -26,11 +28,9 @@ __all__ = [
     "AngleSum",
     "DegenerateAngle",
     "Ordering",
-    "PlaneVector",
     "add_two",
     "angle_from_rays",
     "angle_from_slope_vector",
-    "compare_args",
     "compare_multisets",
     "compare_sums",
     "right_angle",
@@ -88,39 +88,38 @@ class AngleLit:
 
 
 @dataclass(frozen=True)
-class PlaneVector:
-    """Nonzero primitive integer vector; its argument lives in [0, 2*pi)."""
-
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x == 0 and self.y == 0:
-            raise ValueError("zero vector has no direction")
-        if gcd(abs(self.x), abs(self.y)) != 1:
-            raise ValueError(f"vector ({self.x}, {self.y}) is not reduced")
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y})"
-
-
-@dataclass(frozen=True)
 class AngleSum:
-    """Total measure of a multiset of angles.
+    """Total measure of a multiset of angles: ``straights`` straight angles
+    (pi each) plus ``rest``, one angle below pi, or None when nothing is left
+    over.  The empty multiset sums to ``AngleSum(0, None)``.
 
-    The measure is ``2*pi*windings`` plus the argument of ``rep``.  The empty
-    multiset sums to zero turns with representative (1, 0).
+    Its text ``turns=k, rep=(x,y)`` gives the whole turns ``straights // 2``
+    and the direction past them: the remainder's vector, or (1, 0) for none,
+    negated when ``straights`` is odd.
     """
 
-    windings: int
-    rep: PlaneVector
+    straights: int
+    rest: Optional[AngleLit]
 
     def __post_init__(self) -> None:
-        if self.windings < 0:
-            raise ValueError("winding count cannot be negative")
+        if self.straights < 0:
+            raise ValueError("straight-angle count cannot be negative")
+
+    def turns_and_vector(self) -> tuple[int, int, int]:
+        """Whole turns and the integer direction of what remains past them."""
+        x, y = _vector(self.rest)
+        if self.straights % 2:
+            x, y = -x, -y
+        return self.straights // 2, x, y
 
     def __str__(self) -> str:
-        return f"turns={self.windings}, rep=({self.rep.x},{self.rep.y})"
+        turns, x, y = self.turns_and_vector()
+        return f"turns={turns}, rep=({x},{y})"
+
+
+def _vector(rest: Optional[AngleLit]) -> tuple[int, int]:
+    """The remainder's vector, (1, 0) for none."""
+    return (1, 0) if rest is None else (rest.x, rest.y)
 
 
 def angle_from_slope_vector(x: int, y: int) -> AngleLit:
@@ -132,13 +131,13 @@ def angle_from_slope_vector(x: int, y: int) -> AngleLit:
     if y <= 0:
         raise DegenerateAngle(f"vector ({x}, {y}) does not point strictly above the x-axis")
     g = gcd(abs(x), y)
-    return _reduced(AngleLit, x // g, y // g)
+    return _reduced(x // g, y // g)
 
 
-def _reduced(cls, x: int, y: int):
-    """The AngleLit or PlaneVector of a pair that already meets the class's
-    invariants, built without running its ``__post_init__`` checks again."""
-    value = object.__new__(cls)
+def _reduced(x: int, y: int) -> AngleLit:
+    """The AngleLit of a pair that already meets its invariants, built
+    without running its ``__post_init__`` checks again."""
+    value = object.__new__(AngleLit)
     fields = value.__dict__  # written directly: the frozen class's __setattr__ refuses
     fields["x"] = x
     fields["y"] = y
@@ -170,74 +169,59 @@ def angle_from_rays(apex, p, q) -> AngleLit:
     return angle_from_slope_vector(int(dot * scale), int(abs(cross) * scale))
 
 
-def compare_args(a: PlaneVector, b: PlaneVector) -> Ordering:
-    """Order two directions exactly by argument in [0, 2*pi).
-
-    Directions in [0, pi) come before those in [pi, 2*pi).  Within one half
-    the two arguments differ by less than pi, so the sign of the cross
-    product decides, and a zero cross product means the same direction.
-    """
-    upper_a = a.y > 0 or (a.y == 0 and a.x > 0)
-    upper_b = b.y > 0 or (b.y == 0 and b.x > 0)
-    if upper_a != upper_b:
-        return Ordering.LESS if upper_a else Ordering.GREATER
-    cross = a.x * b.y - a.y * b.x
-    if cross > 0:
-        return Ordering.LESS
-    if cross < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
-_UNIT = PlaneVector(1, 0)
-
-
 def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
-    """Total measure of a finite multiset of angles.
+    """Total measure of a finite multiset of angles, as straight angles plus
+    one angle below pi.
 
     Reduces the elements pairwise, one level of a balanced tree at a time,
-    over ``(windings, x, y, lower)`` tuples; ``lower`` says the argument of
-    ``(x, y)`` is in [pi, 2*pi).  Each node multiplies its two directions as
-    Gaussian integers, divides out the gcd so the direction stays primitive,
-    and adds the two winding counts plus a carry.  Writing each argument as
-    ``pi*h + r`` (``h`` the lower bit, ``0 <= r < pi``), the floor of the
-    sum over pi is ``h1 + h2`` or one more, and also ``h + 2*carry`` for the
-    product, so the carry is 1 exactly when ``h1 + h2 > h``.  An odd element
-    at the end of a level passes up unchanged.  The result is canonical, so
-    it does not depend on the iteration order.
+    over ``(straights, x, y)`` tuples whose remainder ``(x, y)`` lies in
+    [0, pi).  Each node multiplies its two remainders as Gaussian integers
+    and divides out the gcd so the direction stays primitive.  The product
+    lies in [0, 2*pi); at pi or past it (``y < 0``, or ``y == 0`` and
+    ``x < 0``) it is one more straight angle and the negated vector.  An odd
+    element at the end of a level passes up unchanged.  The result is
+    canonical, so it does not depend on the iteration order.
     """
-    level = [(0, a.x, a.y, False) for a in angles]
+    level = [(0, a.x, a.y) for a in angles]
     if not level:
-        return AngleSum(0, _UNIT)
+        return AngleSum(0, None)
     while len(level) > 1:
         paired = []
         for i in range(1, len(level), 2):
-            w1, x1, y1, lower1 = level[i - 1]
-            w2, x2, y2, lower2 = level[i]
+            s1, x1, y1 = level[i - 1]
+            s2, x2, y2 = level[i]
             x = x1 * x2 - y1 * y2
             y = x1 * y2 + y1 * x2
             g = gcd(x, y)
             if g != 1:
                 x, y = x // g, y // g
-            lower = y < 0 or (y == 0 and x < 0)
-            paired.append((w1 + w2 + (lower1 + lower2 > lower), x, y, lower))
+            if y < 0 or (y == 0 and x < 0):
+                paired.append((s1 + s2 + 1, -x, -y))
+            else:
+                paired.append((s1 + s2, x, y))
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    windings, x, y, _ = level[0]
-    return AngleSum(windings, _reduced(PlaneVector, x, y))
+    straights, x, y = level[0]
+    return AngleSum(straights, _reduced(x, y) if y else None)
 
 
 def compare_sums(a: AngleSum, b: AngleSum) -> Ordering:
     """Exact order of two multiset sums by total measure.
 
-    Orders lexicographically by (winding count, argument of the
-    representative); Equal means the winding counts agree and the canonical
-    representatives are identical.
+    Orders by the count of straight angles, then by the remainders.  Both
+    remainders lie in [0, pi), so the sign of their cross product decides,
+    and a zero cross product means the same remainder.
     """
-    if a.windings != b.windings:
-        return Ordering.LESS if a.windings < b.windings else Ordering.GREATER
-    return compare_args(a.rep, b.rep)
+    if a.straights != b.straights:
+        return Ordering.LESS if a.straights < b.straights else Ordering.GREATER
+    (ax, ay), (bx, by) = _vector(a.rest), _vector(b.rest)
+    cross = ax * by - ay * bx
+    if cross > 0:
+        return Ordering.LESS
+    if cross < 0:
+        return Ordering.GREATER
+    return Ordering.EQUAL
 
 
 def compare_multisets(a: Iterable[AngleLit], b: Iterable[AngleLit]) -> Ordering:
@@ -260,4 +244,4 @@ def add_two(b: AngleLit, c: AngleLit) -> AngleLit:
     if y <= 0:
         raise AngleOverflow(b, c)
     g = gcd(abs(x), y)
-    return _reduced(AngleLit, x // g, y // g)
+    return _reduced(x // g, y // g)

@@ -165,10 +165,8 @@ def test_criterion_7_winding_measure_agreement(capsys):
                     items.append(ang(x, y))
                     break
         s = sum_multiset(items)
-        arg = math.atan2(s.rep.y, s.rep.x)
-        if arg < 0:
-            arg += 2 * math.pi
-        exact_total = 2 * math.pi * s.windings + arg
+        rest = math.atan2(s.rest.y, s.rest.x) if s.rest else 0.0
+        exact_total = math.pi * s.straights + rest
         float_total = sum(math.atan2(a.y, a.x) for a in items)
         worst = max(worst, abs(exact_total - float_total))
     elapsed = time.perf_counter() - t0

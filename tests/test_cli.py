@@ -94,14 +94,44 @@ class TestEval:
     def test_approx_past_float_range(self, capsys):
         rng = random.Random(11)
         angles = [ang(rng.randint(-10**6, 10**6), rng.randint(10**6 - 1000, 10**6)) for _ in range(100)]
-        total = sum_multiset(angles).rep
-        assert max(total.x.bit_length(), total.y.bit_length()) > 1024  # too long for a float
+        rest = sum_multiset(angles).rest
+        assert max(rest.x.bit_length(), rest.y.bit_length()) > 1024  # too long for a float
         code, out = run(capsys, "eval", multiset(angles), "--approx")
         assert code == EXIT_OK and "approx: " in out
         code, (rep,) = run_json(capsys, "eval", multiset(angles), "--approx")
         assert code == EXIT_OK
         oracle = math.fsum(math.atan2(a.y, a.x) for a in angles)
         assert abs(float(rep["detail"]["approx_radians"]) - oracle) < 1e-9
+
+    # A total an odd number of straight angles past its whole turns prints its
+    # remainder rotated by pi: the text the kernel printed when it kept a
+    # winding count and a direction in [0, 2*pi).
+    @pytest.mark.parametrize("expr, result, approx", [
+        ("{R,R}", "turns=0, rep=(-1,0)", "3.1415926536"),
+        ("{R,R,ang(1/1)}", "turns=0, rep=(-1,-1)", "3.9269908170"),
+        ("{R,R,R}", "turns=0, rep=(0,-1)", "4.7123889804"),
+    ])
+    def test_approx_odd_straights(self, capsys, expr, result, approx):
+        code, out = run(capsys, "eval", expr, "--approx")
+        assert (code, out.splitlines()[:2]) == (EXIT_OK, [result, f"approx: {approx} rad"])
+        code, (rep,) = run_json(capsys, "eval", expr, "--approx")
+        assert (rep["result"], rep["detail"]) == (result, {"approx_radians": approx})
+
+    def test_approx_odd_straight_sums_match_golden(self, capsys):
+        # Seeded literal multisets whose float totals lie between an odd and
+        # the next even multiple of pi, clear of both; the human lines
+        # (without the elapsed line) and the --json line of each.
+        rng = random.Random(1717)
+        shown = []
+        while len(shown) < 3 * 60:
+            bound = (3, 20, 10**6)[len(shown) // 3 % 3]
+            angles = [random_angle(rng, bound) for _ in range(rng.randint(1, 8))] + [ang(0, 1)] * rng.randint(0, 4)
+            total = math.fsum(math.atan2(a.y, a.x) for a in angles)
+            if int(total / math.pi) % 2 and 1e-6 < total % math.pi < math.pi - 1e-6:
+                shown += run(capsys, "eval", multiset(angles), "--approx")[1].splitlines()[:2]
+                shown.append(run(capsys, "eval", multiset(angles), "--approx", "--json")[1])
+        digest = hashlib.sha256("\n".join(shown).encode()).hexdigest()
+        assert digest == "9171f2aa0f117910fd148660822f9d200394a44bce08e35236ad616362a71a99"
 
     def test_parse_error(self, capsys):
         code, out = run(capsys, "eval", "{ang(3/-4)}")
@@ -471,8 +501,8 @@ class TestTooLarge:
     @pytest.mark.parametrize("argv", [["eval", OVER_LIMIT], ["eval", OVER_LIMIT, "--approx"],
                                       ["compare", OVER_LIMIT, "{R}"], ["compare", "{R}", OVER_LIMIT]])
     def test_exits_6_without_traceback(self, capsys, argv):
-        rep = sum_multiset(parse_expr(OVER_LIMIT).terms).rep
-        assert max(abs(rep.x), abs(rep.y)).bit_length() * math.log10(2) > sys.get_int_max_str_digits()
+        rest = sum_multiset(parse_expr(OVER_LIMIT).terms).rest
+        assert max(abs(rest.x), rest.y).bit_length() * math.log10(2) > sys.get_int_max_str_digits()
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_TOO_LARGE and captured.err == ""

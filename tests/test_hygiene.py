@@ -101,16 +101,16 @@ def test_prints_only_where_reports_are_rendered(path):
     assert not stray, ", ".join(stray)
 
 
-def _pattern_sources(path: Path) -> list[str]:
+def _pattern_sources(path: Path) -> set[str]:
     """The source of each compiled pattern at the module's top level, and of
     each string literal passed to a function of ``re``."""
     module = importlib.import_module(f"eukleia.{path.stem}")
-    sources = [value.pattern for value in vars(module).values() if isinstance(value, re.Pattern)]
+    sources = {value.pattern for value in vars(module).values() if isinstance(value, re.Pattern)}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
                 and node.args and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
-            sources.append(node.args[0].value)
+            sources.add(node.args[0].value)
     return sources
 
 
@@ -136,11 +136,33 @@ def test_patterns_compile_on_python_3_10(path):
 
 
 def test_pattern_scan_sees_the_parser_patterns():
-    # Five compiled patterns (the lexer's token pattern, the script lexer's,
-    # the two of the literal pass and the expression-token reader's term
-    # pattern), then the literals passed to re: the token pattern again and the
-    # newline search that places spans.
-    assert len(_pattern_sources(PACKAGE / "dsl.py")) >= 7
+    # The lexer's token pattern, the script lexer's, the two of the literal
+    # pass and the expression-token reader's term pattern, then the newline
+    # search that places spans; the token pattern's literal, passed to
+    # re.compile, is the same source as the compiled pattern.
+    dsl = importlib.import_module("eukleia.dsl")
+    named = (dsl._TOKEN, dsl._SCRIPT_TOKEN, dsl._LITERAL, dsl._LITERAL_TERM, dsl._EXPR_TERM)
+    assert _pattern_sources(PACKAGE / "dsl.py") == {pattern.pattern for pattern in named} | {"\n"}
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """The names ``eukleia/__init__.py`` imports from each submodule."""
+    path = PACKAGE / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.module: {alias.name for alias in node.names}
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+# Each name a submodule lists in ``__all__`` is an attribute of the package,
+# and the package re-exports no other name of a module that has ``__all__``.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_exports_each_public_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exported = _exported(tree)
+    package = importlib.import_module("eukleia")
+    missing = sorted(name for name in exported if not hasattr(package, name))
+    extra = sorted(_package_imports().get(path.stem, set()) - exported) if exported else []
+    assert (missing, extra) == ([], []), f"{path.name}: {missing} in __all__ but not in eukleia, {extra} the other way"
 
 
 # Where cli.py may read an exit code: the status table, the rule that folds a

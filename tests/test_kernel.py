@@ -12,11 +12,9 @@ from eukleia.kernel import (
     AngleSum,
     DegenerateAngle,
     Ordering,
-    PlaneVector,
     add_two,
     angle_from_rays,
     angle_from_slope_vector,
-    compare_args,
     compare_multisets,
     compare_sums,
     right_angle,
@@ -34,28 +32,59 @@ def radians(a: AngleLit) -> float:
     return math.atan2(a.y, a.x)
 
 
-def total_radians(s) -> float:
-    # Representatives too long for float are shifted down first; shifting
-    # both coordinates by the same amount keeps the direction.
-    shift = max(0, max(s.rep.x.bit_length(), s.rep.y.bit_length()) - 64)
-    arg = math.atan2(s.rep.y >> shift, s.rep.x >> shift)
-    if arg < 0:
-        arg += 2 * math.pi
-    return 2 * math.pi * s.windings + arg
+def total_radians(s: AngleSum) -> float:
+    # Remainders too long for float are shifted down first; shifting both
+    # coordinates by the same amount keeps the direction.
+    if s.rest is None:
+        return math.pi * s.straights
+    shift = max(0, max(abs(s.rest.x).bit_length(), s.rest.y.bit_length()) - 64)
+    return math.pi * s.straights + math.atan2(s.rest.y >> shift, s.rest.x >> shift)
 
 
-def _fold_sum(angles) -> AngleSum:
-    """Reference sum: a left fold of Gaussian-integer products, the kernel's
-    algorithm before the pairwise tree."""
-    windings, acc = 0, PlaneVector(1, 0)
+# The reference below works on plain integer pairs, independently of the
+# kernel's straight-angle tree: a direction is a primitive (x, y) with its
+# argument in [0, 2*pi), and a sum is a winding count plus a direction.
+
+def _compare_directions(u: tuple, v: tuple) -> Ordering:
+    """Order two primitive directions by argument in [0, 2*pi): the upper
+    half-plane [0, pi) first, then within one half by the cross product."""
+    upper_u = u[1] > 0 or (u[1] == 0 and u[0] > 0)
+    upper_v = v[1] > 0 or (v[1] == 0 and v[0] > 0)
+    if upper_u != upper_v:
+        return Ordering.LESS if upper_u else Ordering.GREATER
+    cross = u[0] * v[1] - u[1] * v[0]
+    return Ordering.LESS if cross > 0 else Ordering.GREATER if cross < 0 else Ordering.EQUAL
+
+
+def _fold_sum(angles) -> tuple:
+    """Reference sum ``(windings, x, y)``: a left fold of Gaussian-integer
+    products that counts a winding whenever the product's direction falls
+    below the accumulator's, the kernel's algorithm before the pairwise tree."""
+    windings, acc = 0, (1, 0)
     for a in angles:
-        x, y = acc.x * a.x - acc.y * a.y, acc.x * a.y + acc.y * a.x
+        x, y = acc[0] * a.x - acc[1] * a.y, acc[0] * a.y + acc[1] * a.x
         g = gcd(x, y)
-        composed = PlaneVector(x // g, y // g)
-        if compare_args(composed, acc) is Ordering.LESS:
+        composed = (x // g, y // g)
+        if _compare_directions(composed, acc) is Ordering.LESS:
             windings += 1
         acc = composed
-    return AngleSum(windings, acc)
+    return (windings, *acc)
+
+
+def _matches_fold(items) -> bool:
+    """The kernel's total renders as the reference's winding count and direction."""
+    windings, x, y = _fold_sum(items)
+    total = sum_multiset(items)
+    return total.turns_and_vector() == (windings, x, y) and str(total) == f"turns={windings}, rep=({x},{y})"
+
+
+def _below_a_turn(u: tuple) -> list:
+    """A multiset whose total is the primitive direction ``u``'s argument in
+    [0, 2*pi): none, one angle, two rights, or two rights and one angle."""
+    x, y = u
+    if y < 0 or (y == 0 and x < 0):
+        return [right_angle(), right_angle()] + _below_a_turn((-x, -y))
+    return [AngleLit(x, y)] if y else []
 
 
 nonzero_upper = st.tuples(st.integers(-200, 200), st.integers(1, 200))
@@ -93,21 +122,23 @@ class TestConstructors:
             AngleLit(2, 4)
         with pytest.raises(DegenerateAngle):
             AngleLit(1, -1)
+
+    def test_negative_straight_count_rejected(self):
         with pytest.raises(ValueError):
-            PlaneVector(0, 0)
+            AngleSum(-1, None)
         with pytest.raises(ValueError):
-            PlaneVector(2, 6)
+            AngleSum(-2, right_angle())
+        assert AngleSum(0, None) == sum_multiset([])
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
     def test_unchecked_construction_equals_the_checked_one(self, x, y):
         # angle_from_slope_vector, add_two and sum_multiset build their
-        # already-reduced results without the classes' checks; the value must
+        # already-reduced results without the class's checks; the value must
         # not differ from a checked one.
         g = gcd(abs(x), y)
-        for cls in (AngleLit, PlaneVector):
-            checked, unchecked = cls(x // g, y // g), _reduced(cls, x // g, y // g)
-            assert type(unchecked) is cls
-            assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
+        checked, unchecked = AngleLit(x // g, y // g), _reduced(x // g, y // g)
+        assert type(unchecked) is AngleLit
+        assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
         assert angle_from_slope_vector(x, y) == AngleLit(x // g, y // g)
 
     @given(nonzero_upper)
@@ -169,39 +200,38 @@ class TestRightAngle:
 
 
 class TestCompareArgs:
+    """Totals below a full turn ordered by argument, by the kernel and by the
+    reference's direction order."""
+
     def test_quarter_below_half(self):
-        assert compare_args(PlaneVector(1, 1), PlaneVector(0, 1)) is Ordering.LESS
+        assert compare_multisets([ang(1, 1)], [right_angle()]) is Ordering.LESS
+        assert _compare_directions((1, 1), (0, 1)) is Ordering.LESS
 
     def test_identical(self):
-        assert compare_args(PlaneVector(-1, 7), PlaneVector(-1, 7)) is Ordering.EQUAL
+        assert compare_sums(sum_multiset([ang(-1, 7)]), sum_multiset([ang(-1, 7)])) is Ordering.EQUAL
+        assert _compare_directions((-1, 7), (-1, 7)) is Ordering.EQUAL
 
     def test_cross_product_within_quadrant(self):
-        assert compare_args(PlaneVector(3, 4), PlaneVector(4, 3)) is Ordering.GREATER
+        assert compare_multisets([ang(3, 4)], [ang(4, 3)]) is Ordering.GREATER
+        assert _compare_directions((3, 4), (4, 3)) is Ordering.GREATER
 
     def test_rank_ordering_around_the_circle(self):
-        around = [
-            PlaneVector(1, 0),
-            PlaneVector(2, 1),
-            PlaneVector(0, 1),
-            PlaneVector(-1, 2),
-            PlaneVector(-1, 0),
-            PlaneVector(-2, -1),
-            PlaneVector(0, -1),
-            PlaneVector(1, -2),
-        ]
+        around = [(1, 0), (2, 1), (0, 1), (-1, 2), (-1, 0), (-2, -1), (0, -1), (1, -2)]
+        sums = [sum_multiset(_below_a_turn(u)) for u in around]
+        assert [str(s) for s in sums] == [f"turns=0, rep=({x},{y})" for x, y in around]
         for i, a in enumerate(around):
             for j, b in enumerate(around):
                 expected = Ordering.EQUAL if i == j else (Ordering.LESS if i < j else Ordering.GREATER)
-                assert compare_args(a, b) is expected
+                assert (compare_sums(sums[i], sums[j]), _compare_directions(a, b)) == (expected, expected)
 
     @given(st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda t: t != (0, 0)),
            st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda t: t != (0, 0)))
     def test_agrees_with_float_argument(self, u, v):
-        gu, gv = gcd(abs(u[0]), abs(u[1])), gcd(abs(v[0]), abs(v[1]))
-        a = PlaneVector(u[0] // gu, u[1] // gu)
-        b = PlaneVector(v[0] // gv, v[1] // gv)
-        fa, fb = math.atan2(a.y, a.x) % (2 * math.pi), math.atan2(b.y, b.x) % (2 * math.pi)
-        got = compare_args(a, b)
+        gu, gv = gcd(*u), gcd(*v)
+        a, b = (u[0] // gu, u[1] // gu), (v[0] // gv, v[1] // gv)
+        fa, fb = math.atan2(a[1], a[0]) % (2 * math.pi), math.atan2(b[1], b[0]) % (2 * math.pi)
+        got = compare_multisets(_below_a_turn(a), _below_a_turn(b))
+        assert _compare_directions(a, b) is got
         if abs(fa - fb) > 1e-9:
             assert got is (Ordering.LESS if fa < fb else Ordering.GREATER)
 
@@ -209,20 +239,18 @@ class TestCompareArgs:
 class TestSumMultiset:
     def test_empty(self):
         s = sum_multiset([])
-        assert s.windings == 0 and s.rep == PlaneVector(1, 0)
+        assert (s.straights, s.rest) == (0, None)
 
     def test_four_right_angles_one_turn(self):
         R = right_angle()
-        # intermediate reps are forced around the axes
-        assert sum_multiset([R]).rep == PlaneVector(0, 1)
-        assert sum_multiset([R, R]).rep == PlaneVector(-1, 0)
-        assert sum_multiset([R, R, R]).rep == PlaneVector(0, -1)
-        s = sum_multiset([R, R, R, R])
-        assert (s.windings, s.rep) == (1, PlaneVector(1, 0))
+        # every partial total lands on an axis
+        assert sum_multiset([R]) == AngleSum(0, R)
+        assert sum_multiset([R, R]) == AngleSum(1, None)
+        assert sum_multiset([R, R, R]) == AngleSum(1, R)
+        assert sum_multiset([R, R, R, R]) == AngleSum(2, None)
 
     def test_eight_half_rights_one_turn(self):
-        s = sum_multiset([ang(1, 1)] * 8)
-        assert (s.windings, s.rep) == (1, PlaneVector(1, 0))
+        assert sum_multiset([ang(1, 1)] * 8) == AngleSum(2, None)
 
     def test_permutation_invariance_bit_identical(self):
         rng = random.Random(123)
@@ -250,12 +278,12 @@ class TestSumMultiset:
     @pytest.mark.parametrize("unit", [right_angle(), AngleLit(1, 1), AngleLit(-1, 1)], ids=str)
     def test_axis_lists_of_every_length_match_fold(self, unit):
         for n in range(40):
-            assert sum_multiset([unit] * n) == _fold_sum([unit] * n), n
+            assert _matches_fold([unit] * n), n
 
     @settings(deadline=None)
     @given(angle_lists)
     def test_matches_left_fold(self, items):
-        assert sum_multiset(items) == _fold_sum(items)
+        assert _matches_fold(items)
 
     def test_large_multiset(self):
         rng = random.Random(16000)
@@ -264,7 +292,7 @@ class TestSumMultiset:
         rng.shuffle(shuffled)
         total = sum_multiset(items)
         assert sum_multiset(shuffled) == total
-        assert total.rep.x.bit_length() > 1024  # beyond float range: the shift is needed
+        assert total.rest.y.bit_length() > 1024  # beyond float range: the shift is needed
         expected = math.fsum(math.atan2(a.y, a.x) for a in items)
         assert abs(total_radians(total) - expected) < 1e-9
 
@@ -327,9 +355,9 @@ class TestCompareMultisets:
     def test_compare_sums_agrees(self, a, b):
         verdict = compare_multisets(a, b)
         assert compare_sums(sum_multiset(a), sum_multiset(b)) is verdict
-        fa, fb = _fold_sum(a), _fold_sum(b)
-        assert verdict is (compare_args(fa.rep, fb.rep) if fa.windings == fb.windings
-                           else Ordering.LESS if fa.windings < fb.windings else Ordering.GREATER)
+        (wa, *ua), (wb, *ub) = _fold_sum(a), _fold_sum(b)
+        assert verdict is (_compare_directions(ua, ub) if wa == wb
+                           else Ordering.LESS if wa < wb else Ordering.GREATER)
 
 
 class TestAddTwo:
@@ -396,3 +424,12 @@ class TestRendering:
     def test_sum_text(self):
         assert str(sum_multiset([right_angle()] * 4)) == "turns=1, rep=(1,0)"
         assert str(sum_multiset([])) == "turns=0, rep=(1,0)"
+
+    def test_odd_straight_counts_print_rotated(self):
+        # The text the kernel printed when a total was a winding count and a
+        # direction in [0, 2*pi): an odd straight-angle count shows as the
+        # remainder, or (1, 0), rotated by pi.
+        R = right_angle()
+        texts = [str(sum_multiset(items)) for items in ([], [R], [R, R], [R, R, R], [R] * 4, [R, R, ang(1, 1)])]
+        assert texts == ["turns=0, rep=(1,0)", "turns=0, rep=(0,1)", "turns=0, rep=(-1,0)",
+                         "turns=0, rep=(0,-1)", "turns=1, rep=(1,0)", "turns=0, rep=(-1,-1)"]
