@@ -171,20 +171,26 @@ def angle_from_rays(apex, p, q) -> AngleLit:
 
 def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
     """Total measure of a finite multiset of angles, as straight angles plus
-    one angle below pi.
-
-    Reduces the elements pairwise, one level of a balanced tree at a time,
-    over ``(straights, x, y)`` tuples whose remainder ``(x, y)`` lies in
-    [0, pi).  Each node multiplies its two remainders as Gaussian integers
-    and divides out the gcd so the direction stays primitive.  The product
-    lies in [0, 2*pi); at pi or past it (``y < 0``, or ``y == 0`` and
-    ``x < 0``) it is one more straight angle and the negated vector.  An odd
-    element at the end of a level passes up unchanged.  The result is
-    canonical, so it does not depend on the iteration order.
+    one angle below pi.  The result is canonical, so it does not depend on
+    the iteration order.
     """
-    level = [(0, a.x, a.y) for a in angles]
+    straights, x, y = _total([(0, a.x, a.y) for a in angles])
+    return AngleSum(straights, _reduced(x, y) if y else None)
+
+
+def _total(level: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Sum of ``(straights, x, y)`` totals whose remainder ``(x, y)`` is
+    primitive and lies in [0, pi); the empty list sums to ``(0, 1, 0)``.
+
+    Reduces the elements pairwise, one level of a balanced tree at a time.
+    Each node multiplies its two remainders as Gaussian integers and divides
+    out the gcd so the direction stays primitive.  The product lies in
+    [0, 2*pi); at pi or past it (``y < 0``, or ``y == 0`` and ``x < 0``) it
+    is one more straight angle and the negated vector.  An odd element at
+    the end of a level passes up unchanged.
+    """
     if not level:
-        return AngleSum(0, None)
+        return (0, 1, 0)
     while len(level) > 1:
         paired = []
         for i in range(1, len(level), 2):
@@ -202,21 +208,24 @@ def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    straights, x, y = level[0]
-    return AngleSum(straights, _reduced(x, y) if y else None)
+    return level[0]
 
 
 def compare_sums(a: AngleSum, b: AngleSum) -> Ordering:
-    """Exact order of two multiset sums by total measure.
+    """Exact order of two multiset sums by total measure (see :func:`_order`)."""
+    return _order((a.straights, *_vector(a.rest)), (b.straights, *_vector(b.rest)))
+
+
+def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> Ordering:
+    """Exact order of two ``(straights, x, y)`` totals.
 
     Orders by the count of straight angles, then by the remainders.  Both
     remainders lie in [0, pi), so the sign of their cross product decides,
     and a zero cross product means the same remainder.
     """
-    if a.straights != b.straights:
-        return Ordering.LESS if a.straights < b.straights else Ordering.GREATER
-    (ax, ay), (bx, by) = _vector(a.rest), _vector(b.rest)
-    cross = ax * by - ay * bx
+    if a[0] != b[0]:
+        return Ordering.LESS if a[0] < b[0] else Ordering.GREATER
+    cross = a[1] * b[2] - a[2] * b[1]
     if cross > 0:
         return Ordering.LESS
     if cross < 0:

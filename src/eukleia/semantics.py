@@ -19,8 +19,12 @@ not guarantee (Lt, unsolved and cycle-broken ones) before it is used.
 A derivation's steps are compiled once per model check.  The measure is
 additive, so every judgment compares the same way once the terms common to
 both sides are cancelled; each distinct cancelled side and each distinct
-comparison is interned, and under one valuation every side is summed at
-most once, and only when a step that is reached needs it.
+comparison is interned in a table, and the sampler keeps its open checks in
+a table of the same kind.  Under one valuation every side is totalled at
+most once, and only when a test that is reached needs it, as an integer
+triple ``(straights, x, y)``: straight angles plus the primitive vector of
+one angle below pi.  Two totals are ordered by the kernel's rule with no
+``AngleSum`` built.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .calculus import (
     judgment_truth,
     judgment_variables,
 )
-from .kernel import AngleLit, AngleOverflow, Ordering, add_two, angle_from_slope_vector, compare_sums, sum_multiset
+from .kernel import AngleLit, AngleOverflow, Ordering, _order, _total, add_two, angle_from_slope_vector
 
 __all__ = [
     "Counterexample",
@@ -96,6 +100,87 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
         return judgment_truth(j, valuation)
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
+
+
+class _Comparisons:
+    """Judgments interned as comparisons of cancelled sides, evaluated on
+    ``(straights, x, y)`` totals.
+
+    A judgment comparing ``A`` with ``B`` (:func:`eukleia.calculus.comparison`)
+    compares ``A - B`` with ``B - A`` (multiset differences): the common
+    terms add the same measure to both sides.  ``sides`` holds each distinct
+    cancelled side once, its names kept and its literals as ``(0, x, y)``
+    triples, and ``tests`` each distinct ``(wanted order, lhs, rhs)`` once.
+    A side without names is totalled here, once: an empty side is
+    ``(0, 1, 0)``.  Raises UnboundVariable for an undeclared variable.
+    """
+
+    def __init__(self, declared: Iterable[str]):
+        self._declared = set(declared)
+        self._side_index: dict[tuple[Term, ...], int] = {}
+        self._test_index: dict[tuple[Ordering, int, int], int] = {}
+        self.sides: list[tuple] = []
+        self.tests: list[tuple[Ordering, int, int]] = []
+        self._fixed: list = []  # the total of each side without names, None for the others
+
+    def intern(self, j: Judgment) -> int:
+        """The index of ``j``'s comparison in ``tests``."""
+        stray = judgment_variables(j) - self._declared
+        if stray:
+            raise UnboundVariable(sorted(stray)[0])
+        lhs, rhs, wanted = comparison(j)
+        if not set(lhs).isdisjoint(rhs):  # each term of lhs cancels one equal term of rhs, if any is left
+            kept, rhs = [], list(rhs)
+            for t in lhs:
+                if t in rhs:
+                    rhs.remove(t)
+                else:
+                    kept.append(t)
+            lhs = kept
+        test = (wanted, self._side(lhs), self._side(rhs))
+        if test not in self._test_index:
+            self._test_index[test] = len(self.tests)
+            self.tests.append(test)
+        return self._test_index[test]
+
+    def _side(self, terms: Sequence[Term]) -> int:
+        key = MultisetExpr(tuple(terms)).terms
+        if key not in self._side_index:
+            self._side_index[key] = len(self.sides)
+            side = tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in key)
+            self.sides.append(side)
+            self._fixed.append(None if any(isinstance(t, str) for t in side) else _total(list(side)))
+        return self._side_index[key]
+
+    def evaluator(self, valuation: Mapping[str, AngleLit]) -> Callable[[int], bool]:
+        """``holds(test)``: whether a test holds under ``valuation``.  Under
+        one evaluator each side is totalled, and each test decided, at most
+        once, and only when asked for."""
+        sides, tests = self.sides, self.tests
+        totals = self._fixed.copy()
+        truth: list = [None] * len(tests)
+
+        def total(i: int) -> tuple[int, int, int]:
+            t = totals[i]
+            if t is None:
+                terms = sides[i]
+                if len(terms) == 1:
+                    angle = valuation[terms[0]]
+                    t = (0, angle.x, angle.y)
+                else:
+                    t = _total([(0, (angle := valuation[n]).x, angle.y) if isinstance(n, str) else n
+                                for n in terms])
+                totals[i] = t
+            return t
+
+        def holds(test: int) -> bool:
+            verdict = truth[test]
+            if verdict is None:
+                wanted, lhs, rhs = tests[test]
+                verdict = truth[test] = _order(total(lhs), total(rhs)) is wanted
+            return verdict
+
+        return holds
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +246,9 @@ class SamplingPlan:
     to the final check.  Congr hypotheses and those whose rule is applied
     hold for every candidate that construction completes; the rest, in
     ``checks`` (Lt hypotheses, anything not solved and the cycle-broken
-    ones), must hold under :func:`eval_judgment` before a candidate is
-    returned.
+    ones), are interned in the plan's own comparison table, and each must
+    hold there, with the truth :func:`eval_judgment` gives, before a
+    candidate is returned.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -270,6 +356,8 @@ class SamplingPlan:
         literals = {k: k for _, _, inputs in actions for k in inputs if isinstance(k, AngleLit)}
         self.fixed: dict[Term, AngleLit] = {**literals, **pinned}
         self.checks = tuple(h for i, h in enumerate(self.hypotheses) if i not in exact)
+        self._table = _Comparisons(names)
+        self._tests = tuple(map(self._table.intern, self.checks))
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates; return the first satisfying one."""
@@ -283,7 +371,7 @@ class SamplingPlan:
             if not self._derive(values):
                 continue
             valuation = {n: values[r] for n, r in self.roots}
-            if all(eval_judgment(h, valuation) for h in self.checks):
+            if all(map(self._table.evaluator(valuation), self._tests)):
                 return valuation
         raise Unsatisfied(budget)
 
@@ -374,69 +462,33 @@ class ModelCheckReport:
 
 
 class _CompiledSteps:
-    """A derivation's steps with every judgment cancelled and interned.
+    """A derivation's steps with every judgment interned in one
+    :class:`_Comparisons` table.
 
-    A judgment comparing ``A`` with ``B`` (:func:`eukleia.calculus.comparison`)
-    compares ``A - B`` with ``B - A`` (multiset differences): the common
-    terms add the same measure to both sides.  This holds for the step
-    judgments and for the three comparisons of each ``cases`` step.
     ``steps`` mirrors the step tree as ``(step, test, branches)``, with
-    ``test`` an interned comparison's index and ``branches`` a ``(test,
-    compiled branch)`` pair per case.  Raises UnboundVariable for an
-    undeclared variable in any of them.
+    ``test`` the index of the step's comparison and ``branches`` a ``(test,
+    compiled branch)`` pair per case of a ``cases`` step.  Raises
+    UnboundVariable for an undeclared variable in any of them.
     """
 
     def __init__(self, derivation: Derivation):
-        self._declared = set(derivation.variables)
-        self._sides: dict[MultisetExpr, int] = {}
-        self._checks: dict[tuple[Ordering, int, int], int] = {}
+        self.table = _Comparisons(derivation.variables)
         self.steps = self._compile(derivation.steps)
-        self._side_terms = [side.terms for side in self._sides]
-        self._check_list = list(self._checks)
 
     def _compile(self, steps: Sequence[Step]) -> tuple:
         compiled = []
         for step in steps:
             branches = ()
             if step.rule is Rule.CASES and step.case_pair is not None:
-                cases = [self._test(h) for h in case_hypotheses(*step.case_pair)]
+                cases = [self.table.intern(h) for h in case_hypotheses(*step.case_pair)]
                 branches = tuple(zip(cases, map(self._compile, step.branches)))
-            compiled.append((step, self._test(step.judgment), branches))
+            compiled.append((step, self.table.intern(step.judgment), branches))
         return tuple(compiled)
-
-    def _test(self, j: Judgment) -> int:
-        stray = judgment_variables(j) - self._declared
-        if stray:
-            raise UnboundVariable(sorted(stray)[0])
-        lhs, rhs, wanted = comparison(j)
-        if not set(lhs).isdisjoint(rhs):  # each term of lhs cancels one equal term of rhs, if any is left
-            kept, rhs = [], list(rhs)
-            for t in lhs:
-                if t in rhs:
-                    rhs.remove(t)
-                else:
-                    kept.append(t)
-            lhs = kept
-        sides = (self._sides.setdefault(MultisetExpr(tuple(side)), len(self._sides)) for side in (lhs, rhs))
-        return self._checks.setdefault((wanted, *sides), len(self._checks))
 
     def first_false(self, valuation: Valuation) -> Optional[Step]:
         """The first step, in proof order, whose judgment fails under
         ``valuation``; a branch is entered only when its case holds."""
-        sums: list = [None] * len(self._side_terms)
-        truth: list = [None] * len(self._check_list)
-
-        def holds(test: int) -> bool:
-            if truth[test] is None:
-                wanted, lhs, rhs = self._check_list[test]
-                for i in (lhs, rhs):
-                    if sums[i] is None:
-                        sums[i] = sum_multiset([valuation[t] if isinstance(t, str) else t
-                                                for t in self._side_terms[i]])
-                truth[test] = compare_sums(sums[lhs], sums[rhs]) is wanted
-            return truth[test]
-
-        return _walk(self.steps, holds)
+        return _walk(self.steps, self.table.evaluator(valuation))
 
 
 def _walk(steps: tuple, holds: Callable[[int], bool]) -> Optional[Step]:
