@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
+from operator import attrgetter, ne
 from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
 
 from .kernel import AngleLit, Ordering, compare_multisets, right_angle
@@ -36,10 +38,7 @@ Term = Union[str, AngleLit]
 _RIGHT = right_angle()
 
 
-def _term_key(t: Term) -> tuple[int, str, int, int]:
-    if isinstance(t, str):
-        return (0, t, 0, 0)
-    return (1, "", t.x, t.y)
+_BY_COORDS = attrgetter("x", "y")
 
 
 def format_term(t: Term) -> str:
@@ -52,16 +51,22 @@ def format_term(t: Term) -> str:
 
 @dataclass(frozen=True)
 class MultisetExpr:
-    """Finite multiset of terms, kept in a canonical sorted order.
+    """Finite multiset of terms, kept in a canonical sorted order: the names
+    sorted, then the angles by their coordinates.
 
     Two expressions are equal exactly when they contain the same terms with
-    the same multiplicities; the listed order never matters.
+    the same multiplicities; the listed order never matters.  Their term
+    tuples are then equal too, and one multiset contains another exactly when
+    its tuple has the other's as a subsequence.
     """
 
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=_term_key)))
+        terms = sorted([t for t in self.terms if isinstance(t, str)])
+        if len(terms) < len(self.terms):
+            terms += sorted([t for t in self.terms if not isinstance(t, str)], key=_BY_COORDS)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def is_empty(self) -> bool:
@@ -292,14 +297,14 @@ class Context:
 # Checking
 
 def _single_added(base: MultisetExpr, extended: MultisetExpr) -> Optional[Term]:
-    """The one term whose addition turns ``base`` into ``extended``, if any."""
-    if len(extended) != len(base) + 1:
+    """The one term whose addition turns ``base`` into ``extended``, if any:
+    the first term of ``extended`` that differs from ``base`` at the same
+    place, when the terms after it are all of ``base``'s from there on."""
+    b, e = base.terms, extended.terms
+    if len(e) != len(b) + 1:
         return None
-    bc, ec = base.counts(), extended.counts()
-    if not bc <= ec:
-        return None
-    (extra,) = ec - bc
-    return extra
+    at = next(compress(count(), map(ne, b, e)), len(b))  # the first place they differ
+    return e[at] if b[at:] == e[at + 1:] else None
 
 
 def check_step(step: Step, context: Context) -> None:
@@ -394,7 +399,8 @@ def check_step(step: Step, context: Context) -> None:
     elif rule is Rule.WHOLE_PART:
         if not isinstance(goal, Lt):
             fail("conclusion must be a strict comparison")
-        if not goal.lhs.counts() < goal.rhs.counts():
+        rest = iter(goal.rhs.terms)
+        if not (len(goal.lhs) < len(goal.rhs) and all(t in rest for t in goal.lhs.terms)):
             fail("right side must extend the left side by a nonempty part")
 
     elif rule in (Rule.SPLIT_EQ, Rule.CONGR_EQ):

@@ -12,11 +12,11 @@ directory that is missing or holds no script to check), exits 1.  For
 and 5 applies only when there is none.
 
 ``eval`` and ``compare`` accept literal-only expressions: each term is then an
-``AngleLit``, which the kernel sums as it is.  The literal pattern passes of
-``dsl`` read such an operand into its angles in the order written, unsorted;
-any other operand goes straight to the token parser behind
-:func:`parse_expr`, which reports the parse error or the variable, so no
-operand takes the literal pass twice.
+``AngleLit``, which the kernel sums as it is.  The split reader of ``dsl``
+reads such an operand into its angles in the order written, unsorted; any
+other operand goes straight to the token parser behind :func:`parse_expr`,
+which reports the parse error or the variable, so no operand takes the split
+reader twice.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
 :func:`run_script`, which returns its report.  Every command returns its
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
-from .dsl import ParseError, SourceSpan, _literal_terms, _parse_expr_tokens, parse_proof
+from .dsl import ParseError, SourceSpan, _expr_terms, _parse_expr_tokens, parse_proof
 from .kernel import AngleSum, compare_sums, sum_multiset
 from .semantics import model_check_derivation
 
@@ -114,11 +114,11 @@ def _read_file(path: str | Path) -> str:
 def _literal_angles(expr_text: str, command: str) -> Sequence:
     """The angles of a literal-only expression, in no particular order;
     raises _Rejected otherwise."""
-    angles = _literal_terms(expr_text)  # unsorted: eval and compare only sum them
+    angles = _expr_terms(expr_text)  # unsorted: eval and compare only sum them
     if angles is not None:
         return angles
     try:
-        terms = _parse_expr_tokens(expr_text).terms  # the literal pass is not run again
+        terms = _parse_expr_tokens(expr_text).terms  # the split reader is not run again
     except ParseError as exc:
         rep = _report(command, "parse-error", exc.span, detail={"message": exc.message})
         raise _Rejected(rep, _parse_error_line(rep)) from None

@@ -33,30 +33,32 @@ scope (including any forward reference) is a parse error.  Within a cases
 branch the branch's comparison is cited as ``case``.  A step nested in more
 than ``MAX_CASES_DEPTH`` cases branches is a parse error.
 
-A standalone expression (:func:`parse_expr`) of ``R`` and ``ang`` literals
-only, written without comments, is read in two pattern passes without the
-lexer.  Every other text, and every text with an error, goes to the token
-parser, which alone reports parse errors.
+One reader, :func:`_expr_terms`, reads an expression without the token
+parser: it splits the text between the braces on ``,`` and reads each piece,
+blanks stripped, as a declared name, ``R`` or one ``ang`` literal; any other
+piece turns the text down.  A standalone expression (:func:`parse_expr`)
+declares no names, so only one of ``R`` and ``ang`` literals, written without
+comments, is read this way.  Every other text, and every text with an error,
+goes to the token parser, which alone reports parse errors.
 
 A proof script (:func:`parse_proof`) is lexed with one more token class: a
 brace group holding no ``{ } # : ;`` and at least one non-blank character is
 one expression token.  Such a group is an expression wherever it stands,
 since a cases block holds steps, each with ``:`` and ``;``; ``{}`` and
 ``{ }`` stay two tokens, as they may be empty blocks.  Each distinct
-expression text is read once per parse in two pattern passes, and a repeated
-one is the same :class:`MultisetExpr` object.  A script with an expression
-text those passes turn down, or with any parse error, is read again by the
-single-token lexer and parser, the reference that alone reports errors, so
-the result is the same either way.
+expression text is read once per parse by the split reader, each distinct
+piece of it once too, and a repeated text is the same :class:`MultisetExpr`
+object.  A script with an expression text the reader turns down, or with any
+parse error, is read again by the single-token lexer and parser, the
+reference that alone reports errors, so the result is the same either way.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Optional
+from typing import Collection, NamedTuple, Optional
 
 from .calculus import (
     Congr,
@@ -84,8 +86,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based position and length of a piece of source text."""
 
     line: int
@@ -169,7 +170,7 @@ def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list[str], list[int]]:
 
 
 class _TurnedDown(Exception):
-    """An expression token the pattern passes do not read: the script goes to
+    """An expression token the split reader does not read: the script goes to
     the reference parser."""
 
 
@@ -178,6 +179,7 @@ class _Parser:
         self._text = text
         self._texts, self._starts = _lex(text, token)
         self._exprs: dict[str, MultisetExpr] = {}  # each expression token's text, read once
+        self._terms: dict[str, Term] = {}  # each raw piece of those texts, read once
         self._lines: Optional[list[int]] = None  # each line's start offset, built for the first span
         self._pos = 0
         # Declared variable names; None accepts any name (a standalone expression).
@@ -252,7 +254,7 @@ class _Parser:
         if len(word) > 1 and word[0] == "{":  # an expression token
             expr = self._exprs.get(word)
             if expr is None:
-                terms = _expr_terms(word, self._declared or set())
+                terms = _expr_terms(word, self._declared or (), self._terms)
                 if terms is None:
                     raise _TurnedDown
                 expr = self._exprs[word] = MultisetExpr(tuple(terms))
@@ -391,75 +393,50 @@ class _Parser:
                     span=self._span(at))
 
 
-# A literal-only standalone expression, read without the lexer.  Replacing each
-# "R" and each "ang" ( INT / INT ) literal (_LITERAL) by "x" and dropping the
-# blanks leaves "{x,x,...,x}", one "x" per replacement, exactly when the text's
-# tokens are "{", such literals separated by ",", and "}": any other character
-# (so "Rx" fails by its stray "x") or two literals with no "," between them
-# spoils that form.  In such a text every "R" is a term and every "(" opens an
-# ang term, so _LITERAL_TERM finds the terms in order, an "R" as the pair
-# ("", "").  No pattern repeats a group over the whole text, for which sre
-# would keep backtracking state per character.
-_BLANKS = r"[ \t\r\n]*"
-_LITERAL = re.compile(rf"R|[aA][nN][gG]{_BLANKS}\({_BLANKS}-?[0-9]+{_BLANKS}/{_BLANKS}-?[0-9]+{_BLANKS}\)")
-_LITERAL_TERM = re.compile(rf"R|\({_BLANKS}(-?[0-9]+){_BLANKS}/{_BLANKS}(-?[0-9]+)")
-_DROP_BLANKS = str.maketrans("", "", " \t\r\n")
+# The one term of an expression text that is neither a name nor "R": an "ang"
+# ( INT / INT ) literal, blanks allowed between its tokens as _TOKEN skips them.
+_ANG = re.compile(r"[aA][nN][gG][ \t\r\n]*\([ \t\r\n]*(-?[0-9]+)[ \t\r\n]*/[ \t\r\n]*(-?[0-9]+)[ \t\r\n]*\)")
+_BLANKS = " \t\r\n"
 
 
-def _literal_terms(text: str) -> Optional[list[Term]]:
-    """The terms of a literal-only expression in the order written, read in
-    two pattern passes; None when the token parser must read ``text``: it is
-    not literal-only, an integer is longer than the interpreter converts, or
-    a literal is degenerate."""
-    replaced, count = _LITERAL.subn("x", text)
-    if replaced.translate(_DROP_BLANKS) != "{" + ",".join(["x"] * count) + "}":
+def _expr_terms(text: str, declared: Collection[str] = (),
+                memo: Optional[dict[str, Term]] = None) -> Optional[list[Term]]:
+    """The terms of the expression ``text`` in the order written, read by
+    splitting the text between its braces on ","; None when the token parser
+    must read it.  Blanks around the braces and around each piece are
+    dropped, and a blank interior is the empty expression.  Each raw piece is
+    looked up in ``memo`` (one per parse) and, when new, must be a name in
+    ``declared``, ``R`` or an ``ang`` literal whose integers the interpreter
+    converts and whose angle is not degenerate.  Any other piece (an empty
+    one, a comment, another name, two terms) turns the text down, so that the
+    token parser, which alone reports errors, reads it."""
+    inner = text.strip(_BLANKS)
+    if inner[:1] != "{" or inner[-1:] != "}":
         return None
-    angles = {("", ""): _RIGHT_ANGLE}  # each distinct pair, converted once
+    inner = inner[1:-1]
+    if not inner.strip(_BLANKS):
+        return []
+    if memo is None:
+        memo = {}
     terms: list[Term] = []
-    for pair in _LITERAL_TERM.findall(text):
-        angle = angles.get(pair)
-        if angle is None:
-            try:
-                angle = angles[pair] = angle_from_slope_vector(int(pair[0]), int(pair[1]))
-            except ValueError:  # the digit limit, or DegenerateAngle
-                return None
-        terms.append(angle)
-    return terms
-
-
-# An expression token of a script, read without the token parser.  _EXPR_TERM
-# matches a term: an "ang" ( INT / INT ) literal, else an identifier as _TOKEN
-# reads it, which "R" is too.  As in _literal_terms, replacing each match by
-# "x" and dropping the blanks leaves "{x,x,...,x}" exactly when the token
-# parser reads the same terms from the text, separated by ",".
-_EXPR_TERM = re.compile(rf"[aA][nN][gG]{_BLANKS}\({_BLANKS}(-?[0-9]+){_BLANKS}/{_BLANKS}(-?[0-9]+){_BLANKS}\)"
-                        r"|([^\W0-9]\w*)")
-
-
-def _expr_terms(text: str, declared: set[str]) -> Optional[list[Term]]:
-    """The terms of the expression token ``text`` in the order written, read
-    in two pattern passes; None when the token parser must read the script: a
-    term is not ``R``, a literal or a variable in ``declared`` (so the
-    reference reports it as reserved, undeclared or a bad character), an
-    integer is longer than the interpreter converts, a literal is degenerate,
-    or the text is not a comma-separated list of terms."""
-    replaced, count = _EXPR_TERM.subn("x", text)
-    if replaced.translate(_DROP_BLANKS) != "{" + ",".join(["x"] * count) + "}":
-        return None
-    terms: list[Term] = []
-    for x, y, word in _EXPR_TERM.findall(text):
-        if word:
+    for piece in inner.split(","):
+        term = memo.get(piece)
+        if term is None:
+            word = piece.strip(_BLANKS)
             if word in declared:
-                terms.append(word)
+                term = word
             elif word == "R":
-                terms.append(_RIGHT_ANGLE)
+                term = _RIGHT_ANGLE
             else:
-                return None
-        else:
-            try:
-                terms.append(angle_from_slope_vector(int(x), int(y)))
-            except ValueError:  # the digit limit, or DegenerateAngle
-                return None
+                match = _ANG.fullmatch(word)
+                if match is None:
+                    return None
+                try:
+                    term = angle_from_slope_vector(int(match[1]), int(match[2]))
+                except ValueError:  # the digit limit, or DegenerateAngle
+                    return None
+            memo[piece] = term
+        terms.append(term)
     return terms
 
 
@@ -468,19 +445,19 @@ def parse_expr(text: str) -> MultisetExpr:
 
     Variables are accepted syntactically; callers that need a literal-only
     expression check for variables themselves.  A literal-only expression
-    without comments takes two pattern passes (:func:`_literal_terms`); any
+    without comments is read by splitting on "," (:func:`_expr_terms`); any
     other text, and every text with an error, goes to the token parser, which
     alone reports errors.  Either way the result is the same.
     """
-    terms = _literal_terms(text)
+    terms = _expr_terms(text)
     if terms is not None:
         return MultisetExpr(tuple(terms))
     return _parse_expr_tokens(text)
 
 
 def _parse_expr_tokens(text: str) -> MultisetExpr:
-    """:func:`parse_expr` by the token parser alone, for a text the literal
-    pass has already turned down."""
+    """:func:`parse_expr` by the token parser alone, for a text the split
+    reader has already turned down."""
     parser = _Parser(text)
     expr = parser.parse_expr()
     word = parser._texts[parser._pos]

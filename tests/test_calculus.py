@@ -1,7 +1,10 @@
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eukleia import calculus
 from eukleia.calculus import (
     Congr,
     Context,
@@ -22,6 +25,7 @@ from eukleia.calculus import (
     judgment_truth,
     multiset,
 )
+from eukleia.dsl import parse_proof
 from eukleia.kernel import right_angle
 
 from conftest import ang, random_angle
@@ -393,3 +397,82 @@ class TestLocality:
 class TestLiteralTruth:
     def test_falsum_is_false(self):
         assert judgment_truth(Falsum(), {}) is False
+
+
+# ---------------------------------------------------------------------------
+# The checker compares sorted term tuples.  The references: the sort key the
+# canonical order was first defined by, and multiset arithmetic on Counters.
+
+def _reference_key(t):
+    if isinstance(t, str):
+        return (0, t, 0, 0)
+    return (1, "", t.x, t.y)
+
+
+def _reference_single_added(base, extended):
+    if len(extended) != len(base) + 1:
+        return None
+    bc, ec = collections.Counter(base.terms), collections.Counter(extended.terms)
+    if not bc <= ec:
+        return None
+    (extra,) = ec - bc
+    return extra
+
+
+# Few terms, so that draws repeat them: names that sort apart by case and
+# prefix, and angles whose coordinates interleave.
+_TERMS = st.sampled_from(["a", "b", "c", "t", "ab", "B", R, ang(3, 4), ang(-1, 2), ang(1, 1), ang(1, 2), ang(-5, 7)])
+_TERM_LISTS = st.lists(_TERMS, max_size=8)
+
+
+@st.composite
+def _multiset_pairs(draw):
+    """A multiset and either one drawn on its own or the first with up to
+    three terms added, one of its terms sometimes replaced."""
+    base = draw(_TERM_LISTS)
+    if draw(st.booleans()):
+        return MultisetExpr(tuple(base)), MultisetExpr(tuple(draw(_TERM_LISTS)))
+    extended = base + draw(st.lists(_TERMS, max_size=3))
+    if base and draw(st.integers(0, 3)) == 0:
+        extended[draw(st.integers(0, len(base) - 1))] = draw(_TERMS)
+    return MultisetExpr(tuple(base)), MultisetExpr(tuple(draw(st.permutations(extended))))
+
+
+class TestSortedTuples:
+    @settings(max_examples=500)
+    @given(_TERM_LISTS)
+    def test_order_matches_the_reference_key(self, terms):
+        assert MultisetExpr(tuple(terms)).terms == tuple(sorted(terms, key=_reference_key))
+
+    @settings(max_examples=1000)
+    @given(_multiset_pairs())
+    def test_single_added_matches_counters(self, pair):
+        base, extended = pair
+        assert calculus._single_added(base, extended) == _reference_single_added(base, extended)
+
+    @settings(max_examples=1000)
+    @given(_multiset_pairs())
+    def test_wholepart_matches_counters(self, pair):
+        part, whole = pair
+        step = Step("s", Lt(part, whole), Rule.WHOLE_PART)
+        try:
+            check_step(step, ctx(declared=("a", "b", "c", "t", "ab", "B")))
+            licensed = True
+        except StepError:
+            licensed = False
+        assert licensed == (collections.Counter(part.terms) < collections.Counter(whole.terms))
+
+    def test_checking_builds_no_counter(self, monkeypatch, corpus_dir):
+        paths = sorted(corpus_dir.glob("*.eap")) + sorted((corpus_dir / "mutations").glob("*.eap"))
+        derivations = [parse_proof(path.read_text(encoding="utf-8")) for path in paths]
+        fragment = Derivation(("a", "b", "c"), (), derive_whole_part(multiset(a, b), multiset(c, R, c)))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Counter was built while checking")
+
+        monkeypatch.setattr(collections.Counter, "__init__", refuse)
+        for derivation in [*derivations, fragment]:
+            try:
+                check_derivation(derivation)
+            except StepError:
+                pass

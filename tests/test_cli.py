@@ -634,17 +634,17 @@ class TestRejectedOutput:
 
     @pytest.mark.parametrize("operand", [*sorted(REJECTED_OPERANDS), "{R} # a comment", "{R, ang(1/2), a}"])
     def test_literal_pass_runs_once_per_operand(self, operand, monkeypatch):
-        # An operand the literal pass turns down goes to the token parser
-        # alone, not through parse_expr, which would run the pass again.
+        # An operand the split reader turns down goes to the token parser
+        # alone, not through parse_expr, which would run the reader again.
         calls = []
-        literal_terms = dsl._literal_terms
+        expr_terms = dsl._expr_terms
 
-        def counted(text):
+        def counted(text, *args):
             calls.append(text)
-            return literal_terms(text)
+            return expr_terms(text, *args)
 
-        monkeypatch.setattr(dsl, "_literal_terms", counted)
-        monkeypatch.setattr(cli, "_literal_terms", counted)
+        monkeypatch.setattr(dsl, "_expr_terms", counted)
+        monkeypatch.setattr(cli, "_expr_terms", counted)
         call(["eval", operand, "--json"])
         assert calls == [operand]
         calls.clear()

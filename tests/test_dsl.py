@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
 from eukleia import dsl
-from eukleia.dsl import (_SCRIPT_TOKEN, ParseError, SourceSpan, _lex, _literal_terms, _Parser, _TurnedDown,
+from eukleia.dsl import (_SCRIPT_TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
                          format_derivation, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
@@ -340,6 +340,67 @@ def test_parse_proof_matches_golden(name):
     assert hashlib.sha256(outcome.encode()).hexdigest() == SCRIPT_GOLDEN[name]
 
 
+def _generated_scripts() -> list[str]:
+    """Seeded scripts shaped like the benchmark's generated ones: addboth
+    chains over growing multisets and cases blocks nested and indented four
+    blanks a level."""
+    rng = random.Random(19)
+    pool = ["x1", "x2", "x3", "R", "ang(3/4)", "ang(-5/7)"]
+    texts = []
+    for rounds in (5, 20, 40):
+        lines = ["vars x1 x2 x3;", "hyp H: Eq {x1} {x2, x3};"]
+        left, right, cur = ["x1"], ["x2", "x3"], "H"
+        for i in range(1, rounds + 1):
+            t = rng.choice(pool)
+            lt, rt = "{" + ", ".join(left + [t]) + "}", "{" + ", ".join(right + [t]) + "}"
+            lines += [f"A{i}: Eq {lt} {rt} by addboth {cur};", f"B{i}: Eq {rt} {lt} by eqsym A{i};"]
+            left, right, cur = right + [t], left + [t], f"B{i}"
+        texts.append("\n".join(lines) + "\n")
+    for depth in (3, 9, 27):
+        lines, count = ["vars a b;", "hyp H: Lt {a} {b};"], 0
+
+        def block(level: int, indent: int) -> None:
+            nonlocal count
+            count += 1
+            head, pad = f"K{count}", "    " * indent
+            lines.append(f"{pad}{head}: Lt {{a}} {{b}} by cases {{a}} {{b, R}} {{")
+            inner = rng.randrange(3)
+            for i in range(3):
+                if i:
+                    lines.append(pad + "} {")
+                lines.append(f"{pad}    {head}b{i}a: Lt {{a, R}} {{b, R}} by addboth H;")
+                if i == inner and level > 1:
+                    block(level - 1, indent + 1)
+                lines.append(f"{pad}    {head}b{i}z: Lt {{a}} {{b}} by hypothesis H;")
+            lines.append(pad + "};")
+
+        block(depth, 0)
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _span_texts() -> list[str]:
+    """The corpus, its mutations and the generated scripts, each also with
+    CRLF line ends, with a comment line before every line, and with every
+    statement on one line."""
+    texts = [SCRIPT_GOLDEN_TEXTS[name] for name in sorted(SCRIPT_GOLDEN_TEXTS) if name.endswith(".eap")]
+    texts += _generated_scripts()
+    return [variant for text in texts for variant in
+            (text, text.replace("\n", "\r\n"), re.sub("(?m)^", "  # note\n", text), text.replace(";\n", "; "))]
+
+
+# Every step's (label, line, column, length) over _span_texts(), recorded
+# while SourceSpan was a frozen dataclass.
+STEP_SPANS_GOLDEN = "8a50b48dde1c15476cbbb1ba7b81a1449c5ceefe19de20c4abf5fa23b3fd55dc"
+
+
+def test_step_spans_match_golden():
+    spans = [(label, span.line, span.column, span.length)
+             for text in _span_texts() for label, span in _step_spans(parse_proof(text).steps)]
+    assert len(spans) == 2240
+    assert hashlib.sha256(repr(spans).encode()).hexdigest() == STEP_SPANS_GOLDEN
+
+
 # The character-loop lexer that ``_lex`` replaced, kept as the reference its
 # tokens, positions and errors must match.  It emits plain tuples with its
 # own kind names.
@@ -476,7 +537,7 @@ class TestPeakMemory:
         assert _peak_bytes(parse_expr, operand) < 20 * len(operand)
 
 # ---------------------------------------------------------------------------
-# parse_expr reads a literal-only expression in one pattern pass; the token
+# parse_expr reads a literal-only expression by splitting on ","; the token
 # parser is the reference it must match, value for value and error for error.
 
 def _token_parse_expr(text: str) -> MultisetExpr:
@@ -498,7 +559,7 @@ def _parse_outcome(parse, text):
 
 DIGITS_4400 = "7" * 4400  # past the interpreter's default int conversion limit of 4300 digits
 # Repeated choices and the extra small positive y weight the draws toward
-# texts the pattern pass reads; the rest exercise every way to fall back.
+# texts the split reader reads; the rest exercise every way to fall back.
 _SPECIAL_INTS = st.sampled_from(["-0", "007", "-0012", DIGITS_4400, "-" + DIGITS_4400, "٣", "1٣", "-"])
 _XS = st.one_of(st.integers(-40, 40).map(str), st.integers(-10**30, 10**30).map(str), st.integers(-9, 9).map(str),
                 _SPECIAL_INTS)
@@ -542,19 +603,19 @@ class TestLiteralFastPath:
 
     @pytest.mark.parametrize("text", ["{}", " \n{ }\r\n", "{R}", "{ ANG ( -0 / 007 ) ,\n\tR,aNg(1/2) }"])
     def test_literal_only_text_takes_the_pattern_pass(self, text):
-        terms = _literal_terms(text)
+        terms = _expr_terms(text)
         assert terms is not None and MultisetExpr(tuple(terms)) == _token_parse_expr(text)
 
     @pytest.mark.parametrize("text", ["{a}", "{Rx}", "{r}", "{R # c\n}", "{ang(1/0)}", "{ang(2/-1)}",
                                       f"{{ang({DIGITS_4400}/1)}}", "{ang(٣/1)}", "{R} junk", "{R,}", "{R\u00a0}",
                                       "{R}\f"])
     def test_other_text_goes_to_the_token_parser(self, text):
-        assert _literal_terms(text) is None
+        assert _expr_terms(text) is None
 
 
 # ---------------------------------------------------------------------------
 # parse_proof lexes a brace group without "{ } # : ;" as one expression token
-# and reads each distinct one in two pattern passes; the single-token lexer and
+# and reads each distinct one by splitting on ","; the single-token lexer and
 # parser are the reference it must match: an equal derivation with equal step
 # spans, or an equal error.
 
@@ -741,9 +802,9 @@ class TestExpressionTokens:
         text = "\n".join(lines) + "\n"
         read = []
 
-        def counting(word, declared):
+        def counting(word, declared, memo):
             read.append(word)
-            return expr_terms(word, declared)
+            return expr_terms(word, declared, memo)
 
         expr_terms = dsl._expr_terms
         monkeypatch.setattr(dsl, "_expr_terms", counting)
@@ -754,3 +815,48 @@ class TestExpressionTokens:
             assert a.judgment.lhs is b.judgment.rhs is c.judgment.lhs is c.judgment.rhs
             assert a.judgment.rhs is b.judgment.lhs
         assert _script_outcome(lambda t: derivation, text) == _script_outcome(_reference_parse_proof, text)
+
+
+# ---------------------------------------------------------------------------
+# The split reader against the token parser, through parse_expr and through
+# parse_proof, on texts whose pieces it must read or turn down.
+
+SPLIT_TEXTS = ["{R,,R}", "{,R}", "{R,}", "{ , }", "{R }", "{R\v}", "{ang (1/2), ang(1/2)}", "{a,\n a}",
+               "{R, (}", "{R, )}", "{(R)}", "{ang(1/2))}", "{ang(1,2)}", "{R # c\n}", "{R, #}", "{# c\n R}",
+               "{R R}", "{ang(1/2)ang(1/2)}", "{\u00a0R}", "{R\f}", "{a\u2009}", "{R}}", "{{R}", "{R, R)", "{R R",
+               f"{{ang(1/{DIGITS_4400})}}", f"{{R, ang(-{DIGITS_4400}/1)}}", "{ang(1/0)}", "{ang(0/0)}",
+               "{ang(2/-1)}", "{ang(-3/0)}", "{ang(٣/4)}", "{ang(1/٣)}", "{R, ang(1/2)٣}", "{ang(１/2)}"]
+_PIECE_CHARS = st.sampled_from(["R", "a", "é", "ang", "ANG", "(", ")", "1", "2", "-", "/", "#", ",", " ", "\n",
+                                "\t", "\r", "\v", "\u00a0", "٣", "{", "}"])
+
+
+class TestSplitReader:
+    @pytest.mark.parametrize("text", SPLIT_TEXTS)
+    def test_parse_expr_matches_the_token_parser(self, text):
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+
+    @pytest.mark.parametrize("text", SPLIT_TEXTS)
+    def test_parse_proof_matches_the_reference(self, text):
+        _assert_matches_reference(f"vars a b;\nS1: Eq {text} {{a}} by eqrefl;\nS2: Eq {{b, {text[1:]} {text} by eqrefl;\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_PIECE_CHARS, max_size=12).map(lambda chars: "{" + "".join(chars) + "}"))
+    def test_random_pieces_match_the_token_parser(self, text):
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+        _assert_matches_reference(f"vars a;\nS1: Eq {text} {{a}} by eqrefl;\n")
+
+    @pytest.mark.parametrize("text", ["{R,,R}", "{,R}", "{R,}", "{ , }", "{R\v}", "{R, (}", "{R # c\n}", "{R R}",
+                                      "{ang(1/0)}", f"{{ang(1/{DIGITS_4400})}}", "{ang(٣/4)}", "{b}", "{case}"])
+    def test_turns_down_what_the_token_parser_must_read(self, text):
+        assert _expr_terms(text, {"a"}) is None
+
+    def test_reads_blanks_around_pieces_and_declared_names(self):
+        assert _expr_terms("{a,\n a}", {"a"}) == ["a", "a"]
+        assert _expr_terms("{R }") == _expr_terms("{ R}") == [R]
+        assert _expr_terms("{ }") == _expr_terms("{}") == []
+
+    def test_each_raw_piece_is_read_once(self):
+        memo: dict = {}
+        terms = _expr_terms("{ang (1/2), ang(1/2), ang(1/2)}", (), memo)
+        assert terms == [ang(1, 2)] * 3 and terms[1] is terms[2]
+        assert sorted(memo) == [" ang(1/2)", "ang (1/2)"]
