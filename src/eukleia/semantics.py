@@ -3,18 +3,18 @@
 A judgment, a comparison of two groups of angles, becomes true or false once
 every variable denotes an angle.  It is evaluated directly: a variable term
 is looked up and a literal term gives its own angle, with no substituted
-expression built.  The
-checker's rules are exercised against this model by drawing randomized
-valuations that satisfy a derivation's hypotheses and asserting every step's
-judgment; a failure is a counterexample to the rule set, not an exception.
+expression built.  The checker's rules are exercised against this model by
+drawing randomized valuations that satisfy a derivation's hypotheses and
+asserting every step's judgment; a failure is a counterexample to the rule
+set, not an exception.
 
 Valuations are generated by construction rather than by filtering: a
 :class:`SamplingPlan`, built once per hypothesis set, draws some variables
-and derives the rest.  Splitting is the inverse of ``add_two``, so a split
-onto a known whole is satisfied by drawing one part and solving for the
-other; Eq hypotheses with a lone variable side are solved by composition.
-A candidate is then checked only against the hypotheses construction does
-not guarantee (Lt, unsolved and cycle-broken ones) before it is used.
+and derives the rest by one action, which sets a variable occurring once in
+an equality to the other side's total minus the rest of its own side (a
+split's whole is composed from its parts, a part is split off a known
+whole).  A candidate is then checked only against the hypotheses
+construction does not guarantee (Lt, unsolved and cycle-broken ones).
 
 A derivation's steps are compiled once per model check.  The measure is
 additive, so every judgment compares the same way once the terms common to
@@ -34,14 +34,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
-    Congr,
     Derivation,
-    Eq,
-    Falsum,
     Judgment,
     MultisetExpr,
     Rule,
-    Split,
     Step,
     Term,
     case_hypotheses,
@@ -50,7 +46,7 @@ from .calculus import (
     judgment_truth,
     judgment_variables,
 )
-from .kernel import AngleLit, AngleOverflow, Ordering, _order, _total, add_two, angle_from_slope_vector
+from .kernel import AngleLit, Ordering, _order, _reduced, _total, angle_from_slope_vector
 
 __all__ = [
     "Counterexample",
@@ -102,6 +98,41 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
         raise UnboundVariable(exc.args[0]) from None
 
 
+def _cancel(lhs: Sequence, rhs: Sequence) -> tuple[tuple, tuple]:
+    """``lhs`` and ``rhs`` with each term of ``lhs`` cancelled against one
+    equal term of ``rhs``, if any is left; the kept terms stay in order."""
+    kept, rest = [], list(rhs)
+    for t in lhs:
+        if t in rest:
+            rest.remove(t)
+        else:
+            kept.append(t)
+    return tuple(kept), tuple(rest)
+
+
+def _triples(terms: Iterable[Term]) -> tuple:
+    """The terms with names kept and literals as ``(0, x, y)`` triples."""
+    return tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in terms)
+
+
+def _side_total(terms: Sequence, valuation: Mapping[str, AngleLit]) -> tuple[int, int, int]:
+    """The ``(straights, x, y)`` total of a side from :func:`_triples`, its
+    names valued by ``valuation``; a list is built only for two or more terms."""
+    if len(terms) == 1:
+        t = terms[0]
+        if isinstance(t, str):
+            angle = valuation[t]
+            return (0, angle.x, angle.y)
+        return t
+    level = []  # a loop, which is cheaper than a comprehension for a few terms
+    for t in terms:
+        if isinstance(t, str):
+            angle = valuation[t]
+            t = (0, angle.x, angle.y)
+        level.append(t)
+    return _total(level)
+
+
 class _Comparisons:
     """Judgments interned as comparisons of cancelled sides, evaluated on
     ``(straights, x, y)`` totals.
@@ -129,14 +160,7 @@ class _Comparisons:
         if stray:
             raise UnboundVariable(sorted(stray)[0])
         lhs, rhs, wanted = comparison(j)
-        if not set(lhs).isdisjoint(rhs):  # each term of lhs cancels one equal term of rhs, if any is left
-            kept, rhs = [], list(rhs)
-            for t in lhs:
-                if t in rhs:
-                    rhs.remove(t)
-                else:
-                    kept.append(t)
-            lhs = kept
+        lhs, rhs = _cancel(lhs, rhs)
         test = (wanted, self._side(lhs), self._side(rhs))
         if test not in self._test_index:
             self._test_index[test] = len(self.tests)
@@ -147,8 +171,7 @@ class _Comparisons:
         key = MultisetExpr(tuple(terms)).terms
         if key not in self._side_index:
             self._side_index[key] = len(self.sides)
-            side = tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in key)
-            self.sides.append(side)
+            self.sides.append(side := _triples(key))
             self._fixed.append(None if any(isinstance(t, str) for t in side) else _total(list(side)))
         return self._side_index[key]
 
@@ -163,14 +186,7 @@ class _Comparisons:
         def total(i: int) -> tuple[int, int, int]:
             t = totals[i]
             if t is None:
-                terms = sides[i]
-                if len(terms) == 1:
-                    angle = valuation[terms[0]]
-                    t = (0, angle.x, angle.y)
-                else:
-                    t = _total([(0, (angle := valuation[n]).x, angle.y) if isinstance(n, str) else n
-                                for n in terms])
-                totals[i] = t
+                t = totals[i] = _side_total(sides[i], valuation)
             return t
 
         def holds(test: int) -> bool:
@@ -213,183 +229,158 @@ def _random_angle(rng: random.Random) -> AngleLit:
             return _ANGLES[x][y - _COORD_RANGE - 1]
 
 
-def _split_off(whole: AngleLit, part: AngleLit) -> Optional[AngleLit]:
-    """The angle ``c`` with ``add_two(part, c) == whole``, or None if none exists.
+def _unknown(lhs: tuple, rhs: tuple, free: Mapping[str, int]) -> Optional[tuple[int, str, tuple, tuple]]:
+    """What the cancelled equality ``lhs = rhs`` is solved for, as
+    ``(preference, variable, terms summed, terms subtracted)``, or None.
 
-    ``whole * conj(part)`` has the difference of the two measures as its
-    argument, which is an angle exactly when it lies in (0, pi).
+    ``free`` maps each unsolved variable to its place.  A lone variable side
+    comes first, ranked 0 when the other side has no names, 1 when it has
+    several terms and 2 when it has one; of two, the later is set to the
+    earlier.  Otherwise (3) it is the last variable written that occurs once.
     """
-    x = whole.x * part.x + whole.y * part.y
-    y = whole.y * part.x - whole.x * part.y
-    return angle_from_slope_vector(x, y) if y > 0 else None
+    lone = [(side[0], other) for side, other in ((lhs, rhs), (rhs, lhs)) if len(side) == 1 and side[0] in free]
+    if lone:
+        name, other = max(lone, key=lambda pair: free[pair[0]])
+        named = any(isinstance(t, str) for t in other)
+        return (1 if len(other) > 1 else 2) if named else 0, name, other, ()
+    terms = lhs + rhs
+    for k in range(len(terms) - 1, -1, -1):
+        t = terms[k]
+        if t in free and terms.count(t) == 1:
+            own, other, k = (lhs, rhs, k) if k < len(lhs) else (rhs, lhs, k - len(lhs))
+            return 3, t, other, own[:k] + own[k + 1:]
+    return None
 
 
-_COMPOSE = "compose"  # the target is the sum of the inputs, rejected on overflow
-_SOLVE = "solve"  # the target is inputs[0] split off by inputs[1], rejected unless positive
+def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
+    """Set each action's target to the total of its summed terms minus the
+    total of its subtracted ones; False, at the first that is not an angle
+    in (0, pi).  The remainders' difference is their product with the
+    conjugate, in (-pi, pi); below zero it borrows one straight angle."""
+    for target, summed, subtracted in actions:
+        straights, x, y = _side_total(summed, values)
+        if subtracted:
+            s, x2, y2 = _side_total(subtracted, values)
+            straights, x, y = straights - s, x * x2 + y * y2, y * x2 - x * y2
+            if y < 0:
+                straights, x, y = straights - 1, -x, -y
+        if straights or y <= 0:
+            return False
+        # Only a difference needs reducing: a total's remainder is primitive.
+        values[target] = angle_from_slope_vector(x, y) if subtracted else _reduced(x, y)
+    return True
 
 
 class SamplingPlan:
     """How to construct valuations of ``variables`` that satisfy ``hypotheses``.
 
-    Built once per hypothesis set.  Congr aliases variables (union-find) or
-    pins them to a literal.  Each remaining root is either drawn at random or
-    derived from values already known, in an order the plan fixes:
+    Built once per hypothesis set, from each hypothesis's comparison
+    (:func:`eukleia.calculus.comparison`) with its common terms cancelled.
+    The plan has one action: in an equality, a variable that occurs once is
+    set to the other side's total minus the rest of its own side, and the
+    candidate is rejected unless that is an angle, in (0, pi).  Composing a
+    split's whole is the case with an empty rest; solving a part from its
+    whole, the case with one term subtracted.  Each equality solves for at
+    most one variable and each variable is solved at most once, preferring
+    over all equalities (see :func:`_unknown`): a lone variable side equal to
+    literals only (a pin), then to several terms, then to one term, and
+    otherwise the last variable written that occurs once.
 
-    - ``Split W p1 p2`` onto a variable whole composes ``W = p1 + p2``;
-    - ``Split W p1 p2`` whose whole is a literal, pinned, or derived by
-      another hypothesis solves its undetermined part as ``W`` minus the
-      other part (drawn if it has no other source);
-    - ``Eq {v} {t1, ..., tk}`` with a lone undetermined variable side
-      composes ``v = t1 + ... + tk``.
-
-    Roots on a dependency cycle are drawn instead, leaving their hypothesis
-    to the final check.  Congr hypotheses and those whose rule is applied
-    hold for every candidate that construction completes; the rest, in
-    ``checks`` (Lt hypotheses, anything not solved and the cycle-broken
-    ones), are interned in the plan's own comparison table, and each must
-    hold there, with the truth :func:`eval_judgment` gives, before a
-    candidate is returned.
+    The other variables are drawn, one draw each in the order of
+    ``variables``, and so is one variable on each dependency cycle, leaving
+    its equality to the final check.  Values no draw affects are ``fixed``
+    when the plan is built, and so is every hypothesis they alone decide:
+    ``refuted`` is the first found false, and a refuted plan draws nothing.
+    The rest, in ``checks`` (Lt hypotheses and equalities left unsolved),
+    are interned in the plan's own comparison table, and each must hold
+    there, with the truth :func:`eval_judgment` gives, before a candidate is
+    returned.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
-        names = list(dict.fromkeys(variables))
+        self.variables = names = tuple(dict.fromkeys(variables))
         self.hypotheses = tuple(hypotheses)
-        declared = set(names)
-        for h in self.hypotheses:
-            stray = judgment_variables(h) - declared
-            if stray:
-                raise UnboundVariable(sorted(stray)[0])
+        self._table = _Comparisons(names)
+        tests = [self._table.intern(h) for h in self.hypotheses]  # UnboundVariable for a stray name
 
-        parent: dict[str, str] = {n: n for n in names}
+        # The equalities not yet solved for a variable, by hypothesis index,
+        # and rules[target] = (that index, terms summed, terms subtracted).
+        equalities = {i: _cancel(_triples(lhs), _triples(rhs))
+                      for i, (lhs, rhs, wanted) in enumerate(map(comparison, self.hypotheses))
+                      if wanted is Ordering.EQUAL}
+        rules: dict[str, tuple[int, tuple, tuple]] = {}
+        free = {n: k for k, n in enumerate(names)}
+        for preference in range(4):
+            for i, (lhs, rhs) in list(equalities.items()):
+                found = _unknown(lhs, rhs, free)
+                if found is not None and found[0] <= preference:
+                    _, target, summed, subtracted = found
+                    rules[target] = (i, summed, subtracted)
+                    del free[target], equalities[i]
 
-        def find(n: str) -> str:
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
-            return n
+        def inputs(target: str) -> list[str]:
+            _, summed, subtracted = rules[target]
+            return [t for t in summed + subtracted if isinstance(t, str)]
 
-        self.impossible = False
-        for h in self.hypotheses:
-            if isinstance(h, Congr):
-                if isinstance(h.a, str) and isinstance(h.b, str):
-                    parent[find(h.b)] = find(h.a)
-                elif isinstance(h.a, AngleLit) and isinstance(h.b, AngleLit) and h.a != h.b:
-                    self.impossible = True
-            elif isinstance(h, Falsum):
-                self.impossible = True
-        pinned: dict[str, AngleLit] = {}
-        for h in self.hypotheses:
-            if isinstance(h, Congr) and isinstance(h.a, str) != isinstance(h.b, str):
-                var, lit = (h.a, h.b) if isinstance(h.a, str) else (h.b, h.a)
-                root = find(var)
-                if pinned.get(root, lit) != lit:
-                    self.impossible = True
-                pinned[root] = lit
-
-        # A value's key while sampling: a union-find root for a variable, the
-        # angle itself for a literal.
-        def key(t: Term) -> Term:
-            return find(t) if isinstance(t, str) else t
-
-        # rules[root] = (action, inputs, index of the hypothesis it comes from)
-        rules: dict[Term, tuple[str, tuple[Term, ...], int]] = {}
-        for i, h in enumerate(self.hypotheses):
-            if isinstance(h, Split) and isinstance(h.whole, str):
-                whole = key(h.whole)
-                if whole not in pinned and whole not in rules:
-                    rules[whole] = (_COMPOSE, (key(h.part1), key(h.part2)), i)
-
-        def free(t: Term) -> bool:
-            return isinstance(t, str) and key(t) not in pinned and key(t) not in rules
-
-        for i, h in enumerate(self.hypotheses):
-            if isinstance(h, Split):
-                whole = key(h.whole)
-                if whole in rules and rules[whole][2] == i:
-                    continue
-                if free(h.part2):
-                    rules[key(h.part2)] = (_SOLVE, (whole, key(h.part1)), i)
-                elif free(h.part1):
-                    rules[key(h.part1)] = (_SOLVE, (whole, key(h.part2)), i)
-            elif isinstance(h, Eq):
-                for lone, other in ((h.lhs, h.rhs), (h.rhs, h.lhs)):
-                    if len(lone.terms) == 1 and free(lone.terms[0]) and other.terms:
-                        rules[key(lone.terms[0])] = (_COMPOSE, tuple(key(t) for t in other.terms), i)
-                        break
-
-        # Order the rules so that every input is known before it is used.
-        drawn = {find(n) for n in names} - pinned.keys() - rules.keys()
-        known = set(drawn) | pinned.keys()
+        # Apply the rules in an order where every input is known first; a
+        # rule whose inputs are all fixed fixes its target too.
+        known, drawn = set(free), set(free)
         pending = list(rules)
-        actions = []
-        # Hypotheses every constructed candidate satisfies: a Congr (aliases
-        # and pins make its sides equal; a conflict is impossible), and the
-        # source of each rule that is applied, whose target it computes exactly.
-        exact = {i for i, h in enumerate(self.hypotheses) if isinstance(h, Congr)}
+        fixed: dict[str, AngleLit] = {}
+        actions, exact, refuted = [], set(), []
         while pending:
-            ready = [r for r in pending
-                     if all(isinstance(k, AngleLit) or k in known for k in rules[r][1])]
+            ready = [r for r in pending if known.issuperset(inputs(r))]
             if not ready:
-                # Every unknown input is a pending root; following unknown
-                # inputs from any pending root must enter a cycle.
+                # Every unknown input is a pending target; following unknown
+                # inputs from any pending target must enter a cycle.
                 r, seen = pending[0], set()
                 while r not in seen:
                     seen.add(r)
-                    r = next(k for k in rules[r][1] if k in rules and k not in known)
+                    r = next(t for t in inputs(r) if t not in known)
                 drawn.add(r)
                 known.add(r)
                 pending.remove(r)
                 continue
             for r in ready:
-                action, inputs, i = rules[r]
-                actions.append((action, r, inputs))
-                exact.add(i)
-                known.add(r)
+                i, summed, subtracted = rules[r]
+                exact.add(i)  # holds for every candidate built
+                if not all(t in fixed for t in inputs(r)):
+                    actions.append((r, summed, subtracted))
+                elif not _apply([(r, summed, subtracted)], fixed):
+                    refuted.append(i)
+            known.update(ready)
             pending = [r for r in pending if r not in known]
 
-        self.roots = tuple((n, find(n)) for n in names)
-        # One draw per drawn root, in the order of the variables, so that a
-        # seed keeps drawing the same valuations for hypothesis sets whose
-        # drawn roots are unchanged.
-        self.draws = tuple(r for r in dict.fromkeys(find(n) for n in names) if r in drawn)
+        holds, sides, checks = self._table.evaluator(fixed), self._table.sides, []
+        for i, test in enumerate(tests):
+            _, lhs, rhs = self._table.tests[test]
+            if i in exact:
+                continue
+            if any(isinstance(t, str) and t not in fixed for t in sides[lhs] + sides[rhs]):
+                checks.append(i)
+            elif not holds(test):
+                refuted.append(i)
+        self.draws = tuple(n for n in names if n in drawn)
         self.actions = tuple(actions)
-        literals = {k: k for _, _, inputs in actions for k in inputs if isinstance(k, AngleLit)}
-        self.fixed: dict[Term, AngleLit] = {**literals, **pinned}
-        self.checks = tuple(h for i, h in enumerate(self.hypotheses) if i not in exact)
-        self._table = _Comparisons(names)
-        self._tests = tuple(map(self._table.intern, self.checks))
+        self.fixed = fixed
+        self.refuted = self.hypotheses[min(refuted)] if refuted else None
+        self.checks = tuple(self.hypotheses[i] for i in checks)
+        self._tests = tuple(tests[i] for i in checks)
+        self._start = {n: fixed.get(n) for n in names}  # each candidate's keys in the order of the variables
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates; return the first satisfying one."""
-        if self.impossible:
+        if self.refuted is not None:
             raise Unsatisfied(budget)
         rng = random.Random(seed)
+        tests = self._tests
         for _ in range(budget):
-            values = dict(self.fixed)
-            for root in self.draws:
-                values[root] = _random_angle(rng)
-            if not self._derive(values):
-                continue
-            valuation = {n: values[r] for n, r in self.roots}
-            if all(map(self._table.evaluator(valuation), self._tests)):
-                return valuation
+            values = self._start.copy()
+            for name in self.draws:
+                values[name] = _random_angle(rng)
+            if _apply(self.actions, values) and (not tests or all(map(self._table.evaluator(values), tests))):
+                return values
         raise Unsatisfied(budget)
-
-    def _derive(self, values: dict) -> bool:
-        for action, target, inputs in self.actions:
-            if action is _SOLVE:
-                angle = _split_off(values[inputs[0]], values[inputs[1]])
-                if angle is None:
-                    return False
-            else:
-                angle = values[inputs[0]]
-                try:
-                    for k in inputs[1:]:
-                        angle = add_two(angle, values[k])
-                except AngleOverflow:
-                    return False
-            values[target] = angle
-        return True
 
 
 def random_valuation(
@@ -403,14 +394,17 @@ def random_valuation(
     """Draw a valuation of ``variables`` satisfying every hypothesis.
 
     Deterministic for a fixed seed.  Candidates are constructed by a
-    :class:`SamplingPlan`: split wholes are composed from their parts, parts
-    of splits onto known wholes are solved from the whole, ``Eq`` with a lone
-    variable side is solved by composition, and Congr aliases or pins; the
-    remaining variables are drawn at random.  A candidate is rejected when
-    construction fails (an overflow, a negative remainder) or when it fails a
-    hypothesis construction does not guarantee (an Lt, an unsolved or
-    cycle-broken one); every hypothesis holds for the valuation returned.
-    Raises Unsatisfied once ``budget`` candidates have been rejected.
+    :class:`SamplingPlan`: each equality (a Split, Congr or Eq) solved for
+    one variable sets it to the other side's total minus the rest of its own
+    side, which composes split wholes, splits parts off known wholes and
+    pins or aliases by Congr; the remaining variables are drawn at random.
+    A candidate is rejected when a solved value is not an angle (a sum at or
+    past pi, a difference at or below zero) or when it fails a hypothesis
+    construction does not guarantee (an Lt, an unsolved or cycle-broken
+    one); every hypothesis holds for the valuation returned.  Raises
+    Unsatisfied once ``budget`` candidates have been rejected, and at once,
+    drawing nothing, when the values fixed by literals alone refute a
+    hypothesis.
 
     ``plan`` is a plan already built from these variables and hypotheses;
     passing one saves rebuilding it on every call.

@@ -270,11 +270,18 @@ def load_proof(name):
     return parse_proof((CORPUS_DIR / f"{name}.eap").read_text(encoding="utf-8"))
 
 
+# Hypothesis shapes of the sampler tests and the benchmark's generated scripts.
+HYPOTHESIS_SCRIPTS = {
+    "split-chain": "vars w1 w2 p q r; hyp H1: Split w1 p q; hyp H2: Split w2 w1 r;",
+    "eq-lone-pair": "vars x1 x2 x3; hyp H: Eq {x1} {x2, x3};",
+    "lt": "vars a b; hyp H: Lt {a} {b};",
+    "pinned-whole": "vars w p q; hyp H1: Congr w R; hyp H2: Split w p q;",
+    "split-cycle": "vars p q; hyp H1: Split R p q; hyp H2: Split R q p;",
+}
+
+
 def hypothesis_set(name):
-    if name == "split-chain":
-        d = parse_proof("vars w1 w2 p q r; hyp H1: Split w1 p q; hyp H2: Split w2 w1 r;")
-    else:
-        d = load_proof(name)
+    d = parse_proof(HYPOTHESIS_SCRIPTS[name]) if name in HYPOTHESIS_SCRIPTS else load_proof(name)
     return d.variables, [h.judgment for h in d.hypotheses]
 
 
@@ -346,6 +353,55 @@ GOLDEN = {
         {"w1": (53, 56), "w2": (-852, 1231), "p": (13, 6), "q": (5, 2), "r": (4, 19)},
         {"w1": (9, 13), "w2": (-98, 39), "p": (1, 1), "q": (11, 2), "r": (-3, 13)},
     ],
+    # Recorded before the sampling plan solved every equality by one action.
+    "eq-lone-pair": [
+        {"x1": (-9, 58), "x2": (2, 3), "x3": (12, 11)},
+        {"x1": (149, 217), "x2": (17, 11), "x3": (12, 5)},
+        {"x1": (-47, 18), "x2": (-10, 7), "x3": (4, 1)},
+        {"x1": (13, 44), "x2": (14, 15), "x3": (2, 1)},
+        {"x1": (-153, 116), "x2": (13, 14), "x3": (-1, 10)},
+        {"x1": (-132, 101), "x2": (19, 8), "x3": (-4, 7)},
+        {"x1": (-161, 137), "x2": (-11, 17), "x3": (10, 3)},
+        {"x1": (-13, 1), "x2": (7, 6), "x3": (-1, 1)},
+        {"x1": (-55, 157), "x2": (11, 9), "x3": (4, 11)},
+        {"x1": (-41, 63), "x2": (4, 3), "x3": (1, 15)},
+    ],
+    "lt": [
+        {"a": (5, 1), "b": (-14, 19)},
+        {"a": (-3, 4), "b": (-13, 11)},
+        {"a": (-7, 18), "b": (-18, 17)},
+        {"a": (1, 2), "b": (-4, 5)},
+        {"a": (-14, 5), "b": (-19, 5)},
+        {"a": (2, 13), "b": (-19, 9)},
+        {"a": (-3, 11), "b": (-4, 3)},
+        {"a": (-8, 7), "b": (-14, 3)},
+        {"a": (-7, 5), "b": (-19, 9)},
+        {"a": (9, 19), "b": (-20, 1)},
+    ],
+    "pinned-whole": [
+        {"w": (0, 1), "p": (2, 3), "q": (3, 2)},
+        {"w": (0, 1), "p": (4, 5), "q": (5, 4)},
+        {"w": (0, 1), "p": (4, 1), "q": (1, 4)},
+        {"w": (0, 1), "p": (1, 6), "q": (6, 1)},
+        {"w": (0, 1), "p": (13, 14), "q": (14, 13)},
+        {"w": (0, 1), "p": (2, 13), "q": (13, 2)},
+        {"w": (0, 1), "p": (10, 3), "q": (3, 10)},
+        {"w": (0, 1), "p": (7, 6), "q": (6, 7)},
+        {"w": (0, 1), "p": (11, 9), "q": (9, 11)},
+        {"w": (0, 1), "p": (9, 19), "q": (19, 9)},
+    ],
+    "split-cycle": [
+        {"p": (3, 2), "q": (2, 3)},
+        {"p": (5, 4), "q": (4, 5)},
+        {"p": (1, 4), "q": (4, 1)},
+        {"p": (6, 1), "q": (1, 6)},
+        {"p": (14, 13), "q": (13, 14)},
+        {"p": (13, 2), "q": (2, 13)},
+        {"p": (3, 10), "q": (10, 3)},
+        {"p": (6, 7), "q": (7, 6)},
+        {"p": (9, 11), "q": (11, 9)},
+        {"p": (19, 9), "q": (9, 19)},
+    ],
 }
 
 
@@ -358,29 +414,76 @@ def test_golden_valuations(name):
         assert {k: (a.x, a.y) for k, a in v.items()} == expected, f"seed {seed}"
 
 
-@pytest.mark.parametrize("name", ["prop13", "prop15"])
-def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
-    draws = 0
+def _count_draws(monkeypatch):
+    """A one-element list that counts the sampler's angle draws."""
+    draws = [0]
     draw = semantics._random_angle
 
     def counted(rng):
-        nonlocal draws
-        draws += 1
+        draws[0] += 1
         return draw(rng)
 
     monkeypatch.setattr(semantics, "_random_angle", counted)
+    return draws
+
+
+@pytest.mark.parametrize("name", ["prop13", "prop15"])
+def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
+    draws = _count_draws(monkeypatch)
     report = model_check_derivation(load_proof(name), trials=200, seed=7)
     assert report.satisfied == 200
     # At least one draw per satisfied trial: a sampler that stopped calling
     # _random_angle through the module would pass the bound with none.
-    assert report.satisfied <= draws <= 4 * report.satisfied
+    assert report.satisfied <= draws[0] <= 4 * report.satisfied
+
+
+def test_equality_onto_a_pinned_side_is_solved(monkeypatch):
+    # d is pinned, so c is solved as d minus b.  Drawn and checked instead,
+    # the equality would hold for almost no candidate.
+    d = parse_proof("vars b c d; hyp H1: Congr d R; hyp H2: Eq {c, b} {d}; S1: Eq {b, c} {d} by hypothesis H2;")
+    hyps = [h.judgment for h in d.hypotheses]
+    plan = SamplingPlan(d.variables, hyps)
+    assert (plan.draws, plan.actions, plan.checks) == (("b",), (("c", ("d",), ("b",)),), ())
+    draws = _count_draws(monkeypatch)
+    report = model_check_derivation(d, trials=200, seed=7)
+    assert (report.satisfied, report.counterexample) == (200, None)
+    # c is an angle when the drawn b is acute, for about half of the draws.
+    assert report.satisfied <= draws[0] <= 4 * report.satisfied
+    for seed in range(50):
+        v = random_valuation(d.variables, hyps, seed=seed, plan=plan)
+        assert all(eval_judgment(h, v) for h in hyps)
+
+
+# Hypotheses that their literals alone refute.
+REFUTED_SCRIPTS = {
+    "false": "hyp H1: False;",
+    "literal-congr": "hyp H1: Congr R ang(1/1);",
+    "two-pins": "hyp H1: Congr x R; hyp H2: Congr x ang(1/1);",
+    "two-right-angles": "hyp H1: Eq {x} {R, R};",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTED_SCRIPTS))
+def test_hypotheses_refuted_by_literals_draw_nothing(name, monkeypatch):
+    d = parse_proof(f"vars x; {REFUTED_SCRIPTS[name]} S1: Eq {{x}} {{x}} by eqrefl;")
+    hyps = [h.judgment for h in d.hypotheses]
+    assert SamplingPlan(d.variables, hyps).refuted == hyps[-1]
+    draws = _count_draws(monkeypatch)
+    with pytest.raises(Unsatisfied):
+        random_valuation(d.variables, hyps, seed=0)
+    report = model_check_derivation(d, trials=1000, seed=7)
+    assert (report.trials, report.satisfied, report.vacuous) == (3, 0, True)
+    assert draws == [0]
 
 
 class TestSamplingPlan:
     def test_prop13_draws_one_part_and_derives_the_rest(self):
+        # abe is R minus cba (one term subtracted); dba composes R and abe
+        # (nothing subtracted).  Literals are (0, x, y) triples.
         plan = SamplingPlan(*hypothesis_set("prop13"))
         assert plan.draws == ("cba",)
-        assert [(action, target) for action, target, _ in plan.actions] == [("solve", "abe"), ("compose", "dba")]
+        assert plan.actions == (("abe", ((0, 0, 1),), ("cba",)), ("dba", ((0, 0, 1), "abe"), ()))
+        assert (plan.fixed, plan.checks, plan.refuted) == ({}, (), None)
 
     def test_whole_derived_by_another_split(self):
         names = ("w", "p", "q", "r", "s")
@@ -392,10 +495,23 @@ class TestSamplingPlan:
             assert add_two(v["p"], v["q"]) == v["w"] == add_two(v["r"], v["s"])
 
     def test_cycle_falls_back_to_drawing(self):
-        plan = SamplingPlan(("a", "b"), [Eq(multiset(a), multiset(b)), Eq(multiset(b), multiset(a))])
-        assert plan.draws == ("a",)
+        hyps = [Eq(multiset(a), multiset(b)), Eq(multiset(b), multiset(a))]
+        # Each equality sets the later of its two lone variables, b, to the
+        # other, and the second one, solving a from b, closes the cycle.
+        plan = SamplingPlan(("a", "b"), hyps)
+        assert plan.draws == ("b",)
+        assert plan.actions == (("a", ("b",), ()),)
+        assert plan.checks == (hyps[0],)
         v = plan.sample(seed=4)
         assert v["a"] == v["b"]
+
+    def test_split_cycle_draws_the_part_first_reached(self):
+        # Each split would solve the part the other one solves from.
+        variables, hyps = hypothesis_set("split-cycle")
+        plan = SamplingPlan(variables, hyps)
+        assert plan.draws == ("q",)
+        assert plan.actions == (("p", ((0, 0, 1),), ("q",)),)
+        assert plan.checks == (hyps[0],)
 
     def test_pinned_whole_is_split(self):
         v = random_valuation(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")], seed=8)
@@ -426,16 +542,17 @@ def test_draw_stream_matches_randint():
 def _reference_sample(plan, seed, budget):
     """SamplingPlan.sample before construction was trusted: every candidate
     is checked against every hypothesis, drawing with randint."""
-    if plan.impossible:
+    if plan.refuted is not None:
+        assert not eval_judgment(plan.refuted, {**dict.fromkeys(plan.variables, R), **plan.fixed})
         raise Unsatisfied(budget)
     rng = random.Random(seed)
     for _ in range(budget):
         values = dict(plan.fixed)
-        for root in plan.draws:
-            values[root] = _reference_angle(rng)
-        if not plan._derive(values):
+        for name in plan.draws:
+            values[name] = _reference_angle(rng)
+        if not semantics._apply(plan.actions, values):
             continue
-        valuation = {n: values[r] for n, r in plan.roots}
+        valuation = {n: values[n] for n in plan.variables}
         if all(eval_judgment(h, valuation) for h in plan.hypotheses):
             return valuation
     raise Unsatisfied(budget)
@@ -475,7 +592,14 @@ def test_construction_leaves_only_open_hypotheses_to_check():
     open_lt = Lt(multiset(b), multiset(c))
     hyps = [Split(a, b, c), Split("d", a, "e"), Congr(b, "e"), Congr("e", ang(1, 3)),
             Eq(multiset(c), multiset(ang(1, 3), ang(1, 3))), open_lt]
-    assert SamplingPlan(_NAMES, hyps).checks == (open_lt,)
+    # The pins fix b, c and e when the plan is built, which decides the Lt
+    # then; a = b + c is three times ang(1/3), past pi, so nothing is drawn.
+    plan = SamplingPlan(_NAMES, hyps)
+    assert plan.fixed == {"e": ang(1, 3), "c": ang(-4, 3), "b": ang(1, 3)}
+    assert (plan.checks, plan.refuted) == ((), hyps[0])
+    # Unpinned, e is set to the drawn b, and only the Lt is left open.
+    unpinned = SamplingPlan(_NAMES, hyps[:3] + hyps[4:])
+    assert (unpinned.draws, unpinned.checks, unpinned.refuted) == (("b",), (open_lt,), None)
     # One of the two splits has its root drawn to break the cycle.
     assert len(SamplingPlan(("a", "b", "c"), cyclic).checks) == 1
 
@@ -830,27 +954,39 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
     for step in d.steps:
         lhs, rhs = step.judgment.lhs.counts(), step.judgment.rhs.counts()
         sides |= {frozenset((lhs - rhs).items()), frozenset((rhs - lhs).items())}
-    calls = 0
+    calls = {True: 0, False: 0}  # by whether the sampler made them
+    sampling = False
     total = kernel._total
+    sample = semantics.random_valuation
 
     def counted(triples):
-        nonlocal calls
-        calls += 1
+        calls[sampling] += 1
         return total(triples)
+
+    def counted_sample(*args, **kwargs):
+        nonlocal sampling
+        sampling = True
+        try:
+            return sample(*args, **kwargs)
+        finally:
+            sampling = False
 
     # The kernel's own name too, so that totals reached through
     # sum_multiset are counted as well.
     monkeypatch.setattr(kernel, "_total", counted)
     monkeypatch.setattr(semantics, "_total", counted)
+    monkeypatch.setattr(semantics, "random_valuation", counted_sample)
     trials = 50
     report = model_check_derivation(d, trials=trials, seed=7)
     assert (report.satisfied, report.counterexample) == (trials, None)
     assert len(sides) == 8
-    # Each distinct cancelled side at most once a trial; summing every
-    # judgment's two sides would make 2 * 30 calls a trial.  At least one
-    # call a trial: a walk that stopped calling _total through the module
-    # would pass the bound with none.
-    assert trials <= calls <= trials * len(sides)
+    # The walk sums each distinct cancelled side at most once a trial;
+    # summing every judgment's two sides would make 2 * 30 calls a trial.
+    # At least one call a trial: a walk that stopped calling _total through
+    # the module would pass the bound with none.
+    assert trials <= calls[False] <= trials * len(sides)
+    # The sampler composes w1 and w2, one sum each, on every candidate.
+    assert calls[True] >= 2 * trials
 
 
 # ---------------------------------------------------------------------------
