@@ -9,12 +9,12 @@ asserting every step's judgment; a failure is a counterexample to the rule
 set, not an exception.
 
 Valuations are generated by construction rather than by filtering: a
-:class:`SamplingPlan`, built once per hypothesis set, draws some variables
-and derives the rest by one action, which sets a variable occurring once in
-an equality to the other side's total minus the rest of its own side (a
-split's whole is composed from its parts, a part is split off a known
-whole).  A candidate is then checked only against the hypotheses
-construction does not guarantee (Lt, unsolved and cycle-broken ones).
+:class:`SamplingPlan`, built once per hypothesis set, solves each equality
+it can for a variable occurring once, as the other side's total minus the
+rest of its own side, and substitutes that into the comparisons left.  The
+other variables are drawn.  What is left without names, or as an Lt with
+an empty side, is decided when the plan is built; a candidate is checked
+only against the rest.
 
 A derivation's steps are compiled once per model check.  The measure is
 additive, so every judgment compares the same way once the terms common to
@@ -74,10 +74,11 @@ class UnboundVariable(KeyError):
 
 
 class Unsatisfied(Exception):
-    """The retry budget ran out before the hypotheses held.
+    """No valuation met the hypotheses.
 
-    Signals that the hypothesis set resisted sampling, not that it is
-    unsatisfiable.
+    ``attempts`` candidates were rejected: the hypothesis set resisted
+    sampling, which does not show it unsatisfiable.  0 attempts means the
+    hypotheses were proven unsatisfiable when the sampling plan was built.
     """
 
     def __init__(self, attempts: int):
@@ -229,27 +230,43 @@ def _random_angle(rng: random.Random) -> AngleLit:
             return _ANGLES[x][y - _COORD_RANGE - 1]
 
 
-def _unknown(lhs: tuple, rhs: tuple, free: Mapping[str, int]) -> Optional[tuple[int, str, tuple, tuple]]:
+def _unknown(lhs: tuple, rhs: tuple, written: tuple[tuple, tuple], names: Sequence[str]
+             ) -> Optional[tuple[int, str, tuple, tuple]]:
     """What the cancelled equality ``lhs = rhs`` is solved for, as
     ``(preference, variable, terms summed, terms subtracted)``, or None.
 
-    ``free`` maps each unsolved variable to its place.  A lone variable side
-    comes first, ranked 0 when the other side has no names, 1 when it has
-    several terms and 2 when it has one; of two, the later is set to the
-    earlier.  Otherwise (3) it is the last variable written that occurs once.
+    It is a variable that occurs once, ranked by the equality as ``written``
+    (cancelled, with nothing substituted).  A lone variable side comes first,
+    ranked 0 when the other side has no names, 1 when it has several terms
+    and 2 when it has one; of two, the later in ``names`` is set to the
+    earlier.  Otherwise (3) it is the last variable written once, and after
+    those the last that substitution brought in.
     """
-    lone = [(side[0], other) for side, other in ((lhs, rhs), (rhs, lhs)) if len(side) == 1 and side[0] in free]
-    if lone:
-        name, other = max(lone, key=lambda pair: free[pair[0]])
-        named = any(isinstance(t, str) for t in other)
-        return (1 if len(other) > 1 else 2) if named else 0, name, other, ()
-    terms = lhs + rhs
-    for k in range(len(terms) - 1, -1, -1):
+    terms, spelled = lhs + rhs, written[0] + written[1]
+    once = [k for k, t in enumerate(terms) if isinstance(t, str) and terms.count(t) == 1]
+    if not once:
+        return None
+    lone = {side[0]: other for side, other in (written, written[::-1]) if len(side) == 1}
+
+    def rank(k: int) -> tuple:  # the least is solved for
         t = terms[k]
-        if t in free and terms.count(t) == 1:
-            own, other, k = (lhs, rhs, k) if k < len(lhs) else (rhs, lhs, k - len(lhs))
-            return 3, t, other, own[:k] + own[k + 1:]
-    return None
+        if t in lone:
+            named = any(isinstance(u, str) for u in lone[t])
+            return (1 if len(lone[t]) > 1 else 2) if named else 0, -names.index(t)
+        return 3, -spelled.index(t) if spelled.count(t) == 1 else 1, -k
+
+    (preference, *_), k = min((rank(k), k) for k in once)
+    own, other, k = (lhs, rhs, k) if k < len(lhs) else (rhs, lhs, k - len(lhs))
+    return preference, own[k], other, own[:k] + own[k + 1:]
+
+
+def _substituted(lhs: tuple, rhs: tuple, target: str, summed: tuple, subtracted: tuple) -> tuple[tuple, tuple]:
+    """``lhs`` and ``rhs`` with each ``target`` replaced by ``summed`` and
+    ``subtracted`` added to the other side, which keeps the order of their
+    totals, and cancelled again."""
+    m, n = lhs.count(target), rhs.count(target)
+    return _cancel(tuple(t for t in lhs if t != target) + summed * m + subtracted * n,
+                   tuple(t for t in rhs if t != target) + summed * n + subtracted * m)
 
 
 def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
@@ -274,27 +291,26 @@ def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
 class SamplingPlan:
     """How to construct valuations of ``variables`` that satisfy ``hypotheses``.
 
-    Built once per hypothesis set, from each hypothesis's comparison
-    (:func:`eukleia.calculus.comparison`) with its common terms cancelled.
-    The plan has one action: in an equality, a variable that occurs once is
-    set to the other side's total minus the rest of its own side, and the
-    candidate is rejected unless that is an angle, in (0, pi).  Composing a
-    split's whole is the case with an empty rest; solving a part from its
-    whole, the case with one term subtracted.  Each equality solves for at
-    most one variable and each variable is solved at most once, preferring
-    over all equalities (see :func:`_unknown`): a lone variable side equal to
-    literals only (a pin), then to several terms, then to one term, and
-    otherwise the last variable written that occurs once.
+    Built once per hypothesis set, by elimination over each hypothesis's
+    comparison (:func:`eukleia.calculus.comparison`) with its common terms
+    cancelled.  Equalities are solved in hypothesis order, in passes of
+    preference (see :func:`_unknown`): a lone variable side equal to
+    literals only (a pin), then to several terms, then to one term, and then
+    any variable that occurs once.  A solved variable is set to the other
+    side's total minus the rest of its own side, and that is substituted
+    into every comparison not yet solved, which is cancelled again.  Values
+    are set in the reverse order of solving, each after its inputs, and a
+    candidate is rejected unless each is an angle, in (0, pi).  The
+    variables never solved are drawn, one draw each in the order of
+    ``variables``.
 
-    The other variables are drawn, one draw each in the order of
-    ``variables``, and so is one variable on each dependency cycle, leaving
-    its equality to the final check.  Values no draw affects are ``fixed``
-    when the plan is built, and so is every hypothesis they alone decide:
-    ``refuted`` is the first found false, and a refuted plan draws nothing.
-    The rest, in ``checks`` (Lt hypotheses and equalities left unsolved),
-    are interned in the plan's own comparison table, and each must hold
-    there, with the truth :func:`eval_judgment` gives, before a candidate is
-    returned.
+    Values no draw affects are ``fixed`` when the plan is built.  So is the
+    truth of a comparison left with no names, and of an Lt with an empty
+    side, since a side with names totals above zero: ``refuted`` is the
+    first hypothesis found false, and a refuted plan draws nothing.  The
+    rest, in ``checks``, are interned in the plan's own comparison table,
+    and each must hold there, with the truth :func:`eval_judgment` gives,
+    before a candidate is returned.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -303,64 +319,44 @@ class SamplingPlan:
         self._table = _Comparisons(names)
         tests = [self._table.intern(h) for h in self.hypotheses]  # UnboundVariable for a stray name
 
-        # The equalities not yet solved for a variable, by hypothesis index,
-        # and rules[target] = (that index, terms summed, terms subtracted).
-        equalities = {i: _cancel(_triples(lhs), _triples(rhs))
-                      for i, (lhs, rhs, wanted) in enumerate(map(comparison, self.hypotheses))
-                      if wanted is Ordering.EQUAL}
-        rules: dict[str, tuple[int, tuple, tuple]] = {}
-        free = {n: k for k, n in enumerate(names)}
+        # Each hypothesis's cancelled comparison as written, and each one not
+        # solved for a variable with every solved variable substituted.
+        written = [(*_cancel(_triples(lhs), _triples(rhs)), wanted)
+                   for lhs, rhs, wanted in map(comparison, self.hypotheses)]
+        unsolved = dict(enumerate(written))
+        solved = {}  # target: (hypothesis index, terms summed, terms subtracted), in order of solving
         for preference in range(4):
-            for i, (lhs, rhs) in list(equalities.items()):
-                found = _unknown(lhs, rhs, free)
+            for i in list(unsolved):
+                lhs, rhs, wanted = unsolved[i]
+                found = _unknown(lhs, rhs, written[i][:2], names) if wanted is Ordering.EQUAL else None
                 if found is not None and found[0] <= preference:
                     _, target, summed, subtracted = found
-                    rules[target] = (i, summed, subtracted)
-                    del free[target], equalities[i]
+                    solved[target] = (i, summed, subtracted)
+                    del unsolved[i]
+                    for k, (lhs, rhs, wanted) in unsolved.items():
+                        unsolved[k] = (*_substituted(lhs, rhs, target, summed, subtracted), wanted)
 
-        def inputs(target: str) -> list[str]:
-            _, summed, subtracted = rules[target]
-            return [t for t in summed + subtracted if isinstance(t, str)]
-
-        # Apply the rules in an order where every input is known first; a
-        # rule whose inputs are all fixed fixes its target too.
-        known, drawn = set(free), set(free)
-        pending = list(rules)
+        # A target's inputs are drawn or solved after it; a target whose
+        # inputs are all fixed is fixed too.
         fixed: dict[str, AngleLit] = {}
-        actions, exact, refuted = [], set(), []
-        while pending:
-            ready = [r for r in pending if known.issuperset(inputs(r))]
-            if not ready:
-                # Every unknown input is a pending target; following unknown
-                # inputs from any pending target must enter a cycle.
-                r, seen = pending[0], set()
-                while r not in seen:
-                    seen.add(r)
-                    r = next(t for t in inputs(r) if t not in known)
-                drawn.add(r)
-                known.add(r)
-                pending.remove(r)
-                continue
-            for r in ready:
-                i, summed, subtracted = rules[r]
-                exact.add(i)  # holds for every candidate built
-                if not all(t in fixed for t in inputs(r)):
-                    actions.append((r, summed, subtracted))
-                elif not _apply([(r, summed, subtracted)], fixed):
-                    refuted.append(i)
-            known.update(ready)
-            pending = [r for r in pending if r not in known]
-
-        holds, sides, checks = self._table.evaluator(fixed), self._table.sides, []
-        for i, test in enumerate(tests):
-            _, lhs, rhs = self._table.tests[test]
-            if i in exact:
-                continue
-            if any(isinstance(t, str) and t not in fixed for t in sides[lhs] + sides[rhs]):
-                checks.append(i)
-            elif not holds(test):
+        actions, refuted, checks = [], [], []
+        for target, (i, summed, subtracted) in reversed(solved.items()):
+            if any(isinstance(t, str) and t not in fixed for t in summed + subtracted):
+                actions.append((target, summed, subtracted))
+            elif not _apply([(target, summed, subtracted)], fixed):
                 refuted.append(i)
-        self.draws = tuple(n for n in names if n in drawn)
+        # The rest name drawn variables only.  With none left, the literals
+        # decide.  Every angle is positive, so Lt X {} is false and Lt {} X
+        # true.
+        for i, (lhs, rhs, wanted) in unsolved.items():
+            if not any(isinstance(t, str) for t in lhs + rhs):
+                if _order(_side_total(lhs, {}), _side_total(rhs, {})) is not wanted:
+                    refuted.append(i)
+            elif wanted is Ordering.EQUAL or (lhs and rhs):
+                checks.append(i)
+            elif lhs:
+                refuted.append(i)
+        self.draws = tuple(n for n in names if n not in solved)
         self.actions = tuple(actions)
         self.fixed = fixed
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
@@ -371,7 +367,7 @@ class SamplingPlan:
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates; return the first satisfying one."""
         if self.refuted is not None:
-            raise Unsatisfied(budget)
+            raise Unsatisfied(0)
         rng = random.Random(seed)
         tests = self._tests
         for _ in range(budget):
@@ -396,15 +392,16 @@ def random_valuation(
     Deterministic for a fixed seed.  Candidates are constructed by a
     :class:`SamplingPlan`: each equality (a Split, Congr or Eq) solved for
     one variable sets it to the other side's total minus the rest of its own
-    side, which composes split wholes, splits parts off known wholes and
-    pins or aliases by Congr; the remaining variables are drawn at random.
-    A candidate is rejected when a solved value is not an angle (a sum at or
-    past pi, a difference at or below zero) or when it fails a hypothesis
-    construction does not guarantee (an Lt, an unsolved or cycle-broken
-    one); every hypothesis holds for the valuation returned.  Raises
-    Unsatisfied once ``budget`` candidates have been rejected, and at once,
-    drawing nothing, when the values fixed by literals alone refute a
-    hypothesis.
+    side, with the variables solved before it substituted, which composes
+    split wholes, splits parts off known wholes and pins or aliases by
+    Congr; the remaining variables are drawn at random.  A candidate is
+    rejected when a solved value is not an angle (a sum at or past pi, a
+    difference at or below zero) or when it fails a hypothesis construction
+    does not guarantee (an Lt, or an equality no variable was solved from);
+    every hypothesis holds for the valuation returned.  Raises Unsatisfied
+    once ``budget`` candidates have been rejected, and at once, drawing
+    nothing, with ``attempts`` 0, when the plan refuted a hypothesis as it
+    was built.
 
     ``plan`` is a plan already built from these variables and hypotheses;
     passing one saves rebuilding it on every call.

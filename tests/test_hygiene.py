@@ -101,6 +101,34 @@ def test_prints_only_where_reports_are_rendered(path):
     assert not stray, ", ".join(stray)
 
 
+# The package reads one environment variable, in cli.corpus_dir; any other
+# setting is a command-line option, documented in README.
+ENVIRONMENT_READERS = [("cli.py", "corpus_dir")]
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module):
+    """The top-level definition (None for the module body) of each mention
+    of ``os.environ`` or ``os.getenv``, by attribute, name or import."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT)
+                    or (isinstance(node, ast.Name) and node.id in _ENVIRONMENT)
+                    or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and any(alias.name in _ENVIRONMENT for alias in node.names))):
+                yield owner
+
+
+def test_environment_read_only_for_the_corpus_dir():
+    reads = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for owner in _environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert reads == ENVIRONMENT_READERS
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    reader = next(top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "corpus_dir")
+    assert "os.environ.get(CORPUS_DIR_ENV)" in {ast.unparse(node) for node in ast.walk(reader) if isinstance(node, ast.Call)}
+
+
 def _pattern_sources(path: Path) -> set[str]:
     """The source of each compiled pattern at the module's top level, and of
     each string literal passed to a function of ``re``."""

@@ -21,6 +21,7 @@ from eukleia.calculus import (
     check_derivation,
     comparison,
     judgment_truth,
+    judgment_variables,
     multiset,
 )
 from eukleia.dsl import parse_proof
@@ -277,6 +278,10 @@ HYPOTHESIS_SCRIPTS = {
     "lt": "vars a b; hyp H: Lt {a} {b};",
     "pinned-whole": "vars w p q; hyp H1: Congr w R; hyp H2: Split w p q;",
     "split-cycle": "vars p q; hyp H1: Split R p q; hyp H2: Split R q p;",
+    # a = b + c, substituted into the equality, leaves b twice and c once.
+    "doubled-part": "vars a b c e; hyp H1: Split a b c; hyp H2: Eq {e, ang(-2/7), ang(-1/1)} {a, b, e};",
+    # The alias b = a, substituted into the split, leaves a part of a literal.
+    "aliased-part": "vars a b; hyp H1: Split ang(-2/7) b R; hyp H2: Eq {b} {a};",
 }
 
 
@@ -390,17 +395,19 @@ GOLDEN = {
         {"w": (0, 1), "p": (11, 9), "q": (9, 11)},
         {"w": (0, 1), "p": (9, 19), "q": (19, 9)},
     ],
+    # Re-recorded when the plan began substituting each solved equality into
+    # the others: p is drawn, q is R minus p, and the second split is implied.
     "split-cycle": [
-        {"p": (3, 2), "q": (2, 3)},
-        {"p": (5, 4), "q": (4, 5)},
-        {"p": (1, 4), "q": (4, 1)},
-        {"p": (6, 1), "q": (1, 6)},
-        {"p": (14, 13), "q": (13, 14)},
-        {"p": (13, 2), "q": (2, 13)},
-        {"p": (3, 10), "q": (10, 3)},
-        {"p": (6, 7), "q": (7, 6)},
-        {"p": (9, 11), "q": (11, 9)},
-        {"p": (19, 9), "q": (9, 19)},
+        {"p": (2, 3), "q": (3, 2)},
+        {"p": (4, 5), "q": (5, 4)},
+        {"p": (4, 1), "q": (1, 4)},
+        {"p": (1, 6), "q": (6, 1)},
+        {"p": (13, 14), "q": (14, 13)},
+        {"p": (2, 13), "q": (13, 2)},
+        {"p": (10, 3), "q": (3, 10)},
+        {"p": (7, 6), "q": (6, 7)},
+        {"p": (11, 9), "q": (9, 11)},
+        {"p": (9, 19), "q": (19, 9)},
     ],
 }
 
@@ -412,6 +419,7 @@ def test_golden_valuations(name):
         v = random_valuation(variables, hyps, seed=seed)
         assert list(v) == list(expected)
         assert {k: (a.x, a.y) for k, a in v.items()} == expected, f"seed {seed}"
+        assert all(eval_judgment(h, v) for h in hyps), f"seed {seed}"
 
 
 def _count_draws(monkeypatch):
@@ -438,12 +446,12 @@ def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
 
 
 def test_equality_onto_a_pinned_side_is_solved(monkeypatch):
-    # d is pinned, so c is solved as d minus b.  Drawn and checked instead,
-    # the equality would hold for almost no candidate.
+    # d is pinned, and substituted, so c is solved as R minus b.  Drawn and
+    # checked instead, the equality would hold for almost no candidate.
     d = parse_proof("vars b c d; hyp H1: Congr d R; hyp H2: Eq {c, b} {d}; S1: Eq {b, c} {d} by hypothesis H2;")
     hyps = [h.judgment for h in d.hypotheses]
     plan = SamplingPlan(d.variables, hyps)
-    assert (plan.draws, plan.actions, plan.checks) == (("b",), (("c", ("d",), ("b",)),), ())
+    assert (plan.draws, plan.actions, plan.checks) == (("b",), (("c", ((0, 0, 1),), ("b",)),), ())
     draws = _count_draws(monkeypatch)
     report = model_check_derivation(d, trials=200, seed=7)
     assert (report.satisfied, report.counterexample) == (200, None)
@@ -454,23 +462,46 @@ def test_equality_onto_a_pinned_side_is_solved(monkeypatch):
         assert all(eval_judgment(h, v) for h in hyps)
 
 
-# Hypotheses that their literals alone refute.
+# Equalities sharing an unknown, each of which would take b if solved alone:
+# what the plan draws and fixes, and the most draws a satisfied trial takes.
+SHARED_UNKNOWNS = {
+    "doubled-part": (("b", "e"), {}, 10),
+    "aliased-part": ((), {"a": ang(7, 2), "b": ang(7, 2)}, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_UNKNOWNS))
+def test_equalities_sharing_an_unknown_are_all_solved(name, monkeypatch):
+    drawn, fixed, most = SHARED_UNKNOWNS[name]
+    plan = SamplingPlan(*hypothesis_set(name))
+    assert (plan.draws, plan.fixed, plan.checks, plan.refuted) == (drawn, fixed, (), None)
+    draws = _count_draws(monkeypatch)
+    report = model_check_derivation(parse_proof(HYPOTHESIS_SCRIPTS[name]), trials=200, seed=7)
+    assert (report.satisfied, report.counterexample) == (200, None)
+    # Each candidate draws every variable in plan.draws through the module.
+    assert len(drawn) * report.satisfied <= draws[0] <= most * report.satisfied
+
+
+# Hypotheses the plan refutes when it is built: by their literals, or, once
+# the solved equalities are substituted, by angles being positive.
 REFUTED_SCRIPTS = {
     "false": "hyp H1: False;",
     "literal-congr": "hyp H1: Congr R ang(1/1);",
     "two-pins": "hyp H1: Congr x R; hyp H2: Congr x ang(1/1);",
     "two-right-angles": "hyp H1: Eq {x} {R, R};",
+    "part-over-whole": "hyp H1: Split x y z; hyp H2: Lt {x} {y};",
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUTED_SCRIPTS))
 def test_hypotheses_refuted_by_literals_draw_nothing(name, monkeypatch):
-    d = parse_proof(f"vars x; {REFUTED_SCRIPTS[name]} S1: Eq {{x}} {{x}} by eqrefl;")
+    d = parse_proof(f"vars x y z; {REFUTED_SCRIPTS[name]} S1: Eq {{x}} {{x}} by eqrefl;")
     hyps = [h.judgment for h in d.hypotheses]
     assert SamplingPlan(d.variables, hyps).refuted == hyps[-1]
     draws = _count_draws(monkeypatch)
-    with pytest.raises(Unsatisfied):
+    with pytest.raises(Unsatisfied) as exc:
         random_valuation(d.variables, hyps, seed=0)
+    assert exc.value.attempts == 0
     report = model_check_derivation(d, trials=1000, seed=7)
     assert (report.trials, report.satisfied, report.vacuous) == (3, 0, True)
     assert draws == [0]
@@ -494,24 +525,25 @@ class TestSamplingPlan:
             v = random_valuation(names, hyps, seed=seed, plan=plan)
             assert add_two(v["p"], v["q"]) == v["w"] == add_two(v["r"], v["s"])
 
-    def test_cycle_falls_back_to_drawing(self):
+    def test_second_equality_of_a_pair_is_implied(self):
         hyps = [Eq(multiset(a), multiset(b)), Eq(multiset(b), multiset(a))]
-        # Each equality sets the later of its two lone variables, b, to the
-        # other, and the second one, solving a from b, closes the cycle.
+        # The first equality sets the later of its two lone variables, b, to
+        # the other; substituted, the second one cancels to {} = {}.
         plan = SamplingPlan(("a", "b"), hyps)
-        assert plan.draws == ("b",)
-        assert plan.actions == (("a", ("b",), ()),)
-        assert plan.checks == (hyps[0],)
+        assert plan.draws == ("a",)
+        assert plan.actions == (("b", ("a",), ()),)
+        assert (plan.checks, plan.refuted) == ((), None)
         v = plan.sample(seed=4)
         assert v["a"] == v["b"]
 
-    def test_split_cycle_draws_the_part_first_reached(self):
-        # Each split would solve the part the other one solves from.
+    def test_split_cycle_solves_one_part_and_implies_the_other_split(self):
+        # Each split could solve the part the other one solves from; the
+        # first solves q, and the second, with q substituted, cancels.
         variables, hyps = hypothesis_set("split-cycle")
         plan = SamplingPlan(variables, hyps)
-        assert plan.draws == ("q",)
-        assert plan.actions == (("p", ((0, 0, 1),), ("q",)),)
-        assert plan.checks == (hyps[0],)
+        assert plan.draws == ("p",)
+        assert plan.actions == (("q", ((0, 0, 1),), ("p",)),)
+        assert (plan.checks, plan.refuted) == ((), None)
 
     def test_pinned_whole_is_split(self):
         v = random_valuation(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")], seed=8)
@@ -543,8 +575,16 @@ def _reference_sample(plan, seed, budget):
     """SamplingPlan.sample before construction was trusted: every candidate
     is checked against every hypothesis, drawing with randint."""
     if plan.refuted is not None:
-        assert not eval_judgment(plan.refuted, {**dict.fromkeys(plan.variables, R), **plan.fixed})
-        raise Unsatisfied(budget)
+        if judgment_variables(plan.refuted) <= plan.fixed.keys():
+            assert not eval_judgment(plan.refuted, plan.fixed)
+        else:
+            # False only together with the equalities solved before it: plain
+            # rejection sampling finds no valuation either.
+            rng = random.Random(seed)
+            for _ in range(budget):
+                valuation = {n: _reference_angle(rng) for n in plan.variables}
+                assert not all(eval_judgment(h, valuation) for h in plan.hypotheses)
+        raise Unsatisfied(0)
     rng = random.Random(seed)
     for _ in range(budget):
         values = dict(plan.fixed)
@@ -600,7 +640,8 @@ def test_construction_leaves_only_open_hypotheses_to_check():
     # Unpinned, e is set to the drawn b, and only the Lt is left open.
     unpinned = SamplingPlan(_NAMES, hyps[:3] + hyps[4:])
     assert (unpinned.draws, unpinned.checks, unpinned.refuted) == (("b",), (open_lt,), None)
-    # One of the two splits has its root drawn to break the cycle.
+    # With a = b + c substituted, the second split cancels to {} = {c, c},
+    # an equality no variable can be solved from: it stays a check.
     assert len(SamplingPlan(("a", "b", "c"), cyclic).checks) == 1
 
 
@@ -884,12 +925,12 @@ class TestCompiledSteps:
         def refuse(j, valuation):
             raise AssertionError(f"eval_judgment called on {j}")
 
-        # The sampler tests its open checks through its own table too: prop16's
-        # Lts, and a split whose part is drawn to break the cycle of two
-        # splits solving each other's parts.
+        # The sampler tests its open checks through its own table too:
+        # prop16's Lts.  Of two splits solving each other's parts, the second
+        # is implied once the first is substituted, and leaves no check.
         plans = [SamplingPlan(*hypothesis_set("prop16")),
                  SamplingPlan(("p", "q"), [Split(R, "p", "q"), Split(R, "q", "p")])]
-        assert [len(plan.checks) for plan in plans] == [2, 1]
+        assert [len(plan.checks) for plan in plans] == [2, 0]
         samples = [[_reference_sample(plan, seed, budget=200) for seed in range(20)] for plan in plans]
 
         monkeypatch.setattr(semantics, "eval_judgment", refuse)
