@@ -232,7 +232,7 @@ class Hypothesis:
     judgment: Judgment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Step:
     """One proof line: a judgment, the rule that licenses it, and the cited
     premise labels.  A Cases step additionally carries the compared pair and
@@ -245,6 +245,21 @@ class Step:
     case_pair: Optional[tuple[MultisetExpr, MultisetExpr]] = None
     branches: tuple[tuple["Step", ...], ...] = ()
     span: Optional["SourceSpan"] = field(default=None, compare=False, repr=False)
+
+    def __init__(self, label: str, judgment: Judgment, rule: Rule, premises: tuple[str, ...] = (),
+                 case_pair: Optional[tuple[MultisetExpr, MultisetExpr]] = None,
+                 branches: tuple[tuple["Step", ...], ...] = (), span: Optional["SourceSpan"] = None):
+        # Written directly, as kernel._reduced does: the frozen class's
+        # __setattr__ refuses, and the generated __init__'s call of
+        # object.__setattr__ per field is slower.
+        fields = self.__dict__
+        fields["label"] = label
+        fields["judgment"] = judgment
+        fields["rule"] = rule
+        fields["premises"] = premises
+        fields["case_pair"] = case_pair
+        fields["branches"] = branches
+        fields["span"] = span
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,9 @@ class Context:
         self._entries: dict[str, Judgment] = {}
         self._parent = parent
         self.declared: frozenset[str] = parent.declared if parent is not None else frozenset(declared or ())
+        # Each expression object whose names are all declared, by id, shared
+        # with the root context; holding the object keeps its id from reuse.
+        self._declared_sides: dict[int, MultisetExpr] = parent._declared_sides if parent is not None else {}
 
     def lookup(self, label: str) -> Optional[Judgment]:
         ctx: Optional[Context] = self
@@ -291,6 +309,25 @@ class Context:
 
     def bind(self, label: str, judgment: Judgment) -> None:
         self._entries[label] = judgment
+
+    def undeclared(self, j: Judgment) -> Optional[str]:
+        """The least name in ``j`` that is not declared, or None.  A side of
+        an Eq or Lt, often one object restated by many steps, is scanned
+        until it is found to name declared variables only."""
+        if isinstance(j, (Eq, Lt)):
+            known = self._declared_sides
+            stray: list[str] = []
+            for side in (j.lhs, j.rhs):
+                if id(side) not in known:
+                    names = [t for t in side.terms if isinstance(t, str) and t not in self.declared]
+                    if names:
+                        stray += names
+                    else:
+                        known[id(side)] = side
+        else:
+            lhs, rhs, _ = comparison(j)
+            stray = [t for t in lhs + rhs if isinstance(t, str) and t not in self.declared]
+        return min(stray) if stray else None  # min's default= keyword would cost more than the memo saves
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +357,9 @@ def check_step(step: Step, context: Context) -> None:
 
     if context.defines(step.label):
         fail("duplicate label")
-    undeclared = judgment_variables(step.judgment) - context.declared
-    if undeclared:
-        fail(f"undeclared variable {sorted(undeclared)[0]!r}")
+    stray = context.undeclared(step.judgment)
+    if stray is not None:
+        fail(f"undeclared variable {stray!r}")
 
     premises: list[Judgment] = []
     for ref in step.premises:
@@ -464,9 +501,9 @@ def _check_cases(step: Step, context: Context, fail) -> None:
     if len(step.branches) != 3:
         fail("cases needs exactly three branches")
     m, n = step.case_pair
-    undeclared = judgment_variables(Eq(m, n)) - context.declared
-    if undeclared:
-        fail(f"undeclared variable {sorted(undeclared)[0]!r}")
+    stray = context.undeclared(Eq(m, n))
+    if stray is not None:
+        fail(f"undeclared variable {stray!r}")
     for idx, (branch, hyp) in enumerate(zip(step.branches, case_hypotheses(m, n)), start=1):
         if not branch:
             fail(f"branch {idx} is empty")
@@ -485,9 +522,9 @@ def check_derivation(derivation: Derivation) -> None:
     for h in derivation.hypotheses:
         if ctx.defines(h.label):
             raise StepError(h.label, "duplicate label")
-        undeclared = judgment_variables(h.judgment) - ctx.declared
-        if undeclared:
-            raise StepError(h.label, f"undeclared variable {sorted(undeclared)[0]!r}")
+        stray = ctx.undeclared(h.judgment)
+        if stray is not None:
+            raise StepError(h.label, f"undeclared variable {stray!r}")
         ctx.bind(h.label, h.judgment)
     for s in derivation.steps:
         check_step(s, ctx)

@@ -9,11 +9,12 @@ right angle.
 One regular expression, ``_TOKEN``, defines the tokens: IDENT is a letter or
 ``_`` followed by alphanumerics and ``_``; INT is ``-?[0-9]+`` (ASCII digits);
 each of ``{ } ( ) , : ; /`` is a token whose kind is the character itself.
-Blanks and newlines separate tokens, ``#`` starts a comment running to the
-end of the line, and any other character is a parse error.  The lexer keeps
-each token's text and start offset; line and column are computed from the
-offsets, with the newline offsets built once per parse, only for the spans
-that are reported: a parse error and each step label's ``Step.span``.
+Blanks and newlines separate tokens (each match skips the run before its
+token), ``#`` starts a comment running to the end of the line, and any other
+character is a parse error.  The lexer keeps each token's text and start
+offset; line and column are computed from the offsets, with the newline
+offsets built once per parse, only for the spans that are reported: a parse
+error and each step label's ``Step.span``.
 
 Grammar::
 
@@ -41,23 +42,35 @@ declares no names, so only one of ``R`` and ``ang`` literals, written without
 comments, is read this way.  Every other text, and every text with an error,
 goes to the token parser, which alone reports parse errors.
 
-A proof script (:func:`parse_proof`) is lexed with one more token class: a
-brace group holding no ``{ } # : ;`` and at least one non-blank character is
-one expression token.  Such a group is an expression wherever it stands,
-since a cases block holds steps, each with ``:`` and ``;``; ``{}`` and
-``{ }`` stay two tokens, as they may be empty blocks.  Each distinct
-expression text is read once per parse by the split reader, each distinct
-piece of it once too, and a repeated text is the same :class:`MultisetExpr`
-object.  A script with an expression text the reader turns down, or with any
-parse error, is read again by the single-token lexer and parser, the
-reference that alone reports errors, so the result is the same either way.
+A proof script (:func:`parse_proof`) is lexed with two more token classes,
+tried first:
+
+- a step token is one whole plain step, ``LABEL : (Eq|Lt) expr expr by RULE
+  REF* ;`` with each ``expr`` an expression token and only blanks between
+  the parts.  A cases, Split, Congr or False step, a hypothesis, and a step
+  with a comment or an empty ``{}`` inside are lexed as before.  The parser
+  reads a step token with one match of ``_STEP`` and makes the checks it
+  makes on a step read token by token, through the same helpers; a step
+  token is never an identifier, so it is never taken as a name, a label or
+  a reference.
+- an expression token is a brace group holding no ``{ } # : ;`` and at
+  least one non-blank character.  Such a group is an expression wherever it
+  stands, since a cases block holds steps, each with ``:`` and ``;``;
+  ``{}`` and ``{ }`` stay two tokens, as they may be empty blocks.
+
+Each distinct expression text is read once per parse by the split reader,
+each distinct piece of it once too, and a repeated text is the same
+:class:`MultisetExpr` object.  A script with an expression text the reader
+turns down, with a step token citing ``cases``, or with any parse error is
+read again by the single-token lexer and parser, the reference that alone
+reports errors, so the result is the same either way.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from typing import Collection, NamedTuple, Optional
 
 from .calculus import (
@@ -124,11 +137,12 @@ _JUDGMENTS = {"eq": (Eq, True, 2), "lt": (Lt, True, 2), "split": (Split, False, 
               "congr": (Congr, False, 2), "false": (Falsum, False, 0)}
 
 
-# One alternative per token class, tried in order: int, ident, punctuation,
-# comment, and any other character.  Blanks and newlines match no alternative,
-# so finditer skips them.  [^\W0-9] also admits numerals such as "²", "½", "Ⅷ"
-# and "٣", and a "-" before no digit is "other": _Parser rejects both.
-_TOKEN = re.compile(r"-?[0-9]+|[^\W0-9]\w*|[{}(),:;/]|#[^\n]*|[^ \t\r\n]")
+# One alternative per token class, tried in order after a run of blanks and
+# newlines, which the match skips: int, ident, punctuation, comment, and any
+# other character.  [^\W0-9] also admits numerals such as "²", "½", "Ⅷ" and
+# "٣", and a "-" before no digit is "other": _Parser rejects both.
+_TOKEN_CLASSES = r"-?[0-9]+|[^\W0-9]\w*|[{}(),:;/]|#[^\n]*|[^ \t\r\n]"
+_TOKEN = re.compile(r"[ \t\r\n]*(" + _TOKEN_CLASSES + ")")
 
 # First characters: of an int, of any token but an ident ("" is the end of
 # input), and of a valid token, which is one of those or an ident starting
@@ -137,30 +151,45 @@ _INT_STARTS = frozenset("-0123456789")
 _NOT_IDENT_STARTS = frozenset("{}(),:;/") | _INT_STARTS | {""}
 _TOKEN_STARTS = _NOT_IDENT_STARTS | {"_"}
 
+# An expression token, as the module docstring describes it.  The leading
+# blanks come before the first non-blank as a class of their own, so a group
+# that does not close tries each character once, with no backtracking between
+# two repeats.
+_EXPR = r"\{[ \t\r\n]*[^{}#:; \t\r\n][^{}#:;]*\}"
 
-# The script lexer's token pattern: an expression token, as the module
-# docstring describes it, or any token of _TOKEN.  The leading blanks come
-# before the first non-blank as a class of their own, so a group that does not
-# close tries each character once, with no backtracking between two repeats.
-_SCRIPT_TOKEN = re.compile(r"\{[ \t\r\n]*[^{}#:; \t\r\n][^{}#:;]*\}|" + _TOKEN.pattern)
+# A step token: one plain step, LABEL ":" ("Eq" | "Lt") expr expr "by" RULE
+# REF* ";", each expr an expression token and only blanks between the parts.
+# The groups are the label, the head, the two expressions, the rule and the
+# references, blanks included.
+_STEP = re.compile(r"([^\W0-9]\w*)[ \t\r\n]*:[ \t\r\n]*([Ee][Qq]|[Ll][Tt])[ \t\r\n]*(" + _EXPR
+                   + r")[ \t\r\n]*(" + _EXPR + r")[ \t\r\n]*[Bb][Yy][ \t\r\n]+([^\W0-9]\w*)"
+                   r"((?:[ \t\r\n]+[^\W0-9]\w*)*)[ \t\r\n]*;")
+
+# The script lexer's token pattern: a step token, an expression token, or any
+# token of _TOKEN, after a run of blanks.
+_SCRIPT_TOKEN = re.compile(r"[ \t\r\n]*(" + _STEP.pattern + "|" + _EXPR + "|" + _TOKEN_CLASSES + ")")
+
+_BLANKS = " \t\r\n"
 
 
 def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list[str], list[int]]:
     """The tokens of ``text``: their texts and start offsets, comments dropped,
     ending with the end of input, ``""``.  A token's kind follows from its
     first character: a punctuation mark is its own kind (``{`` followed by
-    more text is an expression token, which only ``_SCRIPT_TOKEN`` matches),
-    ``-`` or a digit starts an int, anything else an ident.  Tokens are not
-    validated here."""
+    more text is an expression token, and a text ending in ``;`` after more
+    is a step token; only ``_SCRIPT_TOKEN`` matches those), ``-`` or a digit
+    starts an int, anything else an ident.  Tokens are not validated here.
+    The match stops before the trailing blanks, so that no search starts in
+    a run of blanks that no token follows."""
     texts: list[str] = []
     starts: list[int] = []
-    matches = token.finditer(text)
+    matches = token.finditer(text, 0, len(text.rstrip(_BLANKS)))
     while chunk := list(islice(matches, 1024)):  # bounded: no match object outlives its chunk
-        texts += map(re.Match.group, chunk)
-        starts += map(re.Match.start, chunk)
+        texts += map(re.Match.group, chunk, repeat(1))
+        starts += map(re.Match.start, chunk, repeat(1))
     end = len(text)
     if "#" in text:  # every "#" starts a comment or is inside one
-        if texts[-1][0] == "#" and starts[-1] + len(texts[-1]) == end:
+        if texts[-1][0] == "#" and text.find("\n", starts[-1]) < 0:
             end = starts[-1]  # end of input right after a comment sits at the "#"
         kept = [word[0] != "#" for word in texts]
         texts, starts = list(compress(texts, kept)), list(compress(starts, kept))
@@ -170,8 +199,8 @@ def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list[str], list[int]]:
 
 
 class _TurnedDown(Exception):
-    """An expression token the split reader does not read: the script goes to
-    the reference parser."""
+    """An expression token the split reader does not read, or a step token
+    citing ``cases``: the script goes to the reference parser."""
 
 
 class _Parser:
@@ -219,9 +248,10 @@ class _Parser:
         self._pos += 1
 
     def _ident(self, what: str) -> str:
-        """Consume the next token, which must be an identifier (``what`` names it in errors)."""
+        """Consume the next token, which must be an identifier (``what`` names
+        it in errors); a step token, which ends in ``;``, is not one."""
         word = self._texts[self._pos]
-        if word[:1] in _NOT_IDENT_STARTS:
+        if word[:1] in _NOT_IDENT_STARTS or word[-1] == ";":
             raise self._unexpected(what)
         self._pos += 1
         return word
@@ -235,11 +265,33 @@ class _Parser:
 
     # -- names -------------------------------------------------------------
 
+    # Each check below is made by both readings of a step: token by token,
+    # and as one step token, whose parts all sit at token ``at``.
+
     def _name(self, what: str) -> str:
         word = self._ident(what)
-        if word.lower() in _RESERVED or word == "R":
-            raise ParseError(self._span(self._pos - 1), f"{word!r} is reserved and cannot name a {what}")
+        self._check_name(word, what, self._pos - 1)
         return word
+
+    def _check_name(self, word: str, what: str, at: int) -> None:
+        if word.lower() in _RESERVED or word == "R":
+            raise ParseError(self._span(at), f"{word!r} is reserved and cannot name a {what}")
+
+    def _check_depth(self, at: int) -> None:
+        if len(self._scope) - 1 > MAX_CASES_DEPTH:
+            raise ParseError(self._span(at), f"cases nested deeper than {MAX_CASES_DEPTH} levels")
+
+    def _rule(self, name: str, at: int) -> Rule:
+        rule = _RULES_BY_NAME.get(name.lower())
+        if rule is None:
+            raise ParseError(self._span(at), f"unknown rule {name!r}")
+        return rule
+
+    def _check_reference(self, ref: str, at: int) -> None:
+        for frame in self._scope:
+            if ref in frame:
+                return
+        raise ParseError(self._span(at), f"unknown reference {ref!r}")
 
     def _declare_label(self, label: str, at: int) -> None:
         if label in self._labels:
@@ -252,14 +304,8 @@ class _Parser:
     def parse_expr(self) -> MultisetExpr:
         word = self._texts[self._pos]
         if len(word) > 1 and word[0] == "{":  # an expression token
-            expr = self._exprs.get(word)
-            if expr is None:
-                terms = _expr_terms(word, self._declared or (), self._terms)
-                if terms is None:
-                    raise _TurnedDown
-                expr = self._exprs[word] = MultisetExpr(tuple(terms))
             self._pos += 1
-            return expr
+            return self._read_expr(word)
         self._expect("{")
         terms: list[Term] = []
         if self._texts[self._pos] != "}":
@@ -269,6 +315,16 @@ class _Parser:
                 terms.append(self._parse_term())
         self._expect("}")
         return MultisetExpr(tuple(terms))
+
+    def _read_expr(self, word: str) -> MultisetExpr:
+        """The expression token ``word``, read by the split reader once per parse."""
+        expr = self._exprs.get(word)
+        if expr is None:
+            terms = _expr_terms(word, self._declared or (), self._terms)
+            if terms is None:
+                raise _TurnedDown
+            expr = self._exprs[word] = MultisetExpr(tuple(terms))
+        return expr
 
     def _int(self) -> int:
         word = self._texts[self._pos]
@@ -351,17 +407,16 @@ class _Parser:
 
     def _parse_step(self) -> Step:
         at = self._pos
+        word = self._texts[at]
+        if len(word) > 1 and word[-1] == ";":  # a step token
+            return self._read_step(word, at)
         label = self._name("step label")
-        if len(self._scope) - 1 > MAX_CASES_DEPTH:
-            raise ParseError(self._span(at), f"cases nested deeper than {MAX_CASES_DEPTH} levels")
+        self._check_depth(at)
         self._expect(":")
         judgment = self._parse_judgment()
         if not self._keyword("by"):
             raise self._unexpected("by")
-        rule_name = self._ident("rule name")
-        rule = _RULES_BY_NAME.get(rule_name.lower())
-        if rule is None:
-            raise ParseError(self._span(self._pos - 1), f"unknown rule {rule_name!r}")
+        rule = self._rule(self._ident("rule name"), self._pos - 1)
 
         case_pair: Optional[tuple[MultisetExpr, MultisetExpr]] = None
         branches: tuple[tuple[Step, ...], ...] = ()
@@ -383,8 +438,7 @@ class _Parser:
         else:
             while self._texts[self._pos][:1] not in _NOT_IDENT_STARTS:
                 ref = self._ident("reference")
-                if not any(ref in frame for frame in self._scope):
-                    raise ParseError(self._span(self._pos - 1), f"unknown reference {ref!r}")
+                self._check_reference(ref, self._pos - 1)
                 premises.append(ref)
 
         self._expect(";")
@@ -392,11 +446,28 @@ class _Parser:
         return Step(label, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
                     span=self._span(at))
 
+    def _read_step(self, word: str, at: int) -> Step:
+        """The step token ``word``, read with one match and checked as the
+        token path checks a step; one citing ``cases``, which a plain step
+        cannot, is turned down."""
+        label, head, lhs, rhs, rule_name, refs = _STEP.fullmatch(word).groups()
+        self._check_name(label, "step label", at)
+        self._check_depth(at)
+        rule = self._rule(rule_name, at)
+        if rule is Rule.CASES:
+            raise _TurnedDown
+        premises = tuple(refs.split())
+        for ref in premises:
+            self._check_reference(ref, at)
+        judgment = _JUDGMENTS[head.lower()][0](self._read_expr(lhs), self._read_expr(rhs))
+        self._declare_label(label, at)
+        self._pos += 1
+        return Step(label, judgment, rule, premises, span=self._span(at, len(label)))
+
 
 # The one term of an expression text that is neither a name nor "R": an "ang"
 # ( INT / INT ) literal, blanks allowed between its tokens as _TOKEN skips them.
 _ANG = re.compile(r"[aA][nN][gG][ \t\r\n]*\([ \t\r\n]*(-?[0-9]+)[ \t\r\n]*/[ \t\r\n]*(-?[0-9]+)[ \t\r\n]*\)")
-_BLANKS = " \t\r\n"
 
 
 def _expr_terms(text: str, declared: Collection[str] = (),

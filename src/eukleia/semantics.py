@@ -12,9 +12,9 @@ Valuations are generated by construction rather than by filtering: a
 :class:`SamplingPlan`, built once per hypothesis set, solves each equality
 it can for a variable occurring once, as the other side's total minus the
 rest of its own side, and substitutes that into the comparisons left.  The
-other variables are drawn.  What is left without names, or as an Lt with
-an empty side, is decided when the plan is built; a candidate is checked
-only against the rest.
+other variables are drawn.  A comparison without names, or with an empty
+side, is decided when the plan is built; a candidate is checked only
+against the rest.
 
 A derivation's steps are compiled once per model check.  The measure is
 additive, so every judgment compares the same way once the terms common to
@@ -269,6 +269,19 @@ def _substituted(lhs: tuple, rhs: tuple, target: str, summed: tuple, subtracted:
                    tuple(t for t in rhs if t != target) + summed * n + subtracted * m)
 
 
+def _decided(lhs: tuple, rhs: tuple, wanted: Ordering) -> Optional[bool]:
+    """The truth of the cancelled comparison of ``lhs`` with ``rhs`` under
+    every valuation, or None when it depends on the valuation.  Without
+    names the literals decide.  Every angle is positive, so a side with
+    names totals above an empty side: of the comparisons with an empty
+    side, only Lt {} X holds."""
+    if not any(isinstance(t, str) for t in lhs + rhs):
+        return _order(_side_total(lhs, {}), _side_total(rhs, {})) is wanted
+    if lhs and rhs:
+        return None
+    return wanted is Ordering.LESS and not lhs
+
+
 def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
     """Set each action's target to the total of its summed terms minus the
     total of its subtracted ones; False, at the first that is not an angle
@@ -305,12 +318,13 @@ class SamplingPlan:
     ``variables``.
 
     Values no draw affects are ``fixed`` when the plan is built.  So is the
-    truth of a comparison left with no names, and of an Lt with an empty
-    side, since a side with names totals above zero: ``refuted`` is the
-    first hypothesis found false, and a refuted plan draws nothing.  The
-    rest, in ``checks``, are interned in the plan's own comparison table,
-    and each must hold there, with the truth :func:`eval_judgment` gives,
-    before a candidate is returned.
+    truth of a comparison as soon as it has no names or an empty side
+    (:func:`_decided`), before a later substitution can fill that side; such
+    an equality is never solved.  ``refuted`` is the first hypothesis found
+    false, and a refuted plan draws nothing.  The rest, in ``checks``, are
+    interned in the plan's own comparison table, and each must hold there,
+    with the truth :func:`eval_judgment` gives, before a candidate is
+    returned.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -319,43 +333,51 @@ class SamplingPlan:
         self._table = _Comparisons(names)
         tests = [self._table.intern(h) for h in self.hypotheses]  # UnboundVariable for a stray name
 
-        # Each hypothesis's cancelled comparison as written, and each one not
-        # solved for a variable with every solved variable substituted.
+        # Each hypothesis's cancelled comparison as written, and each one
+        # neither solved for a variable nor decided, with every solved
+        # variable substituted.
         written = [(*_cancel(_triples(lhs), _triples(rhs)), wanted)
                    for lhs, rhs, wanted in map(comparison, self.hypotheses)]
-        unsolved = dict(enumerate(written))
+        unsolved: dict[int, tuple] = {}
+        refuted: list[int] = []
+
+        def settle(i: int, form: tuple) -> None:
+            truth = _decided(*form)
+            if truth is None:
+                unsolved[i] = form
+            else:
+                unsolved.pop(i, None)
+                if not truth:
+                    refuted.append(i)
+
+        for i, form in enumerate(written):
+            settle(i, form)
         solved = {}  # target: (hypothesis index, terms summed, terms subtracted), in order of solving
         for preference in range(4):
-            for i in list(unsolved):
-                lhs, rhs, wanted = unsolved[i]
+            for i in range(len(written)):
+                form = unsolved.get(i)
+                if form is None:
+                    continue
+                lhs, rhs, wanted = form
                 found = _unknown(lhs, rhs, written[i][:2], names) if wanted is Ordering.EQUAL else None
                 if found is not None and found[0] <= preference:
                     _, target, summed, subtracted = found
                     solved[target] = (i, summed, subtracted)
                     del unsolved[i]
-                    for k, (lhs, rhs, wanted) in unsolved.items():
-                        unsolved[k] = (*_substituted(lhs, rhs, target, summed, subtracted), wanted)
+                    for k, (lhs, rhs, wanted) in list(unsolved.items()):
+                        settle(k, (*_substituted(lhs, rhs, target, summed, subtracted), wanted))
 
         # A target's inputs are drawn or solved after it; a target whose
         # inputs are all fixed is fixed too.
         fixed: dict[str, AngleLit] = {}
-        actions, refuted, checks = [], [], []
+        actions = []
         for target, (i, summed, subtracted) in reversed(solved.items()):
             if any(isinstance(t, str) and t not in fixed for t in summed + subtracted):
                 actions.append((target, summed, subtracted))
             elif not _apply([(target, summed, subtracted)], fixed):
                 refuted.append(i)
-        # The rest name drawn variables only.  With none left, the literals
-        # decide.  Every angle is positive, so Lt X {} is false and Lt {} X
-        # true.
-        for i, (lhs, rhs, wanted) in unsolved.items():
-            if not any(isinstance(t, str) for t in lhs + rhs):
-                if _order(_side_total(lhs, {}), _side_total(rhs, {})) is not wanted:
-                    refuted.append(i)
-            elif wanted is Ordering.EQUAL or (lhs and rhs):
-                checks.append(i)
-            elif lhs:
-                refuted.append(i)
+        # The rest name drawn variables only, and neither side is empty.
+        checks = list(unsolved)
         self.draws = tuple(n for n in names if n not in solved)
         self.actions = tuple(actions)
         self.fixed = fixed

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -330,6 +331,39 @@ class TestDerivationChecking:
         with pytest.raises(StepError) as err:
             check_derivation(d)
         assert "undeclared" in err.value.reason
+
+    def test_undeclared_variable_named_is_the_least_of_the_judgment(self):
+        d = Derivation(variables=("a",), steps=(Step("S1", Eq(multiset(a, "z"), multiset("y", a)), Rule.EQ_REFL),))
+        with pytest.raises(StepError) as err:
+            check_derivation(d)
+        assert err.value.reason == "undeclared variable 'y'"
+
+    def test_a_side_found_declared_is_so_only_for_its_own_derivation(self):
+        # One expression object in two derivations: declared in the first,
+        # not in the second, and cited again after the first finds it clean.
+        side = multiset(a, b)
+        steps = (Step("S1", Eq(side, side), Rule.EQ_REFL), Step("S2", Lt(MultisetExpr(), side), Rule.WHOLE_PART))
+        check_derivation(Derivation(variables=(a, b), steps=steps))
+        with pytest.raises(StepError) as err:
+            check_derivation(Derivation(variables=(a,), steps=steps))
+        assert (err.value.label, err.value.reason) == ("S1", "undeclared variable 'b'")
+        with pytest.raises(StepError) as err:
+            check_derivation(Derivation(variables=(a,), steps=steps[1:]))
+        assert (err.value.label, err.value.reason) == ("S2", "undeclared variable 'b'")
+
+    def test_step_keeps_its_dataclass_behaviour(self):
+        step = Step("S1", Eq(multiset(a), multiset(a)), Rule.EQ_SYM, ("H1",), span=(1, 1, 2))
+        same = Step("S1", Eq(multiset(a), multiset(a)), Rule.EQ_SYM, premises=("H1",))
+        assert step == same and hash(step) == hash(same)
+        assert repr(step) == repr(same) == ("Step(label='S1', judgment=Eq(lhs=MultisetExpr(terms=('a',)), "
+                                            "rhs=MultisetExpr(terms=('a',))), rule=<Rule.EQ_SYM: 'eqsym'>, "
+                                            "premises=('H1',), case_pair=None, branches=())")
+        assert (step.span, same.span, same.case_pair, same.branches) == ((1, 1, 2), None, None, ())
+        assert dataclasses.replace(step, label="S2") == Step("S2", step.judgment, Rule.EQ_SYM, ("H1",))
+        assert [f.name for f in dataclasses.fields(Step)] == list(vars(step))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.label = "S2"
+        assert Step("S1", step.judgment, Rule.EQ_SYM) != Step("S1", step.judgment, Rule.EQ_REFL)
 
     def test_unknown_premise_rejected(self):
         d = Derivation(variables=("a",), steps=(Step("S1", Eq(multiset(a), multiset(a)), Rule.EQ_SYM, ("S9",)),))

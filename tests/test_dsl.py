@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
 from eukleia import dsl
-from eukleia.dsl import (_SCRIPT_TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
+from eukleia.dsl import (_SCRIPT_TOKEN, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
                          format_derivation, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
@@ -503,6 +504,15 @@ class TestLexer:
             for at, (_, word, line, column) in enumerate(_new_lex(text)):
                 assert parser._span(at) == SourceSpan(line, column, max(1, len(word)))
 
+    def test_trailing_blanks_are_not_searched(self):
+        # A search starting in a run of blanks that no token follows would
+        # scan to the end of the run and back: quadratic in its length.
+        text = "vars a;" + " \t\r\n" * 10_000
+        started = time.perf_counter()
+        for token in (_TOKEN, _SCRIPT_TOKEN):
+            assert _lex(text, token) == (["vars", "a", ";", ""], [0, 5, 6, len(text)])
+        assert time.perf_counter() - started < 1
+
     def test_end_of_input_after_a_comment_sits_at_the_hash(self):
         with pytest.raises(ParseError) as err:
             parse_expr("{a  # unclosed")
@@ -530,6 +540,11 @@ class TestPeakMemory:
         text = (CORPUS_DIR / "prop13.eap").read_text(encoding="utf-8")
         script = text * (500_000 // len(text) + 1)
         assert _peak_bytes(_lex, script) < 30 * len(script)
+
+    def test_lexing_500_kb_of_plain_steps(self):
+        step = "S{}: Eq {{a, b, ang(3/4)}} {{b, R, a}} by eqtrans S{} S{};\n"
+        script = "".join(step.format(i, i - 1, i - 2) for i in range(2, 500_000 // len(step) + 2))
+        assert _peak_bytes(lambda text: _lex(text, _SCRIPT_TOKEN), script) < 30 * len(script)
 
     def test_reading_a_13000_term_literal_operand(self):
         rng = random.Random(10)
@@ -761,6 +776,10 @@ class TestExpressionTokens:
     @example("vars;\nS1: Eq {R, ang(1 /\n 0)} {R} by eqrefl;\n")
     @example("vars;\nS1: Eq {ang(1/" + DIGITS_4400 + ")} {R} by eqrefl;\n")
     @example("vars a;\nS1: Lt {a} {a} by cases {a} {a} { } { S2: Eq {a} {a} by eqrefl; } {a};\n")
+    @example("vars a;\nhyp C6: Eq {a} {a};\nS1: Eq {a} {a} by hypothesis C6;;\n")
+    @example("vars a S1: Eq {a} {a} by eqrefl; ;")
+    @example("vars a;\nS1: Eq {a} {a} by eqrefl\nS2: Eq {a} {a} by eqrefl;\n")
+    @example("vars a;\nS1: Eq {a} {a # c\n} by eqrefl;\nS2: Eq {a} {a} by eqsym S1;\n")
     @given(proof_scripts())
     def test_generated_scripts_match_the_reference(self, text):
         _assert_matches_reference(text)
@@ -788,6 +807,43 @@ class TestExpressionTokens:
     def test_empty_braces_stay_two_tokens(self):
         texts, _ = _lex("{} { } {\n} {a} { a ,b\n}", _SCRIPT_TOKEN)
         assert texts == ["{", "}", "{", "}", "{", "}", "{a}", "{ a ,b\n}", ""]
+
+    def test_plain_steps_are_one_token(self):
+        # A plain Eq or Lt step with blanks only between its parts is one
+        # token; a hypothesis, a cases, Split or False step, a step with a
+        # comment or an empty {} inside, and a ";" alone are read as before.
+        steps = ["S1: Eq {a} {b} by eqrefl;", "S2 :lt{a}{ b }BY\taddboth S1  H1\r\n;", "é_1: eQ {a} {b} by x y z;"]
+        text = "\n".join(["vars a b;", "hyp H1: Eq {a} {b};", steps[0], ";", steps[1],
+                          "S3: Eq {a} {b} by cases {a} {b} {} {} {};", steps[2], "S4: Split a b b by x;",
+                          "S5: False by hypothesis S1;", "S6: Eq {a # c\n} {b} by eqrefl;", "S7: Eq {} {b} by eqrefl;",
+                          "S8: Eq {a} {b} byeqrefl;", "S9: Eq {a} {b} by eqrefl S1"])
+        texts, starts = _lex(text, _SCRIPT_TOKEN)
+        assert texts == ["vars", "a", "b", ";", "hyp", "H1", ":", "Eq", "{a}", "{b}", ";", steps[0], ";", steps[1],
+                         "S3", ":", "Eq", "{a}", "{b}", "by", "cases", "{a}", "{b}", "{", "}", "{", "}", "{", "}", ";",
+                         steps[2], "S4", ":", "Split", "a", "b", "b", "by", "x", ";",
+                         "S5", ":", "False", "by", "hypothesis", "S1", ";", "S6", ":", "Eq", "{", "a", "}", "{b}",
+                         "by", "eqrefl", ";", "S7", ":", "Eq", "{", "}", "{b}", "by", "eqrefl", ";",
+                         "S8", ":", "Eq", "{a}", "{b}", "byeqrefl", ";", "S9", ":", "Eq", "{a}", "{b}", "by",
+                         "eqrefl", "S1", ""]
+        assert [text[start:start + len(word)] for word, start in zip(texts, starts)] == texts
+        assert starts[-1] == len(text)
+
+    @pytest.mark.parametrize("text", [
+        "vars a S1: Eq {a} {a} by eqrefl; ;",  # a step token as a variable,
+        "vars a; hyp S1: Eq {a} {a} by eqrefl;",  # as a hypothesis label
+        "vars a; S1: Eq {a} {a} by eqrefl S2: Eq {a} {a} by eqrefl;",  # and as a reference
+        "vars a; by: Eq {a} {a} by eqrefl;", "vars a; R: Lt {a} {a} by eqrefl;", "vars a; S1: Eq {a} {a} by x;",
+        "vars a; S1: Lt {a} {a} by cases;", "vars a; S1: Eq {a} {a} by eqsym S1;",
+        "vars a; S1: Eq {a} {a} by eqsym S2; S2: Eq {a} {a} by eqrefl;",
+        "vars a; S1: Eq {a} {a} by eqrefl; S1: Eq {a} {a} by eqrefl;"])
+    def test_a_step_token_that_fails_a_check_goes_to_the_reference(self, text):
+        # A step token is never an identifier, and one that fails a check of
+        # the token path (reserved label, rule, cases, reference, duplicate)
+        # sends the script to the reference, which reports the error.
+        assert _expression_tokens_only(text) is None
+        with pytest.raises(ParseError):
+            parse_proof(text)
+        _assert_matches_reference(text)
 
     def test_each_distinct_expression_text_is_read_once(self, monkeypatch):
         # A chain whose steps restate their premise's sides: addboth, eqsym, eqrefl.

@@ -164,12 +164,11 @@ def test_patterns_compile_on_python_3_10(path):
 
 
 def test_pattern_scan_sees_the_parser_patterns():
-    # The lexer's token pattern, the script lexer's and the split reader's
-    # ang literal, then the newline search that places spans; the token
-    # pattern's literal, passed to re.compile, is the same source as the
-    # compiled pattern.
+    # The lexer's token pattern, the script lexer's, its step token read
+    # again by the parser, and the split reader's ang literal, then the
+    # newline search that places spans.
     dsl = importlib.import_module("eukleia.dsl")
-    named = (dsl._TOKEN, dsl._SCRIPT_TOKEN, dsl._ANG)
+    named = (dsl._TOKEN, dsl._SCRIPT_TOKEN, dsl._STEP, dsl._ANG)
     assert _pattern_sources(PACKAGE / "dsl.py") == {pattern.pattern for pattern in named} | {"\n"}
 
 

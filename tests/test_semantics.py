@@ -490,6 +490,7 @@ REFUTED_SCRIPTS = {
     "two-pins": "hyp H1: Congr x R; hyp H2: Congr x ang(1/1);",
     "two-right-angles": "hyp H1: Eq {x} {R, R};",
     "part-over-whole": "hyp H1: Split x y z; hyp H2: Lt {x} {y};",
+    "cyclic-splits": "hyp H1: Split x y z; hyp H2: Split y x z;",
 }
 
 
@@ -641,8 +642,10 @@ def test_construction_leaves_only_open_hypotheses_to_check():
     unpinned = SamplingPlan(_NAMES, hyps[:3] + hyps[4:])
     assert (unpinned.draws, unpinned.checks, unpinned.refuted) == (("b",), (open_lt,), None)
     # With a = b + c substituted, the second split cancels to {} = {c, c},
-    # an equality no variable can be solved from: it stays a check.
-    assert len(SamplingPlan(("a", "b", "c"), cyclic).checks) == 1
+    # false under every valuation, since every angle is positive: it is
+    # refuted when the plan is built, neither solved nor left as a check.
+    plan = SamplingPlan(("a", "b", "c"), cyclic)
+    assert (plan.refuted, plan.checks) == (cyclic[1], ())
 
 
 # Any whole the sampler can split: the sum of two angles from its draw range.
