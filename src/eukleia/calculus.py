@@ -385,7 +385,7 @@ def check_step(step: Step, context: Context) -> None:
         (p,) = premises
         if not isinstance(p, Eq):
             fail("premise is not an equality")
-        if goal != Eq(p.rhs, p.lhs):
+        if not (type(goal) is Eq and goal.lhs == p.rhs and goal.rhs == p.lhs):
             fail("conclusion is not the mirrored premise")
 
     elif rule in (Rule.EQ_TRANS, Rule.LT_TRANS):
@@ -395,7 +395,7 @@ def check_step(step: Step, context: Context) -> None:
             fail(f"both premises must be {kinds}")
         if p1.rhs != p2.lhs:
             fail("middle expressions differ")
-        if goal != kind(p1.lhs, p2.rhs):
+        if not (type(goal) is kind and goal.lhs == p1.lhs and goal.rhs == p2.rhs):
             fail("conclusion does not chain the premises")
 
     elif rule in (Rule.SUBST_LEFT, Rule.SUBST_RIGHT):
@@ -407,12 +407,12 @@ def check_step(step: Step, context: Context) -> None:
         if rule is Rule.SUBST_LEFT:
             if k.lhs != eq.rhs:
                 fail("left side of the comparison does not match the equality")
-            produced: Judgment = type(k)(eq.lhs, k.rhs)
+            lhs, rhs = eq.lhs, k.rhs
         else:
             if k.rhs != eq.rhs:
                 fail("right side of the comparison does not match the equality")
-            produced = type(k)(k.lhs, eq.lhs)
-        if goal != produced:
+            lhs, rhs = k.lhs, eq.lhs
+        if not (type(goal) is type(k) and goal.lhs == lhs and goal.rhs == rhs):
             fail("conclusion is not the substituted comparison")
 
     elif rule is Rule.ADD_BOTH:
@@ -447,7 +447,9 @@ def check_step(step: Step, context: Context) -> None:
         if not isinstance(p, kind):
             fail(f"premise is not a {noun}")
         lhs, rhs, _ = comparison(p)
-        if goal != Eq(MultisetExpr(lhs), MultisetExpr(rhs)):
+        # The goal's sides are sorted, so they are p's sides exactly when
+        # they list the one or two terms of each in either order.
+        if not (type(goal) is Eq and goal.lhs.terms == lhs and goal.rhs.terms in (rhs, rhs[::-1])):
             fail(f"conclusion does not equate {equated}")
 
     elif rule is Rule.LT_IRREFL:

@@ -16,27 +16,34 @@ other variables are drawn.  A comparison without names, or with an empty
 side, is decided when the plan is built; a candidate is checked only
 against the rest.
 
+The plan is compiled, when it is built, into a slot program that runs every
+candidate on plain integers: one list of ``(x, y)`` pairs, a slot per
+variable and then one per literal, with actions and open checks that read
+slot indices.  A sum is a running product of Gaussian integers with a count
+of straight angles, and a solved value is reduced by one gcd at the end; an
+open check between two one-term sides is one cross product.  ``AngleLit``
+values are built only for the candidate that is accepted.
+
 A derivation's steps are compiled once per model check.  The measure is
 additive, so every judgment compares the same way once the terms common to
 both sides are cancelled; each distinct cancelled side and each distinct
-comparison is interned in a table, and the sampler keeps its open checks in
-a table of the same kind.  Under one valuation every side is totalled at
-most once, and only when a test that is reached needs it, as an integer
-triple ``(straights, x, y)``: straight angles plus the primitive vector of
-one angle below pi.  Two totals are ordered by the kernel's rule with no
-``AngleSum`` built.
+comparison is interned in a table.  Under one valuation every side is
+totalled at most once, and only when a test that is reached needs it, as an
+integer triple ``(straights, x, y)``: straight angles plus the primitive
+vector of one angle below pi.  Two totals are ordered by the kernel's rule
+with no ``AngleSum`` built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
     Derivation,
     Judgment,
-    MultisetExpr,
     Rule,
     Step,
     Term,
@@ -44,7 +51,6 @@ from .calculus import (
     comparison,
     format_judgment,
     judgment_truth,
-    judgment_variables,
 )
 from .kernel import AngleLit, Ordering, _order, _reduced, _total, angle_from_slope_vector
 
@@ -99,6 +105,13 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
         raise UnboundVariable(exc.args[0]) from None
 
 
+def _check_declared(terms: Iterable[Term], declared: set[str]) -> None:
+    """Raises UnboundVariable for the least name in ``terms`` not declared."""
+    stray = [t for t in terms if isinstance(t, str) and t not in declared]
+    if stray:
+        raise UnboundVariable(min(stray))
+
+
 def _cancel(lhs: Sequence, rhs: Sequence) -> tuple[tuple, tuple]:
     """``lhs`` and ``rhs`` with each term of ``lhs`` cancelled against one
     equal term of ``rhs``, if any is left; the kept terms stay in order."""
@@ -149,31 +162,34 @@ class _Comparisons:
 
     def __init__(self, declared: Iterable[str]):
         self._declared = set(declared)
-        self._side_index: dict[tuple[Term, ...], int] = {}
-        self._test_index: dict[tuple[Ordering, int, int], int] = {}
+        self._side_index: dict[tuple, int] = {}
+        # Keyed on the wanted order's value: Ordering's __hash__ is a Python function.
+        self._test_index: dict[tuple[int, int, str], int] = {}
         self.sides: list[tuple] = []
         self.tests: list[tuple[Ordering, int, int]] = []
         self._fixed: list = []  # the total of each side without names, None for the others
 
     def intern(self, j: Judgment) -> int:
         """The index of ``j``'s comparison in ``tests``."""
-        stray = judgment_variables(j) - self._declared
-        if stray:
-            raise UnboundVariable(sorted(stray)[0])
         lhs, rhs, wanted = comparison(j)
+        _check_declared(lhs + rhs, self._declared)
         lhs, rhs = _cancel(lhs, rhs)
-        test = (wanted, self._side(lhs), self._side(rhs))
-        if test not in self._test_index:
-            self._test_index[test] = len(self.tests)
-            self.tests.append(test)
-        return self._test_index[test]
+        lhs, rhs = self._side(lhs), self._side(rhs)
+        key = (lhs, rhs, wanted._value_)
+        if key not in self._test_index:
+            self._test_index[key] = len(self.tests)
+            self.tests.append((wanted, lhs, rhs))
+        return self._test_index[key]
 
     def _side(self, terms: Sequence[Term]) -> int:
-        key = MultisetExpr(tuple(terms)).terms
+        # The side in MultisetExpr's order: the names sorted, then the
+        # literals, as (0, x, y) triples, by their coordinates.
+        names = [t for t in terms if isinstance(t, str)]
+        key = (*sorted(names), *sorted([(0, t.x, t.y) for t in terms if not isinstance(t, str)]))
         if key not in self._side_index:
             self._side_index[key] = len(self.sides)
-            self.sides.append(side := _triples(key))
-            self._fixed.append(None if any(isinstance(t, str) for t in side) else _total(list(side)))
+            self.sides.append(key)
+            self._fixed.append(_total(list(key)) if not names else None)
         return self._side_index[key]
 
     def evaluator(self, valuation: Mapping[str, AngleLit]) -> Callable[[int], bool]:
@@ -301,6 +317,39 @@ def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
     return True
 
 
+def _act(action: tuple, values: list) -> bool:
+    """Run one action of a :class:`SamplingPlan`'s slot program on a
+    candidate's ``(x, y)`` pairs: set slot ``target`` to the sum of slots
+    ``head`` and ``tail`` minus the sum of slots ``subtracted``.  False, at
+    once, when that cannot be an angle: a sum with nothing subtracted that
+    reaches pi, or a difference that drops below zero.  The sum is a running
+    product of Gaussian integers with a count of straight angles, reduced
+    by one gcd at the end: its sign tests do not change under positive
+    scaling."""
+    target, head, tail, subtracted = action
+    x, y = values[head]
+    straights = 0
+    for k in tail:
+        u, v = values[k]
+        x, y = x * u - y * v, x * v + y * u
+        if y <= 0:  # at pi or past it: a remainder plus an angle never turns to 0
+            if not subtracted:
+                return False
+            straights, x, y = straights + 1, -x, -y
+    for k in subtracted:
+        u, v = values[k]
+        x, y = x * u + y * v, y * u - x * v  # the product with the conjugate
+        if y < 0:  # below zero: borrow a straight angle
+            if not straights:
+                return False
+            straights, x, y = straights - 1, -x, -y
+    if straights or y <= 0:
+        return False
+    g = gcd(x, y)
+    values[target] = (x // g, y // g) if g != 1 else (x, y)
+    return True
+
+
 class SamplingPlan:
     """How to construct valuations of ``variables`` that satisfy ``hypotheses``.
 
@@ -321,23 +370,23 @@ class SamplingPlan:
     truth of a comparison as soon as it has no names or an empty side
     (:func:`_decided`), before a later substitution can fill that side; such
     an equality is never solved.  ``refuted`` is the first hypothesis found
-    false, and a refuted plan draws nothing.  The rest, in ``checks``, are
-    interned in the plan's own comparison table, and each must hold there,
-    with the truth :func:`eval_judgment` gives, before a candidate is
-    returned.
+    false, and a refuted plan draws nothing.  The rest, in ``checks``, must
+    each hold, with the truth :func:`eval_judgment` gives, before a
+    candidate is returned.  Candidates are built and tested on the plan's
+    slot program (see :meth:`_compile`).
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
         self.variables = names = tuple(dict.fromkeys(variables))
         self.hypotheses = tuple(hypotheses)
-        self._table = _Comparisons(names)
-        tests = [self._table.intern(h) for h in self.hypotheses]  # UnboundVariable for a stray name
-
+        declared = set(names)
         # Each hypothesis's cancelled comparison as written, and each one
         # neither solved for a variable nor decided, with every solved
         # variable substituted.
-        written = [(*_cancel(_triples(lhs), _triples(rhs)), wanted)
-                   for lhs, rhs, wanted in map(comparison, self.hypotheses)]
+        written = []
+        for lhs, rhs, wanted in map(comparison, self.hypotheses):
+            _check_declared(lhs + rhs, declared)
+            written.append((*_cancel(_triples(lhs), _triples(rhs)), wanted))
         unsolved: dict[int, tuple] = {}
         refuted: list[int] = []
 
@@ -376,29 +425,92 @@ class SamplingPlan:
                 actions.append((target, summed, subtracted))
             elif not _apply([(target, summed, subtracted)], fixed):
                 refuted.append(i)
-        # The rest name drawn variables only, and neither side is empty.
-        checks = list(unsolved)
         self.draws = tuple(n for n in names if n not in solved)
         self.actions = tuple(actions)
         self.fixed = fixed
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
-        self.checks = tuple(self.hypotheses[i] for i in checks)
-        self._tests = tuple(tests[i] for i in checks)
-        self._start = {n: fixed.get(n) for n in names}  # each candidate's keys in the order of the variables
+        # The rest are checked, on their sides as written; neither is empty.
+        self.checks = tuple(self.hypotheses[i] for i in unsolved)
+        self._compile([written[i] for i in unsolved])
+        self._rng = random.Random(0)  # re-seeded by every sample
+
+    def _compile(self, checks: Sequence[tuple]) -> None:
+        """The slot program: a candidate's values are one list of ``(x, y)``
+        pairs, a slot per variable in the order of ``variables`` and then
+        one per literal read.  ``start`` holds the fixed values and the
+        literals; every other slot a candidate reads, it has written first,
+        so one list serves all candidates.  An action that copies one term
+        is resolved here, its target reading its source's slot.  An open
+        ``Lt`` between two one-term sides is one cross product."""
+        slot = {n: k for k, n in enumerate(self.variables)}
+        start = [(a.x, a.y) if (a := self.fixed.get(n)) is not None else None for n in self.variables]
+
+        def read(terms: tuple) -> tuple:
+            for t in terms:
+                if t not in slot:  # a literal, (0, x, y)
+                    slot[t] = len(start)
+                    start.append(t[1:])
+            return tuple(slot[t] for t in terms)
+
+        actions = []
+        for target, summed, subtracted in self.actions:
+            head, *tail = read(summed)
+            if tail or subtracted:
+                actions.append((slot[target], head, tuple(tail), read(subtracted)))
+            else:
+                slot[target] = head
+        lts, others = [], []
+        for lhs, rhs, wanted in checks:
+            if len(lhs) == len(rhs) == 1 and wanted is Ordering.LESS:
+                lts.append((*read(lhs), *read(rhs)))
+            else:
+                others.append((read(lhs), read(rhs), wanted))
+        self._program = (start, tuple(slot[n] for n in self.draws), tuple(actions), tuple(lts), tuple(others))
+        self._drawn = tuple((n, slot[n]) for n in self.draws)
+        self._solved = tuple((target, slot[target]) for target, _, _ in self.actions)
+        self._start = {n: self.fixed.get(n) for n in self.variables}  # a valuation's keys in the order of the variables
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
-        """Propose up to ``budget`` candidates; return the first satisfying one."""
+        """Propose up to ``budget`` candidates, at least one; return the first
+        satisfying one."""
+        if budget < 1:
+            raise ValueError(f"a sampling budget must be at least 1, not {budget}")
         if self.refuted is not None:
             raise Unsatisfied(0)
-        rng = random.Random(seed)
-        tests = self._tests
+        rng = self._rng
+        rng.seed(seed)
+        start, drawn, actions, lts, checks = self._program
+        values = start.copy()
         for _ in range(budget):
-            values = self._start.copy()
-            for name in self.draws:
-                values[name] = _random_angle(rng)
-            if _apply(self.actions, values) and (not tests or all(map(self._table.evaluator(values), tests))):
-                return values
+            for k in drawn:
+                angle = _random_angle(rng)
+                values[k] = (angle.x, angle.y)
+            for action in actions:
+                if not _act(action, values):
+                    break
+            else:
+                for i, j in lts:
+                    (x1, y1), (x2, y2) = values[i], values[j]
+                    if x1 * y2 <= y1 * x2:  # the cross product: i's angle is not below j's
+                        break
+                else:
+                    for lhs, rhs, wanted in checks:
+                        if _order(_total([(0, *values[k]) for k in lhs]),
+                                  _total([(0, *values[k]) for k in rhs])) is not wanted:
+                            break
+                    else:
+                        return self._valuation(values)
         raise Unsatisfied(budget)
+
+    def _valuation(self, values: list) -> Valuation:
+        """The accepted candidate: a drawn angle is the table's, a solved one built."""
+        valuation = self._start.copy()
+        for name, k in self._drawn:
+            x, y = values[k]
+            valuation[name] = _ANGLES[x + _COORD_RANGE][y - 1]
+        for name, k in self._solved:
+            valuation[name] = _reduced(*values[k])
+        return valuation
 
 
 def random_valuation(
@@ -423,7 +535,7 @@ def random_valuation(
     every hypothesis holds for the valuation returned.  Raises Unsatisfied
     once ``budget`` candidates have been rejected, and at once, drawing
     nothing, with ``attempts`` 0, when the plan refuted a hypothesis as it
-    was built.
+    was built.  Raises ValueError for a ``budget`` below 1.
 
     ``plan`` is a plan already built from these variables and hypotheses;
     passing one saves rebuilding it on every call.

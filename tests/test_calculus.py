@@ -111,6 +111,32 @@ class TestSubstitution:
         fails(Step("s", Lt(multiset(c), multiset(a)), Rule.SUBST_RIGHT, ("H1", "H2")), context, "match")
 
 
+class TestConclusionKind:
+    # A conclusion with the sides the rule produces, but of the other kind.
+    @pytest.mark.parametrize("rule, premises, goal, reason", [
+        (Rule.EQ_SYM, [Eq(multiset(a), multiset(b))], Lt(multiset(b), multiset(a)),
+         "conclusion is not the mirrored premise"),
+        (Rule.EQ_TRANS, [Eq(multiset(a), multiset(b)), Eq(multiset(b), multiset(c))], Lt(multiset(a), multiset(c)),
+         "conclusion does not chain the premises"),
+        (Rule.LT_TRANS, [Lt(multiset(a), multiset(b)), Lt(multiset(b), multiset(c))], Eq(multiset(a), multiset(c)),
+         "conclusion does not chain the premises"),
+        (Rule.SUBST_LEFT, [Eq(multiset(a), multiset(b)), Lt(multiset(b), multiset(c))], Eq(multiset(a), multiset(c)),
+         "conclusion is not the substituted comparison"),
+        (Rule.SUBST_RIGHT, [Eq(multiset(a), multiset(b)), Eq(multiset(c), multiset(b))], Lt(multiset(c), multiset(a)),
+         "conclusion is not the substituted comparison"),
+        (Rule.SPLIT_EQ, [Split(a, b, c)], Lt(multiset(a), multiset(b, c)),
+         "conclusion does not equate the whole with its two parts"),
+        (Rule.CONGR_EQ, [Congr(a, b)], Lt(multiset(a), multiset(b)),
+         "conclusion does not equate the congruent singletons"),
+    ])
+    def test_other_kind_rejected(self, rule, premises, goal, reason):
+        refs = tuple(f"H{i}" for i in range(1, len(premises) + 1))
+        err = fails(Step("s", goal, rule, refs), ctx(*premises), reason)
+        assert err.reason == reason
+        # The same sides with the kind the rule produces are accepted.
+        check(Step("s", (Eq if isinstance(goal, Lt) else Lt)(goal.lhs, goal.rhs), rule, refs), ctx(*premises))
+
+
 class TestOrderRules:
     def test_lttrans(self):
         context = ctx(Lt(multiset(a), multiset(b)), Lt(multiset(b), multiset(c)))
@@ -159,6 +185,12 @@ class TestHypothesisForms:
     def test_split_eq_with_equal_parts(self):
         context = ctx(Split(a, b, b))
         check(Step("s", Eq(multiset(a), multiset(b, b)), Rule.SPLIT_EQ, ("H1",)), context)
+
+    @pytest.mark.parametrize("split", [Split(a, c, b), Split(a, R, b), Split(R, a, R)], ids=str)
+    def test_split_eq_whatever_order_the_parts_are_written_in(self, split):
+        goal = Eq(multiset(split.whole), multiset(split.part2, split.part1))
+        check(Step("s", goal, Rule.SPLIT_EQ, ("H1",)), ctx(split))
+        fails(Step("s", Eq(goal.rhs, goal.lhs), Rule.SPLIT_EQ, ("H1",)), ctx(split), "whole")
 
     def test_congr_eq(self):
         context = ctx(Congr(a, b))

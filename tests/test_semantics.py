@@ -422,6 +422,55 @@ def test_golden_valuations(name):
         assert all(eval_judgment(h, v) for h in hyps), f"seed {seed}"
 
 
+# Real counterexamples, recorded before candidates were built on integer
+# pairs: model_check_derivation(parse_proof(text), 200, seed) stops at the
+# trial given, with the valuation given, after that many trials satisfied.
+COUNTEREXAMPLE_SCRIPTS = {
+    "part-below-whole": "vars w p q; hyp H1: Split w p q; S1: Lt {w} {p} by hypothesis H1;",
+    "alias-between-lts": "vars a b c d; hyp H1: Congr a b; hyp H2: Lt {c} {b}; hyp H3: Lt {b} {d};"
+                         " S1: Lt {d, c} {a, b} by hypothesis H2;",
+}
+GOLDEN_COUNTEREXAMPLES = [
+    ("part-below-whole", 7, 1, 0, {"p": "ang(-5/9)", "q": "ang(12/7)", "w": "ang(-123/73)"}),
+    ("part-below-whole", 8, 1, 0, {"p": "ang(-5/4)", "q": "ang(4/3)", "w": "ang(-32/1)"}),
+    ("alias-between-lts", 7, 3, 2, {"a": "ang(0/1)", "b": "ang(0/1)", "c": "ang(13/19)", "d": "ang(-19/9)"}),
+    ("alias-between-lts", 8, 3, 2, {"a": "ang(3/4)", "b": "ang(3/4)", "c": "ang(5/4)", "d": "ang(-2/7)"}),
+]
+
+
+@pytest.mark.parametrize("name, seed, satisfied, trial, valuation", GOLDEN_COUNTEREXAMPLES)
+def test_golden_counterexamples(name, seed, satisfied, trial, valuation):
+    report = model_check_derivation(parse_proof(COUNTEREXAMPLE_SCRIPTS[name]), 200, seed).to_dict()
+    assert (report["trials"], report["satisfied"]) == (trial + 1, satisfied)
+    assert report["counterexample"]["trial"] == trial
+    assert report["counterexample"]["valuation"] == valuation
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_refused(budget):
+    with pytest.raises(ValueError):
+        random_valuation(("a", "b", "c"), [Split(a, b, c)], seed=1, budget=budget)
+    # Refused before the plan's refutation is reported, too.
+    with pytest.raises(ValueError):
+        random_valuation(("a",), [Falsum()], seed=1, budget=budget)
+
+
+@pytest.mark.parametrize("seed", [-7, 0, 1, 7 * 1_000_003 + 5, 2**64 + 7 * 1_000_003 + 5, -(2**70)])
+def test_reseeded_generator_matches_a_fresh_one(seed):
+    # A plan keeps one generator and re-seeds it for every sample.
+    rng = random.Random(3)
+    rng.getrandbits(20)
+    rng.seed(seed)
+    assert rng.getstate() == random.Random(seed).getstate()
+
+
+def test_plans_draw_the_same_for_a_seed_however_often_they_sample():
+    plan = SamplingPlan(*hypothesis_set("lt"))
+    first = [plan.sample(seed) for seed in range(10)]
+    assert [plan.sample(seed) for seed in reversed(range(10))] == first[::-1]
+    assert [random_valuation(*hypothesis_set("lt"), seed=seed) for seed in range(10)] == first
+
+
 def _count_draws(monkeypatch):
     """A one-element list that counts the sampler's angle draws."""
     draws = [0]
@@ -928,7 +977,7 @@ class TestCompiledSteps:
         def refuse(j, valuation):
             raise AssertionError(f"eval_judgment called on {j}")
 
-        # The sampler tests its open checks through its own table too:
+        # The sampler decides its open checks on its own slot program:
         # prop16's Lts.  Of two splits solving each other's parts, the second
         # is implied once the first is substituted, and leaves no check.
         plans = [SamplingPlan(*hypothesis_set("prop16")),
@@ -999,13 +1048,19 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
         lhs, rhs = step.judgment.lhs.counts(), step.judgment.rhs.counts()
         sides |= {frozenset((lhs - rhs).items()), frozenset((rhs - lhs).items())}
     calls = {True: 0, False: 0}  # by whether the sampler made them
+    actions = [0]  # the sampler's actions run
     sampling = False
     total = kernel._total
+    act = semantics._act
     sample = semantics.random_valuation
 
     def counted(triples):
         calls[sampling] += 1
         return total(triples)
+
+    def counted_act(action, values):
+        actions[0] += sampling
+        return act(action, values)
 
     def counted_sample(*args, **kwargs):
         nonlocal sampling
@@ -1019,6 +1074,7 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
     # sum_multiset are counted as well.
     monkeypatch.setattr(kernel, "_total", counted)
     monkeypatch.setattr(semantics, "_total", counted)
+    monkeypatch.setattr(semantics, "_act", counted_act)
     monkeypatch.setattr(semantics, "random_valuation", counted_sample)
     trials = 50
     report = model_check_derivation(d, trials=trials, seed=7)
@@ -1029,8 +1085,10 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
     # At least one call a trial: a walk that stopped calling _total through
     # the module would pass the bound with none.
     assert trials <= calls[False] <= trials * len(sides)
-    # The sampler composes w1 and w2, one sum each, on every candidate.
-    assert calls[True] >= 2 * trials
+    # The sampler composes w1 and w2, one action each, on every candidate
+    # it accepts; a sampler that stopped running its actions through
+    # semantics._act would pass the bound with none.
+    assert actions[0] >= 2 * trials
 
 
 # ---------------------------------------------------------------------------
