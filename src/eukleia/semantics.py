@@ -21,17 +21,23 @@ candidate on plain integers: one list of ``(x, y)`` pairs, a slot per
 variable and then one per literal, with actions and open checks that read
 slot indices.  A sum is a running product of Gaussian integers with a count
 of straight angles, and a solved value is reduced by one gcd at the end; an
-open check between two one-term sides is one cross product.  ``AngleLit``
-values are built only for the candidate that is accepted.
+open check between two one-term sides is one cross product.
 
-A derivation's steps are compiled once per model check.  The measure is
-additive, so every judgment compares the same way once the terms common to
-both sides are cancelled; each distinct cancelled side and each distinct
-comparison is interned in a table.  Under one valuation every side is
+A derivation's steps are compiled once per model check, onto the slots of
+its plan, and every trial runs from draw to verdict on the accepted
+candidate's pairs.  The measure is additive, so every judgment compares the
+same way once the terms common to both sides are cancelled; each distinct
+cancelled side and each distinct comparison is interned in a table.  A side
+is read as the slots of its names and the total of its literals, computed
+once.  The step tree is flattened into one jump program: a case that fails
+jumps to the next case, the end of a branch jumps past the other cases to
+the ``cases`` step's own judgment, and a step whose comparison already held
+on the way there gets no entry.  Under one candidate every side is
 totalled at most once, and only when a test that is reached needs it, as an
-integer triple ``(straights, x, y)``: straight angles plus the primitive
-vector of one angle below pi.  Two totals are ordered by the kernel's rule
-with no ``AngleSum`` built.
+integer triple ``(straights, x, y)`` whose remainder is a positive multiple
+of the primitive vector of one angle below pi; two totals are ordered by the
+kernel's rule, which reads only signs.  ``AngleLit`` values are built only
+for a valuation that is returned: a sample, or a counterexample.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
     Derivation,
+    Eq,
     Judgment,
+    Lt,
     Rule,
     Step,
     Term,
@@ -105,9 +113,9 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
         raise UnboundVariable(exc.args[0]) from None
 
 
-def _check_declared(terms: Iterable[Term], declared: set[str]) -> None:
-    """Raises UnboundVariable for the least name in ``terms`` not declared."""
-    stray = [t for t in terms if isinstance(t, str) and t not in declared]
+def _check_declared(names: Iterable[str], declared: set[str]) -> None:
+    """Raises UnboundVariable for the least of ``names`` not declared."""
+    stray = set(names).difference(declared)
     if stray:
         raise UnboundVariable(min(stray))
 
@@ -147,17 +155,79 @@ def _side_total(terms: Sequence, valuation: Mapping[str, AngleLit]) -> tuple[int
     return _total(level)
 
 
+def _side_sum(side: tuple, values: list) -> tuple[int, int, int]:
+    """The ``(straights, x, y)`` total of a side from :func:`_compiled_side`
+    on a candidate's ``(x, y)`` pairs: the total of its literals, taken when
+    it was compiled, times the pair in each of its slots.  A running product
+    of Gaussian integers with a count of straight angles and no gcd, so the
+    remainder is a positive multiple of the primitive one: :func:`_order`
+    reads only the signs of the counts and of a cross product, which
+    positive scaling does not change."""
+    literals, slots = side
+    if literals is None:  # no literals: the product starts at the first slot's pair
+        straights, (x, y), slots = 0, values[slots[0]], slots[1:]
+    else:
+        straights, x, y = literals
+    for k in slots:
+        u, v = values[k]
+        x, y = x * u - y * v, x * v + y * u
+        if y <= 0:  # at pi or past it: a remainder in [0, pi) plus an angle never turns to 0
+            straights, x, y = straights + 1, -x, -y
+    return straights, x, y
+
+
+def _compiled_side(terms: Sequence, slot: Mapping[str, int]) -> tuple:
+    """A side of names and ``(0, x, y)`` literal triples as :func:`_side_sum`
+    reads it: ``(literals, slots)``, the literals' total, None for a side
+    with names and no literals, and the slots of the names."""
+    literals = [t for t in terms if not isinstance(t, str)]
+    slots = tuple(slot[t] for t in terms if isinstance(t, str))
+    return _total(literals) if literals or not slots else None, slots
+
+
+def _parts(terms: Sequence[Term], ordered: bool) -> tuple[list, list]:
+    """A side's names and its literals as ``(0, x, y)`` triples, each
+    sorted.  Terms in MultisetExpr's order (``ordered``) are the names,
+    sorted, and then the literals by their coordinates; others are sorted
+    here."""
+    names = [t for t in terms if isinstance(t, str)]
+    if ordered:
+        return names, [(0, t.x, t.y) for t in terms[len(names):]]
+    return sorted(names), sorted((0, t.x, t.y) for t in terms if not isinstance(t, str))
+
+
+def _merge_cancel(lhs: list, rhs: list) -> tuple[list, list]:
+    """Two sorted lists with each term common to both dropped once from
+    each, by one merge."""
+    if not lhs or not rhs:
+        return lhs, rhs
+    kept_l, kept_r = [], []
+    i = j = 0
+    n, m = len(lhs), len(rhs)
+    while i < n and j < m:
+        s, t = lhs[i], rhs[j]
+        if s == t:
+            i += 1
+            j += 1
+        elif s < t:
+            kept_l.append(s)
+            i += 1
+        else:
+            kept_r.append(t)
+            j += 1
+    return kept_l + lhs[i:], kept_r + rhs[j:]
+
+
 class _Comparisons:
-    """Judgments interned as comparisons of cancelled sides, evaluated on
-    ``(straights, x, y)`` totals.
+    """Judgments interned as comparisons of cancelled sides.
 
     A judgment comparing ``A`` with ``B`` (:func:`eukleia.calculus.comparison`)
     compares ``A - B`` with ``B - A`` (multiset differences): the common
     terms add the same measure to both sides.  ``sides`` holds each distinct
-    cancelled side once, its names kept and its literals as ``(0, x, y)``
-    triples, and ``tests`` each distinct ``(wanted order, lhs, rhs)`` once.
-    A side without names is totalled here, once: an empty side is
-    ``(0, 1, 0)``.  Raises UnboundVariable for an undeclared variable.
+    cancelled side once, in MultisetExpr's order, its names sorted and then
+    its literals as ``(0, x, y)`` triples by their coordinates; ``tests``
+    holds each distinct ``(wanted order, lhs, rhs)`` once.  Raises
+    UnboundVariable for an undeclared variable.
     """
 
     def __init__(self, declared: Iterable[str]):
@@ -167,53 +237,28 @@ class _Comparisons:
         self._test_index: dict[tuple[int, int, str], int] = {}
         self.sides: list[tuple] = []
         self.tests: list[tuple[Ordering, int, int]] = []
-        self._fixed: list = []  # the total of each side without names, None for the others
 
     def intern(self, j: Judgment) -> int:
-        """The index of ``j``'s comparison in ``tests``."""
+        """The index of ``j``'s comparison in ``tests``.  The sides of an Eq
+        or Lt are MultisetExprs, already in order, so cancelling them is one
+        merge; only a Split's or Congr's terms, two at most a side, are
+        sorted."""
         lhs, rhs, wanted = comparison(j)
-        _check_declared(lhs + rhs, self._declared)
-        lhs, rhs = _cancel(lhs, rhs)
-        lhs, rhs = self._side(lhs), self._side(rhs)
-        key = (lhs, rhs, wanted._value_)
+        ordered = isinstance(j, (Eq, Lt))
+        (l_names, l_lits), (r_names, r_lits) = _parts(lhs, ordered), _parts(rhs, ordered)
+        _check_declared(l_names + r_names, self._declared)
+        (l_names, r_names), (l_lits, r_lits) = _merge_cancel(l_names, r_names), _merge_cancel(l_lits, r_lits)
+        key = (self._side((*l_names, *l_lits)), self._side((*r_names, *r_lits)), wanted._value_)
         if key not in self._test_index:
             self._test_index[key] = len(self.tests)
-            self.tests.append((wanted, lhs, rhs))
+            self.tests.append((wanted, *key[:2]))
         return self._test_index[key]
 
-    def _side(self, terms: Sequence[Term]) -> int:
-        # The side in MultisetExpr's order: the names sorted, then the
-        # literals, as (0, x, y) triples, by their coordinates.
-        names = [t for t in terms if isinstance(t, str)]
-        key = (*sorted(names), *sorted([(0, t.x, t.y) for t in terms if not isinstance(t, str)]))
+    def _side(self, key: tuple) -> int:
         if key not in self._side_index:
             self._side_index[key] = len(self.sides)
             self.sides.append(key)
-            self._fixed.append(_total(list(key)) if not names else None)
         return self._side_index[key]
-
-    def evaluator(self, valuation: Mapping[str, AngleLit]) -> Callable[[int], bool]:
-        """``holds(test)``: whether a test holds under ``valuation``.  Under
-        one evaluator each side is totalled, and each test decided, at most
-        once, and only when asked for."""
-        sides, tests = self.sides, self.tests
-        totals = self._fixed.copy()
-        truth: list = [None] * len(tests)
-
-        def total(i: int) -> tuple[int, int, int]:
-            t = totals[i]
-            if t is None:
-                t = totals[i] = _side_total(sides[i], valuation)
-            return t
-
-        def holds(test: int) -> bool:
-            verdict = truth[test]
-            if verdict is None:
-                wanted, lhs, rhs = tests[test]
-                verdict = truth[test] = _order(total(lhs), total(rhs)) is wanted
-            return verdict
-
-        return holds
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +271,14 @@ _BITS = _SPAN.bit_length()
 # the 41 x 20 table once costs about half a millisecond.
 _ANGLES = tuple(tuple(angle_from_slope_vector(x - _COORD_RANGE, y) for y in range(1, _COORD_RANGE + 1))
                 for x in range(_SPAN))
+# _PAIRS[x][y - 1] is the (x, y) pair of _ANGLES[x][y - 1], as a slot holds it.
+_PAIRS = tuple(tuple((angle.x, angle.y) for angle in row) for row in _ANGLES)
 
 
-def _random_angle(rng: random.Random) -> AngleLit:
-    # Coordinates uniform in [-20, 20], rejecting the closed lower half-plane;
-    # canonicalization folds non-reduced duplicates.  The draws are those of
+def _random_pair(rng: random.Random) -> tuple[int, int]:
+    # The reduced pair of a canonical angle: coordinates uniform in
+    # [-20, 20], rejecting the closed lower half-plane; canonicalization
+    # folds non-reduced duplicates.  The draws are those of
     # rng.randint(-20, 20) for x and then y: randint takes _BITS random bits
     # until they fall below _SPAN (random.Random._randbelow), so the stream,
     # and every valuation drawn from a seed, stays the same.
@@ -243,7 +291,7 @@ def _random_angle(rng: random.Random) -> AngleLit:
         while y >= _SPAN:
             y = getrandbits(_BITS)
         if y > _COORD_RANGE:
-            return _ANGLES[x][y - _COORD_RANGE - 1]
+            return _PAIRS[x][y - _COORD_RANGE - 1]
 
 
 def _unknown(lhs: tuple, rhs: tuple, written: tuple[tuple, tuple], names: Sequence[str]
@@ -385,7 +433,7 @@ class SamplingPlan:
         # variable substituted.
         written = []
         for lhs, rhs, wanted in map(comparison, self.hypotheses):
-            _check_declared(lhs + rhs, declared)
+            _check_declared([t for t in lhs + rhs if isinstance(t, str)], declared)
             written.append((*_cancel(_triples(lhs), _triples(rhs)), wanted))
         unsolved: dict[int, tuple] = {}
         refuted: list[int] = []
@@ -432,16 +480,19 @@ class SamplingPlan:
         # The rest are checked, on their sides as written; neither is empty.
         self.checks = tuple(self.hypotheses[i] for i in unsolved)
         self._compile([written[i] for i in unsolved])
-        self._rng = random.Random(0)  # re-seeded by every sample
+        self._rng = random.Random(0)  # re-seeded by every sample that draws
 
     def _compile(self, checks: Sequence[tuple]) -> None:
         """The slot program: a candidate's values are one list of ``(x, y)``
         pairs, a slot per variable in the order of ``variables`` and then
-        one per literal read.  ``start`` holds the fixed values and the
-        literals; every other slot a candidate reads, it has written first,
-        so one list serves all candidates.  An action that copies one term
-        is resolved here, its target reading its source's slot.  An open
-        ``Lt`` between two one-term sides is one cross product."""
+        one per literal an action or a one-term ``Lt`` reads.  ``start``
+        holds the fixed values and the literals; every other slot a
+        candidate reads, it has written first, so one list serves all
+        candidates.  An action that copies one term is resolved here, its
+        target reading its source's slot; ``_slots`` is the slot each
+        variable is read from.  An open ``Lt`` between two one-term sides is
+        one cross product, any other open check orders two sides compiled
+        for :func:`_side_sum`."""
         slot = {n: k for k, n in enumerate(self.variables)}
         start = [(a.x, a.y) if (a := self.fixed.get(n)) is not None else None for n in self.variables]
 
@@ -464,8 +515,9 @@ class SamplingPlan:
             if len(lhs) == len(rhs) == 1 and wanted is Ordering.LESS:
                 lts.append((*read(lhs), *read(rhs)))
             else:
-                others.append((read(lhs), read(rhs), wanted))
+                others.append((_compiled_side(lhs, slot), _compiled_side(rhs, slot), wanted))
         self._program = (start, tuple(slot[n] for n in self.draws), tuple(actions), tuple(lts), tuple(others))
+        self._slots = {n: slot[n] for n in self.variables}
         self._drawn = tuple((n, slot[n]) for n in self.draws)
         self._solved = tuple((target, slot[target]) for target, _, _ in self.actions)
         self._start = {n: self.fixed.get(n) for n in self.variables}  # a valuation's keys in the order of the variables
@@ -475,16 +527,22 @@ class SamplingPlan:
         satisfying one."""
         if budget < 1:
             raise ValueError(f"a sampling budget must be at least 1, not {budget}")
+        return self._valuation(self._accepted(seed, budget))
+
+    def _accepted(self, seed: int, budget: int) -> list:
+        """The slot list of the first of up to ``budget`` candidates that
+        satisfies the hypotheses.  A plan that draws nothing proposes the
+        same candidate for every seed, and does not seed its generator."""
         if self.refuted is not None:
             raise Unsatisfied(0)
         rng = self._rng
-        rng.seed(seed)
         start, drawn, actions, lts, checks = self._program
+        if drawn:
+            rng.seed(seed)
         values = start.copy()
         for _ in range(budget):
             for k in drawn:
-                angle = _random_angle(rng)
-                values[k] = (angle.x, angle.y)
+                values[k] = _random_pair(rng)
             for action in actions:
                 if not _act(action, values):
                     break
@@ -495,15 +553,15 @@ class SamplingPlan:
                         break
                 else:
                     for lhs, rhs, wanted in checks:
-                        if _order(_total([(0, *values[k]) for k in lhs]),
-                                  _total([(0, *values[k]) for k in rhs])) is not wanted:
+                        if _order(_side_sum(lhs, values), _side_sum(rhs, values)) is not wanted:
                             break
                     else:
-                        return self._valuation(values)
+                        return values
         raise Unsatisfied(budget)
 
     def _valuation(self, values: list) -> Valuation:
-        """The accepted candidate: a drawn angle is the table's, a solved one built."""
+        """An accepted candidate's valuation: a drawn angle is the table's,
+        a solved one built."""
         valuation = self._start.copy()
         for name, k in self._drawn:
             x, y = values[k]
@@ -587,48 +645,78 @@ class ModelCheckReport:
 
 
 class _CompiledSteps:
-    """A derivation's steps with every judgment interned in one
-    :class:`_Comparisons` table.
+    """A derivation's steps compiled onto the slots of its sampling plan.
 
-    ``steps`` mirrors the step tree as ``(step, test, branches)``, with
-    ``test`` the index of the step's comparison and ``branches`` a ``(test,
-    compiled branch)`` pair per case of a ``cases`` step.  Raises
-    UnboundVariable for an undeclared variable in any of them.
+    ``plan`` is the :class:`SamplingPlan` of the derivation's hypotheses.
+    Every judgment, case comparisons too, is interned in one
+    :class:`_Comparisons` table, and each of its sides is read as the slots
+    of its names and the total of its literals (:func:`_side_sum`).  The
+    step tree is flattened into ``program``, one ``(wanted, lhs, rhs, then,
+    orelse)`` entry per test: when the sides' totals stand in the ``wanted``
+    order, the walk goes on at entry ``then``; otherwise ``orelse`` is the
+    step that failed, or, for a case, the entry of the next case (after the
+    last, the ``cases`` step's own judgment).  A branch's last entry goes on
+    past the other cases, and a step whose test already held on the way
+    gets no entry.  Raises UnboundVariable for an undeclared variable in a
+    hypothesis, a step or a case.
     """
 
     def __init__(self, derivation: Derivation):
+        self.plan = SamplingPlan(derivation.variables, [h.judgment for h in derivation.hypotheses])
         self.table = _Comparisons(derivation.variables)
-        self.steps = self._compile(derivation.steps)
+        entries: list[list] = []
+        self._emit(derivation.steps, entries, set())
+        tests = self.table.tests
+        self.program = tuple((*tests[test], then, orelse) for test, then, orelse in entries)
+        self.sides = [_compiled_side(side, self.plan._slots) for side in self.table.sides]
+        # Each side's total where no name needs a slot, None where it does.
+        self._fixed = [None if slots else literals for literals, slots in self.sides]
 
-    def _compile(self, steps: Sequence[Step]) -> tuple:
-        compiled = []
+    def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:
+        """Append ``[test, then, orelse]`` entries for ``steps``, each going
+        on at the next entry until patched.  ``known``, a set of this call's
+        own, holds the tests that hold wherever ``steps`` are reached, a case
+        entered or a step passed on the way; a step whose test is known
+        cannot fail, and gets no entry."""
         for step in steps:
-            branches = ()
             if step.rule is Rule.CASES and step.case_pair is not None:
-                cases = [self.table.intern(h) for h in case_hypotheses(*step.case_pair)]
-                branches = tuple(zip(cases, map(self._compile, step.branches)))
-            compiled.append((step, self.table.intern(step.judgment), branches))
-        return tuple(compiled)
+                ends = []  # the last entry of each branch: it goes on at this step's own test
+                for case, branch in zip(case_hypotheses(*step.case_pair), step.branches):
+                    test = self.table.intern(case)
+                    entry = [test, len(entries) + 1, None]
+                    entries.append(entry)
+                    self._emit(branch, entries, known | {test})
+                    entry[2] = len(entries)  # a case that fails goes on at the next case
+                    ends.append(entries[-1])
+                for end in ends:
+                    end[1] = len(entries)
+            test = self.table.intern(step.judgment)
+            if test not in known:
+                entries.append([test, len(entries) + 1, step])
+                known.add(test)
 
-    def first_false(self, valuation: Valuation) -> Optional[Step]:
-        """The first step, in proof order, whose judgment fails under
-        ``valuation``; a branch is entered only when its case holds."""
-        return _walk(self.steps, self.table.evaluator(valuation))
-
-
-def _walk(steps: tuple, holds: Callable[[int], bool]) -> Optional[Step]:
-    # A function, not a closure: a recursive closure made per trial would be
-    # a reference cycle, left to the cyclic garbage collector.
-    for step, test, branches in steps:
-        for case, branch in branches:
-            if holds(case):
-                bad = _walk(branch, holds)
-                if bad is not None:
-                    return bad
-                break
-        if not holds(test):
-            return step
-    return None
+    def first_false(self, values: list) -> Optional[Step]:
+        """The first step, in proof order, whose judgment fails on a
+        candidate's slot list ``values``; a branch is entered only when its
+        case holds.  Each side is totalled at most once, when first read."""
+        program, sides = self.program, self.sides
+        totals = self._fixed.copy()
+        pc, end = 0, len(program)
+        while pc < end:
+            wanted, lhs, rhs, then, orelse = program[pc]
+            a = totals[lhs]
+            if a is None:
+                a = totals[lhs] = _side_sum(sides[lhs], values)
+            b = totals[rhs]
+            if b is None:
+                b = totals[rhs] = _side_sum(sides[rhs], values)
+            if _order(a, b) is wanted:
+                pc = then
+            elif isinstance(orelse, int):
+                pc = orelse
+            else:
+                return orelse
+        return None
 
 
 def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -> ModelCheckReport:
@@ -639,30 +727,31 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
     trial index) stops the run, and so do the first ``VACUOUS_STREAK``
     trials when none of them met the hypotheses.  The sampling plan is built
     once for all trials, and so are the compiled steps: judgments with
-    their common terms cancelled and their distinct sides interned, so that
-    a trial sums each distinct side at most once.  A counterexample still
-    names the first false step and its judgment as written.  Identical
-    inputs produce identical reports.  Raises UnboundVariable when a
-    hypothesis, step or case comparison mentions an undeclared variable.
+    their common terms cancelled and their distinct sides interned, read on
+    the plan's slots, so that a trial sums each distinct side at most once
+    and builds no angle.  Trial ``i`` draws what ``SamplingPlan.sample(seed
+    * 1_000_003 + i)`` draws, and a counterexample carries the valuation
+    that call returns; it names the first false step and its judgment as
+    written.  Identical inputs produce identical reports.  Raises
+    UnboundVariable when a hypothesis, step or case comparison mentions an
+    undeclared variable.
     """
-    hyp_judgments = [h.judgment for h in derivation.hypotheses]
-    plan = SamplingPlan(derivation.variables, hyp_judgments)
     compiled = _CompiledSteps(derivation)
+    plan = compiled.plan
     satisfied = 0
     for i in range(trials):
         try:
-            valuation = random_valuation(derivation.variables, hyp_judgments, seed=seed * 1_000_003 + i,
-                                         plan=plan)
+            values = plan._accepted(seed * 1_000_003 + i, DEFAULT_BUDGET)
         except Unsatisfied:
             if satisfied == 0 and i + 1 >= VACUOUS_STREAK:
                 return ModelCheckReport(trials=i + 1, satisfied=0, counterexample=None)
             continue
         satisfied += 1
-        bad = compiled.first_false(valuation)
+        bad = compiled.first_false(values)
         if bad is not None:
             return ModelCheckReport(
                 trials=i + 1,
                 satisfied=satisfied,
-                counterexample=Counterexample(i, bad.label, bad.judgment, dict(valuation)),
+                counterexample=Counterexample(i, bad.label, bad.judgment, plan._valuation(values)),
             )
     return ModelCheckReport(trials=trials, satisfied=satisfied, counterexample=None)

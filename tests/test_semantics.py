@@ -188,12 +188,28 @@ _wide_judgments = st.one_of(
 _wide_valuations = st.fixed_dictionaries({n: _angles for n in "abcd"})
 
 
+def _laid_out(plan, valuation):
+    """``valuation`` in the slots of ``plan``, as an accepted candidate leaves them."""
+    values = list(plan._program[0])
+    for name, k in plan._slots.items():
+        values[k] = (valuation[name].x, valuation[name].y)
+    return values
+
+
+def _first_false_compiled(steps, valuation):
+    """The compiled walk over ``steps``, on ``valuation`` laid out in slots."""
+    compiled = semantics._CompiledSteps(Derivation(variables=tuple(valuation), steps=tuple(steps)))
+    return compiled.first_false(_laid_out(compiled.plan, valuation))
+
+
 def _compiled_truths(judgments, valuation):
-    """Every judgment interned in one table, then decided by one evaluator."""
-    table = semantics._Comparisons(valuation)
-    tests = [table.intern(j) for j in judgments]
-    holds = table.evaluator(valuation)
-    return [holds(t) for t in tests]
+    """Each judgment decided alone by the compiled walk; all of them, interned
+    in one table, stop the walk at the first that is false."""
+    steps = [Step(f"S{k}", j, Rule.HYPOTHESIS) for k, j in enumerate(judgments)]
+    truths = [_first_false_compiled([step], valuation) is None for step in steps]
+    first = _first_false_compiled(steps, valuation)
+    assert first is (steps[truths.index(False)] if False in truths else None)
+    return truths
 
 
 @settings(max_examples=400)
@@ -471,16 +487,31 @@ def test_plans_draw_the_same_for_a_seed_however_often_they_sample():
     assert [random_valuation(*hypothesis_set("lt"), seed=seed) for seed in range(10)] == first
 
 
+@pytest.mark.parametrize("name", ["four_rights", "postulate5", "aliased-part"])
+def test_plans_that_draw_nothing_are_not_seeded(name):
+    # Every candidate of a plan with nothing to draw is the same, so no seed
+    # can change it, and the plan's generator is left alone.
+    plan = SamplingPlan(*hypothesis_set(name))
+    assert plan.draws == ()
+
+    def refuse(seed):
+        raise AssertionError(f"seeded with {seed}")
+
+    plan._rng.seed = refuse
+    samples = [plan.sample(seed) for seed in (-7, 0, 1, 7 * 1_000_003 + 5, 2**70)]
+    assert samples == [{n: plan.fixed[n] for n in plan.variables}] * 5
+
+
 def _count_draws(monkeypatch):
     """A one-element list that counts the sampler's angle draws."""
     draws = [0]
-    draw = semantics._random_angle
+    draw = semantics._random_pair
 
     def counted(rng):
         draws[0] += 1
         return draw(rng)
 
-    monkeypatch.setattr(semantics, "_random_angle", counted)
+    monkeypatch.setattr(semantics, "_random_pair", counted)
     return draws
 
 
@@ -490,7 +521,7 @@ def test_splits_onto_fixed_wholes_cost_few_draws(name, monkeypatch):
     report = model_check_derivation(load_proof(name), trials=200, seed=7)
     assert report.satisfied == 200
     # At least one draw per satisfied trial: a sampler that stopped calling
-    # _random_angle through the module would pass the bound with none.
+    # _random_pair through the module would pass the bound with none.
     assert report.satisfied <= draws[0] <= 4 * report.satisfied
 
 
@@ -604,7 +635,7 @@ class TestSamplingPlan:
 # The sampler against the one it replaces
 
 def _reference_angle(rng):
-    """_random_angle as it was written on rng.randint."""
+    """The sampler's draw as it was written on rng.randint."""
     while True:
         x = rng.randint(-20, 20)
         y = rng.randint(-20, 20)
@@ -613,11 +644,13 @@ def _reference_angle(rng):
 
 
 def test_draw_stream_matches_randint():
-    # _random_angle reads rng.getrandbits directly; the angles and the state
-    # it leaves must be those of the randint loop on this interpreter.
+    # _random_pair reads rng.getrandbits directly; the pairs of the angles
+    # and the state it leaves must be those of the randint loop on this
+    # interpreter.
     for seed in range(200):
         fast, slow = random.Random(seed), random.Random(seed)
-        assert [semantics._random_angle(fast) for _ in range(200)] == [_reference_angle(slow) for _ in range(200)]
+        assert [semantics._random_pair(fast) for _ in range(200)] == [
+            (angle.x, angle.y) for angle in (_reference_angle(slow) for _ in range(200))]
         assert fast.getstate() == slow.getstate(), f"seed {seed}"
 
 
@@ -878,7 +911,8 @@ def test_compiled_walk_matches_reference(name, seed):
         v = random_valuation(d.variables, [h.judgment for h in d.hypotheses], seed=seed, budget=200)
     except Unsatisfied:
         return
-    assert semantics._CompiledSteps(d).first_false(v) is _first_false(d.steps, v)
+    compiled = semantics._CompiledSteps(d)
+    assert compiled.first_false(_laid_out(compiled.plan, v)) is _first_false(d.steps, v)
 
 
 def test_reference_walk_finds_counterexamples_in_branches():
@@ -892,6 +926,21 @@ def test_reference_walk_finds_counterexamples_in_branches():
                                                          seed=seed))
             found.add(bad and bad.label)
     assert {"T4", "X4"} <= found
+
+
+@pytest.mark.parametrize("name", ["cases-counterexample", "nested-cases-counterexample"])
+def test_counterexample_valuation_is_the_trials_sample(name):
+    # Trials run on the sampler's slots; the valuation a counterexample
+    # reports is the one sample returns for that trial's seed.
+    d = WALK_DERIVATIONS[name]
+    plan = SamplingPlan(d.variables, [h.judgment for h in d.hypotheses])
+    found = 0
+    for seed in range(20):
+        cx = model_check_derivation(d, trials=50, seed=seed).counterexample
+        if cx is not None:
+            found += 1
+            assert list(cx.valuation.items()) == list(plan.sample(seed * 1_000_003 + cx.trial).items())
+    assert found >= 10
 
 
 _plain_steps = st.builds(_step, st.just("S"), _judgments)
@@ -909,7 +958,8 @@ _step_trees = st.recursive(
 def test_compiled_walk_matches_reference_on_generated_trees(steps, v):
     # Valuations from the small pool make case comparisons tie or flip often.
     d = Derivation(variables=(a, b, c), steps=tuple(steps))
-    assert semantics._CompiledSteps(d).first_false(v) is _first_false(d.steps, v)
+    compiled = semantics._CompiledSteps(d)
+    assert compiled.first_false(_laid_out(compiled.plan, v)) is _first_false(d.steps, v)
 
 
 @st.composite
@@ -987,7 +1037,7 @@ class TestCompiledSteps:
 
         monkeypatch.setattr(semantics, "eval_judgment", refuse)
         compiled = semantics._CompiledSteps(d)
-        assert [compiled.first_false(v) for v in valuations] == expected
+        assert [compiled.first_false(_laid_out(compiled.plan, v)) for v in valuations] == expected
         assert [[plan.sample(seed, budget=200) for seed in range(20)] for plan in plans] == samples
 
     @settings(max_examples=200)
@@ -995,6 +1045,8 @@ class TestCompiledSteps:
     def test_sides_are_the_multiset_differences(self, judgments):
         # Interned sides and tests as Counter differences give them, in the
         # order the steps first use them; literals are kept as (0, x, y).
+        # A step whose test an earlier step passed cannot fail: it gets no
+        # entry in the walk's program.
         sides, checks, tests = {}, {}, []
         for j in judgments:
             lhs, rhs, wanted = comparison(j)
@@ -1006,7 +1058,7 @@ class TestCompiledSteps:
         assert compiled.table.sides == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side.terms)
                                          for side in sides]
         assert compiled.table.tests == list(checks)
-        assert [test for _, test, _ in compiled.steps] == tests
+        assert [compiled.table.tests.index(entry[:3]) for entry in compiled.program] == list(dict.fromkeys(tests))
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
@@ -1049,14 +1101,29 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
         sides |= {frozenset((lhs - rhs).items()), frozenset((rhs - lhs).items())}
     calls = {True: 0, False: 0}  # by whether the sampler made them
     actions = [0]  # the sampler's actions run
-    sampling = False
-    total = kernel._total
+    kernel_totals = [0]  # kernel._total calls made by the walk
+    sampling = walking = False
+    side_sum = semantics._side_sum
     act = semantics._act
-    sample = semantics.random_valuation
+    sample = SamplingPlan._accepted
+    total = kernel._total
+    first_false = semantics._CompiledSteps.first_false
 
-    def counted(triples):
+    def counted(side, values):
         calls[sampling] += 1
+        return side_sum(side, values)
+
+    def counted_total(triples):
+        kernel_totals[0] += walking
         return total(triples)
+
+    def counted_walk(self, values):
+        nonlocal walking
+        walking = True
+        try:
+            return first_false(self, values)
+        finally:
+            walking = False
 
     def counted_act(action, values):
         actions[0] += sampling
@@ -1070,21 +1137,25 @@ def test_each_cancelled_side_summed_at_most_once_per_trial(monkeypatch):
         finally:
             sampling = False
 
-    # The kernel's own name too, so that totals reached through
-    # sum_multiset are counted as well.
-    monkeypatch.setattr(kernel, "_total", counted)
-    monkeypatch.setattr(semantics, "_total", counted)
+    monkeypatch.setattr(semantics, "_side_sum", counted)
     monkeypatch.setattr(semantics, "_act", counted_act)
-    monkeypatch.setattr(semantics, "random_valuation", counted_sample)
+    monkeypatch.setattr(SamplingPlan, "_accepted", counted_sample)
+    # The kernel's own name too, so that totals reached through
+    # sum_multiset are seen as well.
+    monkeypatch.setattr(kernel, "_total", counted_total)
+    monkeypatch.setattr(semantics, "_total", counted_total)
+    monkeypatch.setattr(semantics._CompiledSteps, "first_false", counted_walk)
     trials = 50
     report = model_check_derivation(d, trials=trials, seed=7)
     assert (report.satisfied, report.counterexample) == (trials, None)
     assert len(sides) == 8
     # The walk sums each distinct cancelled side at most once a trial;
     # summing every judgment's two sides would make 2 * 30 calls a trial.
-    # At least one call a trial: a walk that stopped calling _total through
-    # the module would pass the bound with none.
+    # At least one call a trial: a walk that stopped calling _side_sum
+    # through the module would pass the bound with none.
     assert trials <= calls[False] <= trials * len(sides)
+    # Every side the walk totals goes through _side_sum.
+    assert kernel_totals == [0]
     # The sampler composes w1 and w2, one action each, on every candidate
     # it accepts; a sampler that stopped running its actions through
     # semantics._act would pass the bound with none.
