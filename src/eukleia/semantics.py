@@ -21,13 +21,15 @@ candidate on plain integers: one list of ``(x, y)`` pairs, a slot per
 variable and then one per literal, with actions and open checks that read
 slot indices.  A sum is a running product of Gaussian integers with a count
 of straight angles, and a solved value is reduced by one gcd at the end; an
-open check between two one-term sides is one cross product.
+open check between two one-term sides is one cross product.  One action
+computes every solved value: a value no draw affects is set by it once, as
+the plan is compiled, and read back as the plan's fixed values.
 
 A derivation's steps are compiled once per model check, onto the slots of
 its plan, and every trial runs from draw to verdict on the accepted
 candidate's pairs.  The measure is additive, so every judgment compares the
 same way once the terms common to both sides are cancelled; each distinct
-cancelled side and each distinct comparison is interned in a table.  A side
+cancelled side and each distinct comparison is interned once.  A side
 is read as the slots of its names and the total of its literals, computed
 once.  The step tree is flattened into one jump program: a case that fails
 jumps to the next case, the end of a branch jumps past the other cases to
@@ -60,7 +62,7 @@ from .calculus import (
     format_judgment,
     judgment_truth,
 )
-from .kernel import AngleLit, Ordering, _order, _reduced, _total, angle_from_slope_vector
+from .kernel import AngleLit, Ordering, _order, _reduced, _total
 
 __all__ = [
     "Counterexample",
@@ -137,24 +139,6 @@ def _triples(terms: Iterable[Term]) -> tuple:
     return tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in terms)
 
 
-def _side_total(terms: Sequence, valuation: Mapping[str, AngleLit]) -> tuple[int, int, int]:
-    """The ``(straights, x, y)`` total of a side from :func:`_triples`, its
-    names valued by ``valuation``; a list is built only for two or more terms."""
-    if len(terms) == 1:
-        t = terms[0]
-        if isinstance(t, str):
-            angle = valuation[t]
-            return (0, angle.x, angle.y)
-        return t
-    level = []  # a loop, which is cheaper than a comprehension for a few terms
-    for t in terms:
-        if isinstance(t, str):
-            angle = valuation[t]
-            t = (0, angle.x, angle.y)
-        level.append(t)
-    return _total(level)
-
-
 def _side_sum(side: tuple, values: list) -> tuple[int, int, int]:
     """The ``(straights, x, y)`` total of a side from :func:`_compiled_side`
     on a candidate's ``(x, y)`` pairs: the total of its literals, taken when
@@ -218,61 +202,16 @@ def _merge_cancel(lhs: list, rhs: list) -> tuple[list, list]:
     return kept_l + lhs[i:], kept_r + rhs[j:]
 
 
-class _Comparisons:
-    """Judgments interned as comparisons of cancelled sides.
-
-    A judgment comparing ``A`` with ``B`` (:func:`eukleia.calculus.comparison`)
-    compares ``A - B`` with ``B - A`` (multiset differences): the common
-    terms add the same measure to both sides.  ``sides`` holds each distinct
-    cancelled side once, in MultisetExpr's order, its names sorted and then
-    its literals as ``(0, x, y)`` triples by their coordinates; ``tests``
-    holds each distinct ``(wanted order, lhs, rhs)`` once.  Raises
-    UnboundVariable for an undeclared variable.
-    """
-
-    def __init__(self, declared: Iterable[str]):
-        self._declared = set(declared)
-        self._side_index: dict[tuple, int] = {}
-        # Keyed on the wanted order's value: Ordering's __hash__ is a Python function.
-        self._test_index: dict[tuple[int, int, str], int] = {}
-        self.sides: list[tuple] = []
-        self.tests: list[tuple[Ordering, int, int]] = []
-
-    def intern(self, j: Judgment) -> int:
-        """The index of ``j``'s comparison in ``tests``.  The sides of an Eq
-        or Lt are MultisetExprs, already in order, so cancelling them is one
-        merge; only a Split's or Congr's terms, two at most a side, are
-        sorted."""
-        lhs, rhs, wanted = comparison(j)
-        ordered = isinstance(j, (Eq, Lt))
-        (l_names, l_lits), (r_names, r_lits) = _parts(lhs, ordered), _parts(rhs, ordered)
-        _check_declared(l_names + r_names, self._declared)
-        (l_names, r_names), (l_lits, r_lits) = _merge_cancel(l_names, r_names), _merge_cancel(l_lits, r_lits)
-        key = (self._side((*l_names, *l_lits)), self._side((*r_names, *r_lits)), wanted._value_)
-        if key not in self._test_index:
-            self._test_index[key] = len(self.tests)
-            self.tests.append((wanted, *key[:2]))
-        return self._test_index[key]
-
-    def _side(self, key: tuple) -> int:
-        if key not in self._side_index:
-            self._side_index[key] = len(self.sides)
-            self.sides.append(key)
-        return self._side_index[key]
-
-
 # ---------------------------------------------------------------------------
 # Randomized valuations
 
 _COORD_RANGE = 20
 _SPAN = 2 * _COORD_RANGE + 1  # coordinates per axis
 _BITS = _SPAN.bit_length()
-# _ANGLES[x][y - 1] is the canonical angle of the vector (x - 20, y); building
-# the 41 x 20 table once costs about half a millisecond.
-_ANGLES = tuple(tuple(angle_from_slope_vector(x - _COORD_RANGE, y) for y in range(1, _COORD_RANGE + 1))
-                for x in range(_SPAN))
-# _PAIRS[x][y - 1] is the (x, y) pair of _ANGLES[x][y - 1], as a slot holds it.
-_PAIRS = tuple(tuple((angle.x, angle.y) for angle in row) for row in _ANGLES)
+# _PAIRS[x][y - 1] is the reduced pair of the vector (x - 20, y), as a slot
+# holds it.
+_PAIRS = tuple(tuple((x // gcd(x, y), y // gcd(x, y)) for y in range(1, _COORD_RANGE + 1))
+               for x in range(-_COORD_RANGE, _COORD_RANGE + 1))
 
 
 def _random_pair(rng: random.Random) -> tuple[int, int]:
@@ -340,34 +279,16 @@ def _decided(lhs: tuple, rhs: tuple, wanted: Ordering) -> Optional[bool]:
     names totals above an empty side: of the comparisons with an empty
     side, only Lt {} X holds."""
     if not any(isinstance(t, str) for t in lhs + rhs):
-        return _order(_side_total(lhs, {}), _side_total(rhs, {})) is wanted
+        return _order(_total(list(lhs)), _total(list(rhs))) is wanted
     if lhs and rhs:
         return None
     return wanted is Ordering.LESS and not lhs
 
 
-def _apply(actions: Iterable[tuple[str, tuple, tuple]], values: dict) -> bool:
-    """Set each action's target to the total of its summed terms minus the
-    total of its subtracted ones; False, at the first that is not an angle
-    in (0, pi).  The remainders' difference is their product with the
-    conjugate, in (-pi, pi); below zero it borrows one straight angle."""
-    for target, summed, subtracted in actions:
-        straights, x, y = _side_total(summed, values)
-        if subtracted:
-            s, x2, y2 = _side_total(subtracted, values)
-            straights, x, y = straights - s, x * x2 + y * y2, y * x2 - x * y2
-            if y < 0:
-                straights, x, y = straights - 1, -x, -y
-        if straights or y <= 0:
-            return False
-        # Only a difference needs reducing: a total's remainder is primitive.
-        values[target] = angle_from_slope_vector(x, y) if subtracted else _reduced(x, y)
-    return True
-
-
 def _act(action: tuple, values: list) -> bool:
     """Run one action of a :class:`SamplingPlan`'s slot program on a
-    candidate's ``(x, y)`` pairs: set slot ``target`` to the sum of slots
+    candidate's ``(x, y)`` pairs, or, for a value no draw affects, once on
+    the plan's ``start`` list: set slot ``target`` to the sum of slots
     ``head`` and ``tail`` minus the sum of slots ``subtracted``.  False, at
     once, when that cannot be an angle: a sum with nothing subtracted that
     reaches pi, or a difference that drops below zero.  The sum is a running
@@ -414,8 +335,9 @@ class SamplingPlan:
     variables never solved are drawn, one draw each in the order of
     ``variables``.
 
-    Values no draw affects are ``fixed`` when the plan is built.  So is the
-    truth of a comparison as soon as it has no names or an empty side
+    Values no draw affects are ``fixed`` when the plan is built, by the
+    action that sets the others on every candidate.  So is the truth of a
+    comparison as soon as it has no names or an empty side
     (:func:`_decided`), before a later substitution can fill that side; such
     an equality is never solved.  ``refuted`` is the first hypothesis found
     false, and a refuted plan draws nothing.  The rest, in ``checks``, must
@@ -464,52 +386,57 @@ class SamplingPlan:
                     for k, (lhs, rhs, wanted) in list(unsolved.items()):
                         settle(k, (*_substituted(lhs, rhs, target, summed, subtracted), wanted))
 
-        # A target's inputs are drawn or solved after it; a target whose
-        # inputs are all fixed is fixed too.
-        fixed: dict[str, AngleLit] = {}
-        actions = []
-        for target, (i, summed, subtracted) in reversed(solved.items()):
-            if any(isinstance(t, str) and t not in fixed for t in summed + subtracted):
-                actions.append((target, summed, subtracted))
-            elif not _apply([(target, summed, subtracted)], fixed):
-                refuted.append(i)
         self.draws = tuple(n for n in names if n not in solved)
-        self.actions = tuple(actions)
-        self.fixed = fixed
+        self._compile(solved, [written[i] for i in unsolved], refuted)
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
         # The rest are checked, on their sides as written; neither is empty.
         self.checks = tuple(self.hypotheses[i] for i in unsolved)
-        self._compile([written[i] for i in unsolved])
         self._rng = random.Random(0)  # re-seeded by every sample that draws
 
-    def _compile(self, checks: Sequence[tuple]) -> None:
+    def _compile(self, solved: Mapping[str, tuple], checks: Sequence[tuple], refuted: list) -> None:
         """The slot program: a candidate's values are one list of ``(x, y)``
         pairs, a slot per variable in the order of ``variables`` and then
-        one per literal an action or a one-term ``Lt`` reads.  ``start``
-        holds the fixed values and the literals; every other slot a
-        candidate reads, it has written first, so one list serves all
-        candidates.  An action that copies one term is resolved here, its
-        target reading its source's slot; ``_slots`` is the slot each
-        variable is read from.  An open ``Lt`` between two one-term sides is
-        one cross product, any other open check orders two sides compiled
-        for :func:`_side_sum`."""
+        one per literal.  ``solved`` maps each target, in the order of
+        solving, to its ``(hypothesis index, terms summed, terms
+        subtracted)``; targets are set in the reverse order, each after its
+        inputs.  A target whose inputs are all literals or fixed is fixed:
+        its action runs once, here, by :func:`_act` on ``start``, and when
+        that gives no angle its hypothesis index goes on ``refuted``.
+        ``fixed`` is read back from those slots, and ``actions`` keeps the
+        rest.  Of those, an action that copies one term is resolved here,
+        its target reading its source's slot; ``_slots`` is the slot each
+        variable is read from.  ``start`` holds the literals and the fixed
+        values; every other slot a candidate reads, it has written first, so
+        one list serves all candidates.  An open ``Lt`` between two one-term
+        sides is one cross product, any other open check orders two sides
+        compiled for :func:`_side_sum`."""
         slot = {n: k for k, n in enumerate(self.variables)}
-        start = [(a.x, a.y) if (a := self.fixed.get(n)) is not None else None for n in self.variables]
+        start: list = [None] * len(slot)
+        constant = set()  # the slots that hold the same pair in every candidate
 
         def read(terms: tuple) -> tuple:
             for t in terms:
                 if t not in slot:  # a literal, (0, x, y)
+                    constant.add(len(start))
                     slot[t] = len(start)
                     start.append(t[1:])
             return tuple(slot[t] for t in terms)
 
-        actions = []
-        for target, summed, subtracted in self.actions:
-            head, *tail = read(summed)
-            if tail or subtracted:
-                actions.append((slot[target], head, tuple(tail), read(subtracted)))
+        actions, kept = [], []
+        for target, (i, summed, subtracted) in reversed(solved.items()):
+            (head, *tail), minus = read(summed), read(subtracted)
+            if not constant.issuperset((head, *tail, *minus)):
+                kept.append((target, summed, subtracted))
+                if tail or minus:
+                    actions.append((slot[target], head, tuple(tail), minus))
+                else:  # a copy: the target reads its source's slot
+                    slot[target] = head
+            elif _act((slot[target], head, tail, minus), start):  # no draw affects it: set once, here
+                constant.add(slot[target])
             else:
-                slot[target] = head
+                refuted.append(i)
+        self.actions = tuple(kept)
+        self.fixed = {n: _reduced(*start[slot[n]]) for n in self.variables if slot[n] in constant}
         lts, others = [], []
         for lhs, rhs, wanted in checks:
             if len(lhs) == len(rhs) == 1 and wanted is Ordering.LESS:
@@ -518,9 +445,6 @@ class SamplingPlan:
                 others.append((_compiled_side(lhs, slot), _compiled_side(rhs, slot), wanted))
         self._program = (start, tuple(slot[n] for n in self.draws), tuple(actions), tuple(lts), tuple(others))
         self._slots = {n: slot[n] for n in self.variables}
-        self._drawn = tuple((n, slot[n]) for n in self.draws)
-        self._solved = tuple((target, slot[target]) for target, _, _ in self.actions)
-        self._start = {n: self.fixed.get(n) for n in self.variables}  # a valuation's keys in the order of the variables
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates, at least one; return the first
@@ -560,15 +484,8 @@ class SamplingPlan:
         raise Unsatisfied(budget)
 
     def _valuation(self, values: list) -> Valuation:
-        """An accepted candidate's valuation: a drawn angle is the table's,
-        a solved one built."""
-        valuation = self._start.copy()
-        for name, k in self._drawn:
-            x, y = values[k]
-            valuation[name] = _ANGLES[x + _COORD_RANGE][y - 1]
-        for name, k in self._solved:
-            valuation[name] = _reduced(*values[k])
-        return valuation
+        """An accepted candidate's valuation, in the order of the variables."""
+        return {n: _reduced(*values[k]) for n, k in self._slots.items()}
 
 
 def random_valuation(
@@ -577,7 +494,6 @@ def random_valuation(
     seed: int = 0,
     *,
     budget: int = DEFAULT_BUDGET,
-    plan: Optional[SamplingPlan] = None,
 ) -> Valuation:
     """Draw a valuation of ``variables`` satisfying every hypothesis.
 
@@ -595,12 +511,11 @@ def random_valuation(
     nothing, with ``attempts`` 0, when the plan refuted a hypothesis as it
     was built.  Raises ValueError for a ``budget`` below 1.
 
-    ``plan`` is a plan already built from these variables and hypotheses;
-    passing one saves rebuilding it on every call.
+    Each call builds the plan anew; to draw many valuations of one
+    hypothesis set, build its :class:`SamplingPlan` once and call
+    :meth:`SamplingPlan.sample`.
     """
-    if plan is None:
-        plan = SamplingPlan(variables, hypotheses)
-    return plan.sample(seed, budget=budget)
+    return SamplingPlan(variables, hypotheses).sample(seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -648,29 +563,53 @@ class _CompiledSteps:
     """A derivation's steps compiled onto the slots of its sampling plan.
 
     ``plan`` is the :class:`SamplingPlan` of the derivation's hypotheses.
-    Every judgment, case comparisons too, is interned in one
-    :class:`_Comparisons` table, and each of its sides is read as the slots
-    of its names and the total of its literals (:func:`_side_sum`).  The
-    step tree is flattened into ``program``, one ``(wanted, lhs, rhs, then,
-    orelse)`` entry per test: when the sides' totals stand in the ``wanted``
-    order, the walk goes on at entry ``then``; otherwise ``orelse`` is the
-    step that failed, or, for a case, the entry of the next case (after the
-    last, the ``cases`` step's own judgment).  A branch's last entry goes on
-    past the other cases, and a step whose test already held on the way
-    gets no entry.  Raises UnboundVariable for an undeclared variable in a
+    Every judgment, case comparisons too, is interned as a comparison of
+    cancelled sides: a judgment comparing ``A`` with ``B``
+    (:func:`eukleia.calculus.comparison`) compares ``A - B`` with ``B - A``
+    (multiset differences), since the common terms add the same measure to
+    both sides.  ``_side_index`` numbers each distinct cancelled side, in
+    MultisetExpr's order, its names sorted and then its literals as ``(0, x,
+    y)`` triples by their coordinates, and ``_test_index`` each distinct
+    ``(wanted order, lhs, rhs)``.  Each side is read as the slots of its
+    names and the total of its literals (:func:`_side_sum`).  The step tree
+    is flattened into ``program``, one ``(wanted, lhs, rhs, then, orelse)``
+    entry per test: when the sides' totals stand in the ``wanted`` order,
+    the walk goes on at entry ``then``; otherwise ``orelse`` is the step
+    that failed, or, for a case, the entry of the next case (after the last,
+    the ``cases`` step's own judgment).  A branch's last entry goes on past
+    the other cases, and a step whose test already held on the way gets no
+    entry.  Raises UnboundVariable for an undeclared variable in a
     hypothesis, a step or a case.
     """
 
     def __init__(self, derivation: Derivation):
         self.plan = SamplingPlan(derivation.variables, [h.judgment for h in derivation.hypotheses])
-        self.table = _Comparisons(derivation.variables)
+        self._declared = set(derivation.variables)
+        self._side_index: dict[tuple, int] = {}
+        # Keyed on the wanted order's value: Ordering's __hash__ is a Python function.
+        self._test_index: dict[tuple[str, int, int], int] = {}
         entries: list[list] = []
         self._emit(derivation.steps, entries, set())
-        tests = self.table.tests
+        tests = [(Ordering(wanted), lhs, rhs) for wanted, lhs, rhs in self._test_index]
         self.program = tuple((*tests[test], then, orelse) for test, then, orelse in entries)
-        self.sides = [_compiled_side(side, self.plan._slots) for side in self.table.sides]
+        self.sides = [_compiled_side(side, self.plan._slots) for side in self._side_index]
         # Each side's total where no name needs a slot, None where it does.
         self._fixed = [None if slots else literals for literals, slots in self.sides]
+
+    def _intern(self, j: Judgment) -> int:
+        """The index of ``j``'s comparison in ``_test_index``.  The sides of
+        an Eq or Lt are MultisetExprs, already in order, so cancelling them
+        is one merge; only a Split's or Congr's terms, two at most a side,
+        are sorted."""
+        lhs, rhs, wanted = comparison(j)
+        ordered = isinstance(j, (Eq, Lt))
+        (l_names, l_lits), (r_names, r_lits) = _parts(lhs, ordered), _parts(rhs, ordered)
+        _check_declared(l_names + r_names, self._declared)
+        (l_names, r_names), (l_lits, r_lits) = _merge_cancel(l_names, r_names), _merge_cancel(l_lits, r_lits)
+        sides, tests = self._side_index, self._test_index
+        key = (wanted._value_, sides.setdefault((*l_names, *l_lits), len(sides)),
+               sides.setdefault((*r_names, *r_lits), len(sides)))
+        return tests.setdefault(key, len(tests))
 
     def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:
         """Append ``[test, then, orelse]`` entries for ``steps``, each going
@@ -682,7 +621,7 @@ class _CompiledSteps:
             if step.rule is Rule.CASES and step.case_pair is not None:
                 ends = []  # the last entry of each branch: it goes on at this step's own test
                 for case, branch in zip(case_hypotheses(*step.case_pair), step.branches):
-                    test = self.table.intern(case)
+                    test = self._intern(case)
                     entry = [test, len(entries) + 1, None]
                     entries.append(entry)
                     self._emit(branch, entries, known | {test})
@@ -690,7 +629,7 @@ class _CompiledSteps:
                     ends.append(entries[-1])
                 for end in ends:
                     end[1] = len(entries)
-            test = self.table.intern(step.judgment)
+            test = self._intern(step.judgment)
             if test not in known:
                 entries.append([test, len(entries) + 1, step])
                 known.add(test)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -214,3 +215,39 @@ def test_exit_codes_come_from_report_statuses():
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("EXIT_")
                   and not owners & EXIT_CODE_READERS]
     assert not stray, ", ".join(stray)
+
+
+def _top_level_definitions(tree: ast.Module):
+    """Each top-level def and class, and each name a top-level assignment binds, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+# Names Python or packaging tools read, not the package's own code.
+UNREFERENCED = {"__all__", "__version__"}
+
+
+def test_every_definition_is_used_or_exported():
+    # Exported: in the module's __all__, or imported by eukleia/__init__.py.
+    # A helper only the tests keep alive is dead code in the package.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    package = _package_imports()
+    reads = sum(map(_reads, trees.values()), Counter())
+    stray = []
+    for path, tree in trees.items():
+        exported = _exported(tree) | package.get(path.stem, set())
+        for name, node in _top_level_definitions(tree):
+            if name not in exported | UNREFERENCED and reads[name] == _reads(node)[name]:
+                stray.append(f"{path.name}:{node.lineno}: {name!r}")
+    assert not stray, ", ".join(stray) + " defined but not used in the package or exported"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -20,6 +21,7 @@ from eukleia.calculus import (
     case_hypotheses,
     check_derivation,
     comparison,
+    format_judgment,
     judgment_truth,
     judgment_variables,
     multiset,
@@ -538,7 +540,7 @@ def test_equality_onto_a_pinned_side_is_solved(monkeypatch):
     # c is an angle when the drawn b is acute, for about half of the draws.
     assert report.satisfied <= draws[0] <= 4 * report.satisfied
     for seed in range(50):
-        v = random_valuation(d.variables, hyps, seed=seed, plan=plan)
+        v = plan.sample(seed)
         assert all(eval_judgment(h, v) for h in hyps)
 
 
@@ -603,7 +605,7 @@ class TestSamplingPlan:
         plan = SamplingPlan(names, hyps)
         assert plan.draws == ("p", "q", "r")
         for seed in range(20):
-            v = random_valuation(names, hyps, seed=seed, plan=plan)
+            v = plan.sample(seed)
             assert add_two(v["p"], v["q"]) == v["w"] == add_two(v["r"], v["s"])
 
     def test_second_equality_of_a_pair_is_implied(self):
@@ -654,6 +656,31 @@ def test_draw_stream_matches_randint():
         assert fast.getstate() == slow.getstate(), f"seed {seed}"
 
 
+def _side_total(terms, valuation):
+    """The ``(straights, x, y)`` total of a side of names and ``(0, x, y)``
+    literal triples, its names valued by ``valuation``, by the kernel's sum."""
+    return kernel._total([t if not isinstance(t, str) else (0, valuation[t].x, valuation[t].y) for t in terms])
+
+
+def _apply(actions, values):
+    """The plan's ``actions`` on the angles of ``values``, apart from the
+    sampler's slot program: set each target to the total of its summed terms
+    minus the total of its subtracted ones; False, at the first that is not
+    an angle in (0, pi).  The remainders' difference is their product with
+    the conjugate, in (-pi, pi); below zero it borrows one straight angle."""
+    for target, summed, subtracted in actions:
+        straights, x, y = _side_total(summed, values)
+        if subtracted:
+            s, x2, y2 = _side_total(subtracted, values)
+            straights, x, y = straights - s, x * x2 + y * y2, y * x2 - x * y2
+            if y < 0:
+                straights, x, y = straights - 1, -x, -y
+        if straights or y <= 0:
+            return False
+        values[target] = kernel.angle_from_slope_vector(x, y)
+    return True
+
+
 def _reference_sample(plan, seed, budget):
     """SamplingPlan.sample before construction was trusted: every candidate
     is checked against every hypothesis, drawing with randint."""
@@ -673,7 +700,7 @@ def _reference_sample(plan, seed, budget):
         values = dict(plan.fixed)
         for name in plan.draws:
             values[name] = _reference_angle(rng)
-        if not semantics._apply(plan.actions, values):
+        if not _apply(plan.actions, values):
             continue
         valuation = {n: values[n] for n in plan.variables}
         if all(eval_judgment(h, valuation) for h in plan.hypotheses):
@@ -683,7 +710,8 @@ def _reference_sample(plan, seed, budget):
 
 _NAMES = ("a", "b", "c", "d", "e")
 _name = st.sampled_from(_NAMES)
-_pin = st.sampled_from([R, ang(1, 1), ang(-1, 1), ang(3, 4), ang(-2, 7)])
+_PINS = (R, ang(1, 1), ang(-1, 1), ang(3, 4), ang(-2, 7))
+_pin = st.sampled_from(_PINS)
 _side = st.lists(st.one_of(_name, _name, _pin), max_size=3).map(lambda ts: multiset(*ts))
 _hypothesis = st.one_of(
     st.builds(Split, st.one_of(_name, _name, _pin), _name, st.one_of(_name, _name, _pin)),  # chains and cycles
@@ -708,6 +736,60 @@ def test_sample_matches_checking_every_hypothesis(hyps, seed):
     v = plan.sample(seed, budget=40)
     assert list(v.items()) == list(expected.items())
     assert all(eval_judgment(h, v) for h in hyps)
+
+
+# Hypothesis sets on a-e from a seeded generator, whose plans and draws one
+# digest pins: pinned, fixed and refuted shapes too, which GOLDEN leaves out.
+def _digest_term(rng):
+    """A name, twice as often as a pinned angle."""
+    return rng.choice(_NAMES) if rng.randrange(3) else rng.choice(_PINS)
+
+
+def _digest_judgment(rng):
+    """A Split, a Congr, an Eq with a lone name or a pinned side, or a one-term Lt."""
+    kind = rng.randrange(6)
+    if kind == 0:  # two parts the same name would leave an equality to check
+        part, other = rng.sample(_NAMES, 2)
+        return Split(_digest_term(rng), part, other if rng.randrange(3) else rng.choice(_PINS))
+    if kind == 1:
+        return Congr(rng.choice(_NAMES), _digest_term(rng))
+    if kind == 2:
+        return Congr(rng.choice(_PINS), rng.choice(_NAMES))
+    if kind == 3:  # a lone name against up to three terms
+        lone = multiset(rng.choice(_NAMES))
+        side = multiset(*(_digest_term(rng) for _ in range(rng.randrange(4))))
+        return Eq(lone, side) if rng.randrange(2) else Eq(side, lone)
+    if kind == 4:  # distinct names against pins
+        names = multiset(*rng.sample(_NAMES, rng.randrange(1, 3)))
+        pinned = multiset(*(rng.choice(_PINS) for _ in range(rng.randrange(1, 3))))
+        return Eq(names, pinned) if rng.randrange(2) else Eq(pinned, names)
+    return Lt(multiset(_digest_term(rng)), multiset(rng.choice(_NAMES)))
+
+
+# A new digest means some seed draws differently: say which, and why.
+DRAWS_DIGEST = "64fd4e9e1587eed214a946689827640a4b0e1c669c10de997d706ce4e5a9a54b"
+
+
+def test_draws_digest():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for i in range(300):
+        hyps = [_digest_judgment(rng) for _ in range(rng.randrange(1, 4))]
+        # The hypotheses restated, and half the time a judgment that may fail.
+        steps = [_step(f"S{k}", h) for k, h in enumerate(hyps)]
+        steps += [_step("T", _digest_judgment(rng)) for _ in range(rng.randrange(2))]
+        plan = SamplingPlan(_NAMES, hyps)
+        record = [plan.draws, plan.actions, sorted((n, str(v)) for n, v in plan.fixed.items()),
+                  plan.refuted and format_judgment(plan.refuted), [format_judgment(h) for h in plan.checks]]
+        for seed in range(8 * i, 8 * i + 8):
+            try:
+                record.append(sorted((n, str(v)) for n, v in plan.sample(seed, budget=30).items()))
+            except Unsatisfied as exc:
+                record.append(exc.attempts)
+        d = Derivation(_NAMES, tuple(Hypothesis(f"H{k}", h) for k, h in enumerate(hyps)), tuple(steps))
+        record.append(model_check_derivation(d, trials=20, seed=i).to_dict())
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == DRAWS_DIGEST
 
 
 def test_construction_leaves_only_open_hypotheses_to_check():
@@ -1055,10 +1137,10 @@ class TestCompiledSteps:
             tests.append(checks.setdefault((wanted, *pair), len(checks)))
         compiled = semantics._CompiledSteps(Derivation(variables=(a, b, c),
                                                         steps=tuple(_step("S", j) for j in judgments)))
-        assert compiled.table.sides == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side.terms)
-                                         for side in sides]
-        assert compiled.table.tests == list(checks)
-        assert [compiled.table.tests.index(entry[:3]) for entry in compiled.program] == list(dict.fromkeys(tests))
+        assert list(compiled._side_index) == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side.terms)
+                                              for side in sides]
+        assert list(compiled._test_index) == [(wanted._value_, lhs, rhs) for wanted, lhs, rhs in checks]
+        assert [compiled._test_index[(entry[0]._value_, *entry[1:3])] for entry in compiled.program] == list(dict.fromkeys(tests))
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
