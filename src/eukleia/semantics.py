@@ -8,6 +8,11 @@ drawing randomized valuations that satisfy a derivation's hypotheses and
 asserting every step's judgment; a failure is a counterexample to the rule
 set, not an exception.
 
+The measure is additive, so a judgment compares the same way once the terms
+common to both sides are cancelled.  Hypotheses, steps and cases are all
+read in one form (:func:`_form`): the comparison cancelled, the rest of
+each side as written.
+
 Valuations are generated by construction rather than by filtering: a
 :class:`SamplingPlan`, built once per hypothesis set, solves each equality
 it can for a variable occurring once, as the other side's total minus the
@@ -27,19 +32,18 @@ the plan is compiled, and read back as the plan's fixed values.
 
 A derivation's steps are compiled once per model check, onto the slots of
 its plan, and every trial runs from draw to verdict on the accepted
-candidate's pairs.  The measure is additive, so every judgment compares the
-same way once the terms common to both sides are cancelled; each distinct
-cancelled side and each distinct comparison is interned once.  A side
-is read as the slots of its names and the total of its literals, computed
-once.  The step tree is flattened into one jump program: a case that fails
-jumps to the next case, the end of a branch jumps past the other cases to
-the ``cases`` step's own judgment, and a step whose comparison already held
-on the way there gets no entry.  Under one candidate every side is
-totalled at most once, and only when a test that is reached needs it, as an
-integer triple ``(straights, x, y)`` whose remainder is a positive multiple
-of the primitive vector of one angle below pi; two totals are ordered by the
-kernel's rule, which reads only signs.  ``AngleLit`` values are built only
-for a valuation that is returned: a sample, or a counterexample.
+candidate's pairs.  Each distinct cancelled side and each distinct
+comparison is interned once.  A side is read as the slots of its names and
+the total of its literals, computed once.  The step tree is flattened into
+one jump program: a case that fails jumps to the next case, the end of a
+branch jumps past the other cases to the ``cases`` step's own judgment, and
+a step whose comparison already held on the way there gets no entry.  Under
+one candidate every side is totalled at most once, and only when a test
+that is reached needs it, as an integer triple ``(straights, x, y)`` whose
+remainder is a positive multiple of the primitive vector of one angle below
+pi; two totals are ordered by the kernel's rule, which reads only signs.
+``AngleLit`` values are built only for a valuation that is returned: a
+sample, or a counterexample.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .calculus import (
     Lt,
     Rule,
     Step,
-    Term,
     case_hypotheses,
     comparison,
     format_judgment,
@@ -115,13 +118,6 @@ def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
         raise UnboundVariable(exc.args[0]) from None
 
 
-def _check_declared(names: Iterable[str], declared: set[str]) -> None:
-    """Raises UnboundVariable for the least of ``names`` not declared."""
-    stray = set(names).difference(declared)
-    if stray:
-        raise UnboundVariable(min(stray))
-
-
 def _cancel(lhs: Sequence, rhs: Sequence) -> tuple[tuple, tuple]:
     """``lhs`` and ``rhs`` with each term of ``lhs`` cancelled against one
     equal term of ``rhs``, if any is left; the kept terms stay in order."""
@@ -132,11 +128,6 @@ def _cancel(lhs: Sequence, rhs: Sequence) -> tuple[tuple, tuple]:
         else:
             kept.append(t)
     return tuple(kept), tuple(rest)
-
-
-def _triples(terms: Iterable[Term]) -> tuple:
-    """The terms with names kept and literals as ``(0, x, y)`` triples."""
-    return tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in terms)
 
 
 def _side_sum(side: tuple, values: list) -> tuple[int, int, int]:
@@ -169,37 +160,38 @@ def _compiled_side(terms: Sequence, slot: Mapping[str, int]) -> tuple:
     return _total(literals) if literals or not slots else None, slots
 
 
-def _parts(terms: Sequence[Term], ordered: bool) -> tuple[list, list]:
-    """A side's names and its literals as ``(0, x, y)`` triples, each
-    sorted.  Terms in MultisetExpr's order (``ordered``) are the names,
-    sorted, and then the literals by their coordinates; others are sorted
-    here."""
-    names = [t for t in terms if isinstance(t, str)]
-    if ordered:
-        return names, [(0, t.x, t.y) for t in terms[len(names):]]
-    return sorted(names), sorted((0, t.x, t.y) for t in terms if not isinstance(t, str))
-
-
-def _merge_cancel(lhs: list, rhs: list) -> tuple[list, list]:
-    """Two sorted lists with each term common to both dropped once from
-    each, by one merge."""
-    if not lhs or not rhs:
-        return lhs, rhs
+def _form(j: Judgment, declared: set[str]) -> tuple[tuple, tuple, Ordering]:
+    """``j``'s comparison (:func:`eukleia.calculus.comparison`) with each
+    term common to both sides dropped once from each, the rest as written:
+    names, and literals as ``(0, x, y)`` triples.  Raises UnboundVariable
+    for the least undeclared name, before anything is cancelled.  A Split's
+    or Congr's terms, two at most a side, stay in the order written.  The
+    sides of an Eq or Lt are in MultisetExpr's order, the names sorted and
+    then the literals by their coordinates, so they are cancelled by one
+    merge."""
+    lhs, rhs, wanted = comparison(j)
+    lhs = [t if isinstance(t, str) else (0, t.x, t.y) for t in lhs]
+    rhs = [t if isinstance(t, str) else (0, t.x, t.y) for t in rhs]
+    stray = {t for t in lhs + rhs if isinstance(t, str)}.difference(declared)
+    if stray:
+        raise UnboundVariable(min(stray))
+    if not isinstance(j, (Eq, Lt)):
+        return (*_cancel(lhs, rhs), wanted)
     kept_l, kept_r = [], []
-    i = j = 0
+    i = k = 0
     n, m = len(lhs), len(rhs)
-    while i < n and j < m:
-        s, t = lhs[i], rhs[j]
+    while i < n and k < m:
+        s, t = lhs[i], rhs[k]
         if s == t:
             i += 1
-            j += 1
-        elif s < t:
+            k += 1
+        elif s < t if s.__class__ is t.__class__ else s.__class__ is str:  # a name before a literal
             kept_l.append(s)
             i += 1
         else:
             kept_r.append(t)
-            j += 1
-    return kept_l + lhs[i:], kept_r + rhs[j:]
+            k += 1
+    return (*kept_l, *lhs[i:]), (*kept_r, *rhs[k:]), wanted
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +225,39 @@ def _random_pair(rng: random.Random) -> tuple[int, int]:
             return _PAIRS[x][y - _COORD_RANGE - 1]
 
 
-def _unknown(lhs: tuple, rhs: tuple, written: tuple[tuple, tuple], names: Sequence[str]
-             ) -> Optional[tuple[int, str, tuple, tuple]]:
+def _ranks(lhs: tuple, rhs: tuple, position: Mapping[str, int]) -> dict[str, tuple]:
+    """How :func:`_unknown` ranks each name of the cancelled equality ``lhs =
+    rhs``, as written with nothing substituted; the least is solved for.  A
+    lone variable side comes first, ranked 0 when the other side has no
+    names, 1 when it has several terms and 2 when it has one; of two, the
+    later in ``position`` is set to the earlier.  Then (3) the last variable
+    written once, and after those (3, 1) the rest."""
+    ranks = {}
+    for k, t in enumerate(lhs + rhs):
+        if isinstance(t, str):
+            ranks[t] = (3, 1) if t in ranks else (3, -k)
+    for side, other in ((lhs, rhs), (rhs, lhs)):
+        if len(side) == 1 and isinstance(side[0], str):
+            named = any(isinstance(u, str) for u in other)
+            ranks[side[0]] = (1 if len(other) > 1 else 2) if named else 0, -position[side[0]]
+    return ranks
+
+
+def _unknown(lhs: tuple, rhs: tuple, ranks: Mapping[str, tuple]) -> Optional[tuple[int, str, tuple, tuple]]:
     """What the cancelled equality ``lhs = rhs`` is solved for, as
     ``(preference, variable, terms summed, terms subtracted)``, or None.
 
-    It is a variable that occurs once, ranked by the equality as ``written``
-    (cancelled, with nothing substituted).  A lone variable side comes first,
-    ranked 0 when the other side has no names, 1 when it has several terms
-    and 2 when it has one; of two, the later in ``names`` is set to the
-    earlier.  Otherwise (3) it is the last variable written once, and after
-    those the last that substitution brought in.
+    It is the variable that occurs once with the least rank in ``ranks``
+    (see :func:`_ranks`), a name substitution brought in ranking (3, 1); of
+    equal ranks, the later term.
     """
-    terms, spelled = lhs + rhs, written[0] + written[1]
+    terms = lhs + rhs
     once = [k for k, t in enumerate(terms) if isinstance(t, str) and terms.count(t) == 1]
     if not once:
         return None
-    lone = {side[0]: other for side, other in (written, written[::-1]) if len(side) == 1}
-
-    def rank(k: int) -> tuple:  # the least is solved for
-        t = terms[k]
-        if t in lone:
-            named = any(isinstance(u, str) for u in lone[t])
-            return (1 if len(lone[t]) > 1 else 2) if named else 0, -names.index(t)
-        return 3, -spelled.index(t) if spelled.count(t) == 1 else 1, -k
-
-    (preference, *_), k = min((rank(k), k) for k in once)
+    rank, k = min((ranks.get(terms[k], (3, 1)) + (-k,), k) for k in once)
     own, other, k = (lhs, rhs, k) if k < len(lhs) else (rhs, lhs, k - len(lhs))
-    return preference, own[k], other, own[:k] + own[k + 1:]
+    return rank[0], own[k], other, own[:k] + own[k + 1:]
 
 
 def _substituted(lhs: tuple, rhs: tuple, target: str, summed: tuple, subtracted: tuple) -> tuple[tuple, tuple]:
@@ -349,14 +346,13 @@ class SamplingPlan:
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
         self.variables = names = tuple(dict.fromkeys(variables))
         self.hypotheses = tuple(hypotheses)
-        declared = set(names)
-        # Each hypothesis's cancelled comparison as written, and each one
-        # neither solved for a variable nor decided, with every solved
-        # variable substituted.
-        written = []
-        for lhs, rhs, wanted in map(comparison, self.hypotheses):
-            _check_declared([t for t in lhs + rhs if isinstance(t, str)], declared)
-            written.append((*_cancel(_triples(lhs), _triples(rhs)), wanted))
+        # Each hypothesis's cancelled comparison as written, with the ranks
+        # of an equality's names, and each one neither solved for a variable
+        # nor decided, with every solved variable substituted.
+        declared, position = set(names), {n: k for k, n in enumerate(names)}
+        written = [_form(h, declared) for h in self.hypotheses]
+        ranks = [_ranks(lhs, rhs, position) if wanted is Ordering.EQUAL else None
+                 for lhs, rhs, wanted in written]
         unsolved: dict[int, tuple] = {}
         refuted: list[int] = []
 
@@ -378,7 +374,7 @@ class SamplingPlan:
                 if form is None:
                     continue
                 lhs, rhs, wanted = form
-                found = _unknown(lhs, rhs, written[i][:2], names) if wanted is Ordering.EQUAL else None
+                found = _unknown(lhs, rhs, ranks[i]) if wanted is Ordering.EQUAL else None
                 if found is not None and found[0] <= preference:
                     _, target, summed, subtracted = found
                     solved[target] = (i, summed, subtracted)
@@ -567,19 +563,19 @@ class _CompiledSteps:
     cancelled sides: a judgment comparing ``A`` with ``B``
     (:func:`eukleia.calculus.comparison`) compares ``A - B`` with ``B - A``
     (multiset differences), since the common terms add the same measure to
-    both sides.  ``_side_index`` numbers each distinct cancelled side, in
-    MultisetExpr's order, its names sorted and then its literals as ``(0, x,
-    y)`` triples by their coordinates, and ``_test_index`` each distinct
-    ``(wanted order, lhs, rhs)``.  Each side is read as the slots of its
-    names and the total of its literals (:func:`_side_sum`).  The step tree
-    is flattened into ``program``, one ``(wanted, lhs, rhs, then, orelse)``
-    entry per test: when the sides' totals stand in the ``wanted`` order,
-    the walk goes on at entry ``then``; otherwise ``orelse`` is the step
-    that failed, or, for a case, the entry of the next case (after the last,
-    the ``cases`` step's own judgment).  A branch's last entry goes on past
-    the other cases, and a step whose test already held on the way gets no
-    entry.  Raises UnboundVariable for an undeclared variable in a
-    hypothesis, a step or a case.
+    both sides.  ``_side_index`` numbers each distinct cancelled side as
+    :func:`_form` writes it, the form the sampling plan solves, and
+    ``_test_index`` each distinct ``(wanted order, lhs, rhs)``.  Each side
+    is read as the slots of its names and the total of its literals
+    (:func:`_side_sum`).  The step tree is flattened into ``program``, one
+    ``(wanted, lhs, rhs, then, orelse)`` entry per test: when the sides'
+    totals stand in the ``wanted`` order, the walk goes on at entry
+    ``then``; otherwise ``orelse`` is the step that failed, or, for a case,
+    the entry of the next case (after the last, the ``cases`` step's own
+    judgment).  A branch's last entry goes on past the other cases, and a
+    step whose test already held on the way gets no entry.  Raises
+    UnboundVariable for an undeclared variable in a hypothesis, a step or a
+    case.
     """
 
     def __init__(self, derivation: Derivation):
@@ -597,18 +593,11 @@ class _CompiledSteps:
         self._fixed = [None if slots else literals for literals, slots in self.sides]
 
     def _intern(self, j: Judgment) -> int:
-        """The index of ``j``'s comparison in ``_test_index``.  The sides of
-        an Eq or Lt are MultisetExprs, already in order, so cancelling them
-        is one merge; only a Split's or Congr's terms, two at most a side,
-        are sorted."""
-        lhs, rhs, wanted = comparison(j)
-        ordered = isinstance(j, (Eq, Lt))
-        (l_names, l_lits), (r_names, r_lits) = _parts(lhs, ordered), _parts(rhs, ordered)
-        _check_declared(l_names + r_names, self._declared)
-        (l_names, r_names), (l_lits, r_lits) = _merge_cancel(l_names, r_names), _merge_cancel(l_lits, r_lits)
+        """The index of ``j``'s cancelled comparison (:func:`_form`) in
+        ``_test_index``."""
+        lhs, rhs, wanted = _form(j, self._declared)
         sides, tests = self._side_index, self._test_index
-        key = (wanted._value_, sides.setdefault((*l_names, *l_lits), len(sides)),
-               sides.setdefault((*r_names, *r_lits), len(sides)))
+        key = (wanted._value_, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides)))
         return tests.setdefault(key, len(tests))
 
     def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:
@@ -673,8 +662,10 @@ def model_check_derivation(derivation: Derivation, trials: int, seed: int = 0) -
     that call returns; it names the first false step and its judgment as
     written.  Identical inputs produce identical reports.  Raises
     UnboundVariable when a hypothesis, step or case comparison mentions an
-    undeclared variable.
+    undeclared variable, and ValueError for ``trials`` below 0.
     """
+    if trials < 0:
+        raise ValueError(f"a model check's trial count must be at least 0, not {trials}")
     compiled = _CompiledSteps(derivation)
     plan = compiled.plan
     satisfied = 0

@@ -891,6 +891,10 @@ class TestModelCheck:
         report = model_check_derivation(self.prop13(), trials=0, seed=0)
         assert (report.trials, report.satisfied, report.counterexample) == (0, 0, None)
 
+    def test_negative_trials_are_refused(self):
+        with pytest.raises(ValueError):
+            model_check_derivation(self.prop13(), trials=-5, seed=1)
+
     def test_unsatisfiable_hypotheses_stop_early_as_vacuous(self):
         # No angle measures two right angles: every candidate overflows.
         x = "x"
@@ -1127,17 +1131,21 @@ class TestCompiledSteps:
     def test_sides_are_the_multiset_differences(self, judgments):
         # Interned sides and tests as Counter differences give them, in the
         # order the steps first use them; literals are kept as (0, x, y).
-        # A step whose test an earlier step passed cannot fail: it gets no
-        # entry in the walk's program.
+        # An Eq's or Lt's sides are in MultisetExpr's order, and a Split's or
+        # Congr's terms in the order comparison writes them.  A step whose
+        # test an earlier step passed cannot fail: it gets no entry in the
+        # walk's program.
         sides, checks, tests = {}, {}, []
         for j in judgments:
             lhs, rhs, wanted = comparison(j)
-            pair = [sides.setdefault(MultisetExpr(tuple((Counter(x) - Counter(y)).elements())), len(sides))
-                    for x, y in ((lhs, rhs), (rhs, lhs))]
+            diffs = [tuple((Counter(x) - Counter(y)).elements()) for x, y in ((lhs, rhs), (rhs, lhs))]
+            if isinstance(j, (Eq, Lt)):
+                diffs = [MultisetExpr(diff).terms for diff in diffs]
+            pair = [sides.setdefault(diff, len(sides)) for diff in diffs]
             tests.append(checks.setdefault((wanted, *pair), len(checks)))
         compiled = semantics._CompiledSteps(Derivation(variables=(a, b, c),
                                                         steps=tuple(_step("S", j) for j in judgments)))
-        assert list(compiled._side_index) == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side.terms)
+        assert list(compiled._side_index) == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side)
                                               for side in sides]
         assert list(compiled._test_index) == [(wanted._value_, lhs, rhs) for wanted, lhs, rhs in checks]
         assert [compiled._test_index[(entry[0]._value_, *entry[1:3])] for entry in compiled.program] == list(dict.fromkeys(tests))
@@ -1155,6 +1163,21 @@ class TestCompiledSteps:
         with pytest.raises(UnboundVariable) as exc:
             model_check_derivation(d, trials=5, seed=0)
         assert exc.value.args == ("z",)
+
+    @pytest.mark.parametrize("hyp, stray", [(Eq(multiset("z"), multiset("z")), "z"), (Split(a, "z", a), "z"),
+                                            (Lt(multiset(a), multiset("y", "x")), "x")])
+    def test_stray_variable_in_a_hypothesis(self, hyp, stray):
+        # Reported before it could cancel, and the least of several.
+        with pytest.raises(UnboundVariable) as exc:
+            SamplingPlan((a,), [hyp])
+        assert exc.value.args == (stray,)
+
+    def test_stray_variable_in_a_hypothesis_reported_before_one_in_a_step(self):
+        d = Derivation(variables=(a,), hypotheses=(Hypothesis("H1", Congr(a, "y")),),
+                       steps=(_step("S1", Eq(multiset("x"), multiset(a)), Rule.EQ_REFL),))
+        with pytest.raises(UnboundVariable) as exc:
+            model_check_derivation(d, trials=5, seed=0)
+        assert exc.value.args == ("y",)
 
 
 def split_chain_script(growth: int) -> str:
