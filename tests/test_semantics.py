@@ -893,7 +893,7 @@ class TestModelCheck:
 
     def test_negative_trials_are_refused(self):
         with pytest.raises(ValueError):
-            model_check_derivation(self.prop13(), trials=-5, seed=1)
+            model_check_derivation(self.prop13(), trials=-1, seed=1)
 
     def test_unsatisfiable_hypotheses_stop_early_as_vacuous(self):
         # No angle measures two right angles: every candidate overflows.
