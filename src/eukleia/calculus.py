@@ -23,7 +23,7 @@ from itertools import compress, count
 from operator import attrgetter, ne
 from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
 
-from .kernel import AngleLit, Ordering, compare_multisets, right_angle
+from .kernel import _EQUAL, _LESS, AngleLit, Ordering, compare_multisets, right_angle
 
 if TYPE_CHECKING:
     from .dsl import SourceSpan
@@ -49,7 +49,7 @@ def format_term(t: Term) -> str:
     return str(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MultisetExpr:
     """Finite multiset of terms, kept in a canonical sorted order: the names
     sorted, then the angles by their coordinates.
@@ -62,11 +62,20 @@ class MultisetExpr:
 
     terms: tuple[Term, ...] = ()
 
-    def __post_init__(self) -> None:
-        terms = sorted([t for t in self.terms if isinstance(t, str)])
-        if len(terms) < len(self.terms):
-            terms += sorted([t for t in self.terms if not isinstance(t, str)], key=_BY_COORDS)
-        object.__setattr__(self, "terms", tuple(terms))
+    def __init__(self, terms: tuple[Term, ...] = ()):
+        names = sorted([t for t in terms if isinstance(t, str)])
+        if len(names) < len(terms):
+            names += sorted([t for t in terms if not isinstance(t, str)], key=_BY_COORDS)
+        self.__dict__["terms"] = tuple(names)  # written once, directly, as Step's fields are
+
+    @classmethod
+    def _of(cls, names: list[str], angles: list[AngleLit]) -> "MultisetExpr":
+        """``MultisetExpr((*names, *angles))``, sorting both lists in place."""
+        expr = object.__new__(cls)
+        names.sort()
+        angles.sort(key=_BY_COORDS)
+        expr.__dict__["terms"] = (*names, *angles)
+        return expr
 
     @property
     def is_empty(self) -> bool:
@@ -153,14 +162,14 @@ def comparison(j: Judgment) -> tuple[tuple[Term, ...], tuple[Term, ...], Orderin
     to it), ``Congr a b`` is ``Eq {a} {b}`` and False is ``Lt {} {}``.
     """
     if isinstance(j, Eq):
-        return j.lhs.terms, j.rhs.terms, Ordering.EQUAL
+        return j.lhs.terms, j.rhs.terms, _EQUAL
     if isinstance(j, Lt):
-        return j.lhs.terms, j.rhs.terms, Ordering.LESS
+        return j.lhs.terms, j.rhs.terms, _LESS
     if isinstance(j, Split):
-        return (j.whole,), (j.part1, j.part2), Ordering.EQUAL
+        return (j.whole,), (j.part1, j.part2), _EQUAL
     if isinstance(j, Congr):
-        return (j.a,), (j.b,), Ordering.EQUAL
-    return (), (), Ordering.LESS
+        return (j.a,), (j.b,), _EQUAL
+    return (), (), _LESS
 
 
 def judgment_variables(j: Judgment) -> set[str]:
@@ -204,25 +213,25 @@ class Rule(Enum):
     KERNEL_EVAL = "kerneleval"
 
 
-# How many premises each rule cites.
-_PREMISE_COUNT: dict[Rule, int] = {
-    Rule.EQ_REFL: 0,
-    Rule.EQ_SYM: 1,
-    Rule.EQ_TRANS: 2,
-    Rule.SUBST_LEFT: 2,
-    Rule.SUBST_RIGHT: 2,
-    Rule.LT_TRANS: 2,
-    Rule.ADD_BOTH: 1,
-    Rule.SINGLETON_POS: 0,
-    Rule.WHOLE_PART: 0,
-    Rule.SPLIT_EQ: 1,
-    Rule.CONGR_EQ: 1,
-    Rule.LT_IRREFL: 1,
-    Rule.LT_ASYM: 2,
-    Rule.EQ_LT_CLASH: 2,
-    Rule.CASES: 0,
-    Rule.HYPOTHESIS: 1,
-    Rule.KERNEL_EVAL: 0,
+# How many premises each rule cites, by its name (the member's value).
+_PREMISE_COUNT: dict[str, int] = {
+    "eqrefl": 0,
+    "eqsym": 1,
+    "eqtrans": 2,
+    "substleft": 2,
+    "substright": 2,
+    "lttrans": 2,
+    "addboth": 1,
+    "singletonpos": 0,
+    "wholepart": 0,
+    "spliteq": 1,
+    "congreq": 1,
+    "ltirrefl": 1,
+    "ltasym": 2,
+    "eqltclash": 2,
+    "cases": 0,
+    "hypothesis": 1,
+    "kerneleval": 0,
 }
 
 
@@ -368,28 +377,30 @@ def check_step(step: Step, context: Context) -> None:
             fail(f"unknown premise {ref!r}")
         premises.append(j)
 
-    rule = step.rule
-    if rule is not Rule.CASES and (step.branches or step.case_pair is not None):
+    # Dispatched on the rule's name: on Python 3.11 each Rule.X runs
+    # EnumType.__getattr__, and Enum.__hash__ is a Python function.
+    name = step.rule._value_
+    if name != "cases" and (step.branches or step.case_pair is not None):
         fail("case blocks are only meaningful under the cases rule")
-    expected = _PREMISE_COUNT[rule]
+    expected = _PREMISE_COUNT[name]
     if len(premises) != expected:
-        fail(f"rule {rule.value} takes {expected} premise(s), got {len(premises)}")
+        fail(f"rule {name} takes {expected} premise(s), got {len(premises)}")
 
     goal = step.judgment
 
-    if rule is Rule.EQ_REFL:
+    if name == "eqrefl":
         if not (isinstance(goal, Eq) and goal.lhs == goal.rhs):
             fail("conclusion is not of the form Eq(M, M)")
 
-    elif rule is Rule.EQ_SYM:
+    elif name == "eqsym":
         (p,) = premises
         if not isinstance(p, Eq):
             fail("premise is not an equality")
         if not (type(goal) is Eq and goal.lhs == p.rhs and goal.rhs == p.lhs):
             fail("conclusion is not the mirrored premise")
 
-    elif rule in (Rule.EQ_TRANS, Rule.LT_TRANS):
-        kind, kinds = (Eq, "equalities") if rule is Rule.EQ_TRANS else (Lt, "strict comparisons")
+    elif name in ("eqtrans", "lttrans"):
+        kind, kinds = (Eq, "equalities") if name == "eqtrans" else (Lt, "strict comparisons")
         p1, p2 = premises
         if not (isinstance(p1, kind) and isinstance(p2, kind)):
             fail(f"both premises must be {kinds}")
@@ -398,13 +409,13 @@ def check_step(step: Step, context: Context) -> None:
         if not (type(goal) is kind and goal.lhs == p1.lhs and goal.rhs == p2.rhs):
             fail("conclusion does not chain the premises")
 
-    elif rule in (Rule.SUBST_LEFT, Rule.SUBST_RIGHT):
+    elif name in ("substleft", "substright"):
         eq, k = premises
         if not isinstance(eq, Eq):
             fail("first premise must be an equality")
         if not isinstance(k, (Eq, Lt)):
             fail("second premise must be a comparison")
-        if rule is Rule.SUBST_LEFT:
+        if name == "substleft":
             if k.lhs != eq.rhs:
                 fail("left side of the comparison does not match the equality")
             lhs, rhs = eq.lhs, k.rhs
@@ -415,7 +426,7 @@ def check_step(step: Step, context: Context) -> None:
         if not (type(goal) is type(k) and goal.lhs == lhs and goal.rhs == rhs):
             fail("conclusion is not the substituted comparison")
 
-    elif rule is Rule.ADD_BOTH:
+    elif name == "addboth":
         (p,) = premises
         if not isinstance(p, (Eq, Lt)):
             fail("premise must be a comparison")
@@ -429,20 +440,20 @@ def check_step(step: Step, context: Context) -> None:
         if added_l != added_r:
             fail("the two sides gained different terms")
 
-    elif rule is Rule.SINGLETON_POS:
+    elif name == "singletonpos":
         if not (isinstance(goal, Lt) and goal.lhs.is_empty and len(goal.rhs) == 1):
             fail("conclusion is not of the form Lt({}, {t})")
 
-    elif rule is Rule.WHOLE_PART:
+    elif name == "wholepart":
         if not isinstance(goal, Lt):
             fail("conclusion must be a strict comparison")
         rest = iter(goal.rhs.terms)
         if not (len(goal.lhs) < len(goal.rhs) and all(t in rest for t in goal.lhs.terms)):
             fail("right side must extend the left side by a nonempty part")
 
-    elif rule in (Rule.SPLIT_EQ, Rule.CONGR_EQ):
+    elif name in ("spliteq", "congreq"):
         (p,) = premises
-        kind, noun, equated = ((Split, "split", "the whole with its two parts") if rule is Rule.SPLIT_EQ
+        kind, noun, equated = ((Split, "split", "the whole with its two parts") if name == "spliteq"
                                else (Congr, "congruence", "the congruent singletons"))
         if not isinstance(p, kind):
             fail(f"premise is not a {noun}")
@@ -452,19 +463,19 @@ def check_step(step: Step, context: Context) -> None:
         if not (type(goal) is Eq and goal.lhs.terms == lhs and goal.rhs.terms in (rhs, rhs[::-1])):
             fail(f"conclusion does not equate {equated}")
 
-    elif rule is Rule.LT_IRREFL:
+    elif name == "ltirrefl":
         (p,) = premises
         if not (isinstance(p, Lt) and p.lhs == p.rhs):
             fail("premise is not of the form Lt(M, M)")
 
-    elif rule is Rule.LT_ASYM:
+    elif name == "ltasym":
         p1, p2 = premises
         if not (isinstance(p1, Lt) and isinstance(p2, Lt)):
             fail("both premises must be strict comparisons")
         if not (p1.lhs == p2.rhs and p1.rhs == p2.lhs):
             fail("premises are not mirrored comparisons")
 
-    elif rule is Rule.EQ_LT_CLASH:
+    elif name == "eqltclash":
         eq, lt = premises
         if not (isinstance(eq, Eq) and isinstance(lt, Lt)):
             fail("premises must be one equality and one strict comparison")
@@ -473,12 +484,12 @@ def check_step(step: Step, context: Context) -> None:
         if not (same or mirrored):
             fail("the comparison does not relate the equated expressions")
 
-    elif rule is Rule.HYPOTHESIS:
+    elif name == "hypothesis":
         (p,) = premises
         if not isinstance(p, Falsum) and goal != p:
             fail("conclusion neither restates the premise nor follows from False")
 
-    elif rule is Rule.KERNEL_EVAL:
+    elif name == "kerneleval":
         if judgment_variables(goal):
             fail("kernel evaluation needs a variable-free judgment")
         if isinstance(goal, Falsum):
@@ -486,14 +497,14 @@ def check_step(step: Step, context: Context) -> None:
         if not judgment_truth(goal, {}):
             fail("kernel refutes this judgment")
 
-    elif rule is Rule.CASES:
+    elif name == "cases":
         _check_cases(step, context, fail)
 
     else:  # pragma: no cover - Rule is a closed enumeration
-        fail(f"unhandled rule {rule.value}")
+        fail(f"unhandled rule {name}")
 
     # Each of these rules refutes its premises.
-    if rule in (Rule.LT_IRREFL, Rule.LT_ASYM, Rule.EQ_LT_CLASH) and not isinstance(goal, Falsum):
+    if name in ("ltirrefl", "ltasym", "eqltclash") and not isinstance(goal, Falsum):
         fail("conclusion must be False")
 
 

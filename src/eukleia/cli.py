@@ -114,9 +114,9 @@ def _read_file(path: str | Path) -> str:
 def _literal_angles(expr_text: str, command: str) -> Sequence:
     """The angles of a literal-only expression, in no particular order;
     raises _Rejected otherwise."""
-    angles = _expr_terms(expr_text)  # unsorted: eval and compare only sum them
-    if angles is not None:
-        return angles
+    kinds = _expr_terms(expr_text)  # no names are declared, so every term is an angle
+    if kinds is not None:
+        return kinds[1]  # unsorted: eval and compare only sum them
     try:
         terms = _parse_expr_tokens(expr_text).terms  # the split reader is not run again
     except ParseError as exc:

@@ -48,11 +48,12 @@ tried first:
 - a step token is one whole plain step, ``LABEL : (Eq|Lt) expr expr by RULE
   REF* ;`` with each ``expr`` an expression token and only blanks between
   the parts.  A cases, Split, Congr or False step, a hypothesis, and a step
-  with a comment or an empty ``{}`` inside are lexed as before.  The parser
-  reads a step token with one match of ``_STEP`` and makes the checks it
-  makes on a step read token by token, through the same helpers; a step
-  token is never an identifier, so it is never taken as a name, a label or
-  a reference.
+  with a comment or an empty ``{}`` inside are lexed as before.  The step
+  parts come from the lexer's own match: ``_SCRIPT_TOKEN`` holds ``_STEP``'s
+  six groups, and the lexer keeps a step token as that tuple, not as its
+  text.  The parser makes on them the checks it makes on a step read token
+  by token, through the same helpers; a step token is never an identifier,
+  so it is never taken as a name, a label or a reference.
 - an expression token is a brace group holding no ``{ } # : ;`` and at
   least one non-blank character.  Such a group is an expression wherever it
   stands, since a cases block holds steps, each with ``:`` and ``;``;
@@ -88,7 +89,7 @@ from .calculus import (
     Term,
     format_judgment,
 )
-from .kernel import DegenerateAngle, angle_from_slope_vector
+from .kernel import AngleLit, DegenerateAngle, angle_from_slope_vector
 
 __all__ = [
     "ParseError",
@@ -172,20 +173,24 @@ _SCRIPT_TOKEN = re.compile(r"[ \t\r\n]*(" + _STEP.pattern + "|" + _EXPR + "|" + 
 _BLANKS = " \t\r\n"
 
 
-def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list[str], list[int]]:
+def _lex(text: str, token: re.Pattern = _TOKEN) -> tuple[list, list[int]]:
     """The tokens of ``text``: their texts and start offsets, comments dropped,
-    ending with the end of input, ``""``.  A token's kind follows from its
-    first character: a punctuation mark is its own kind (``{`` followed by
-    more text is an expression token, and a text ending in ``;`` after more
-    is a step token; only ``_SCRIPT_TOKEN`` matches those), ``-`` or a digit
-    starts an int, anything else an ident.  Tokens are not validated here.
-    The match stops before the trailing blanks, so that no search starts in
-    a run of blanks that no token follows."""
-    texts: list[str] = []
+    ending with the end of input, ``""``.  A step token is kept as a tuple of
+    its parts, ``_STEP``'s groups in this match.  Any other token's kind
+    follows from its first character: a punctuation mark is its own kind
+    (``{`` followed by more text is an expression token; only
+    ``_SCRIPT_TOKEN`` matches those and step tokens), ``-`` or a digit starts
+    an int, anything else an ident.  Tokens are not validated here.  The
+    match stops before the trailing blanks, so that no search starts in a
+    run of blanks that no token follows."""
+    texts: list = []
     starts: list[int] = []
     matches = token.finditer(text, 0, len(text.rstrip(_BLANKS)))
     while chunk := list(islice(matches, 1024)):  # bounded: no match object outlives its chunk
-        texts += map(re.Match.group, chunk, repeat(1))
+        if token is _SCRIPT_TOKEN:  # groups 2 to 7 are _STEP's, set for a step token only
+            texts += [m[1] if m[2] is None else m.group(2, 3, 4, 5, 6, 7) for m in chunk]
+        else:
+            texts += map(re.Match.group, chunk, repeat(1))
         starts += map(re.Match.start, chunk, repeat(1))
     end = len(text)
     if "#" in text:  # every "#" starts a comment or is inside one
@@ -216,10 +221,10 @@ class _Parser:
         # Every label so far, and the labels in scope: one frame per open cases branch.
         self._labels: set[str] = set()
         self._scope: list[set[str]] = [set()]
-        # Each distinct token text is checked once; only a text with a bad token
-        # is scanned in order, for the first one.
-        bad = {word for word in set(self._texts)
-               if word == "-" or not (word[:1].isalpha() or word[:1] in _TOKEN_STARTS)}
+        # Each distinct token text is checked once, a step token when it is
+        # read; only a text with a bad token is scanned in order, for the first.
+        bad = {word for word in set(self._texts) if word.__class__ is str
+               and (word == "-" or not (word[:1].isalpha() or word[:1] in _TOKEN_STARTS))}
         if bad:
             at = min(map(self._texts.index, bad))
             word = self._texts[at]
@@ -249,16 +254,17 @@ class _Parser:
 
     def _ident(self, what: str) -> str:
         """Consume the next token, which must be an identifier (``what`` names
-        it in errors); a step token, which ends in ``;``, is not one."""
+        it in errors); a step token, a tuple, is not one."""
         word = self._texts[self._pos]
-        if word[:1] in _NOT_IDENT_STARTS or word[-1] == ";":
+        if word.__class__ is not str or word[:1] in _NOT_IDENT_STARTS:
             raise self._unexpected(what)
         self._pos += 1
         return word
 
     def _keyword(self, word: str) -> bool:
         """Consume the next token if it is the keyword ``word``."""
-        if self._texts[self._pos].lower() == word:
+        text = self._texts[self._pos]
+        if text.__class__ is str and text.lower() == word:
             self._pos += 1
             return True
         return False
@@ -320,10 +326,10 @@ class _Parser:
         """The expression token ``word``, read by the split reader once per parse."""
         expr = self._exprs.get(word)
         if expr is None:
-            terms = _expr_terms(word, self._declared or (), self._terms)
-            if terms is None:
+            kinds = _expr_terms(word, self._declared or (), self._terms)
+            if kinds is None:
                 raise _TurnedDown
-            expr = self._exprs[word] = MultisetExpr(tuple(terms))
+            expr = self._exprs[word] = MultisetExpr._of(*kinds)
         return expr
 
     def _int(self) -> int:
@@ -367,7 +373,8 @@ class _Parser:
     # -- judgments ---------------------------------------------------------
 
     def _parse_judgment(self) -> Judgment:
-        form = _JUDGMENTS.get(self._texts[self._pos].lower())
+        word = self._texts[self._pos]
+        form = _JUDGMENTS.get(word.lower()) if word.__class__ is str else None
         if form is None:
             raise self._unexpected("Eq", "Lt", "Split", "Congr", "False")
         self._pos += 1
@@ -408,7 +415,7 @@ class _Parser:
     def _parse_step(self) -> Step:
         at = self._pos
         word = self._texts[at]
-        if len(word) > 1 and word[-1] == ";":  # a step token
+        if word.__class__ is tuple:  # a step token
             return self._read_step(word, at)
         label = self._name("step label")
         self._check_depth(at)
@@ -446,15 +453,17 @@ class _Parser:
         return Step(label, judgment, rule, tuple(premises), case_pair=case_pair, branches=branches,
                     span=self._span(at))
 
-    def _read_step(self, word: str, at: int) -> Step:
-        """The step token ``word``, read with one match and checked as the
-        token path checks a step; one citing ``cases``, which a plain step
-        cannot, is turned down."""
-        label, head, lhs, rhs, rule_name, refs = _STEP.fullmatch(word).groups()
+    def _read_step(self, parts: tuple[str, ...], at: int) -> Step:
+        """The step token of ``parts``, the groups of ``_STEP`` that the lexer
+        kept, checked as the token path checks a step; one citing ``cases``,
+        which a plain step cannot, is turned down."""
+        label, head, lhs, rhs, rule_name, refs = parts
+        if not (label[0].isalpha() or label[0] == "_"):  # "Ⅷ" or "²" is \w, and a bad token
+            raise ParseError(self._span(at, 1), f"unexpected character {label[0]!r}")
         self._check_name(label, "step label", at)
         self._check_depth(at)
         rule = self._rule(rule_name, at)
-        if rule is Rule.CASES:
+        if rule._value_ == "cases":  # by name, as calculus.check_step dispatches
             raise _TurnedDown
         premises = tuple(refs.split())
         for ref in premises:
@@ -471,25 +480,26 @@ _ANG = re.compile(r"[aA][nN][gG][ \t\r\n]*\([ \t\r\n]*(-?[0-9]+)[ \t\r\n]*/[ \t\
 
 
 def _expr_terms(text: str, declared: Collection[str] = (),
-                memo: Optional[dict[str, Term]] = None) -> Optional[list[Term]]:
-    """The terms of the expression ``text`` in the order written, read by
-    splitting the text between its braces on ","; None when the token parser
-    must read it.  Blanks around the braces and around each piece are
-    dropped, and a blank interior is the empty expression.  Each raw piece is
-    looked up in ``memo`` (one per parse) and, when new, must be a name in
-    ``declared``, ``R`` or an ``ang`` literal whose integers the interpreter
-    converts and whose angle is not degenerate.  Any other piece (an empty
-    one, a comment, another name, two terms) turns the text down, so that the
-    token parser, which alone reports errors, reads it."""
+                memo: Optional[dict[str, Term]] = None) -> Optional[tuple[list[str], list[AngleLit]]]:
+    """The names and the angles of the expression ``text``, two lists each in
+    the order written, read by splitting the text between its braces on ",";
+    None when the token parser must read it.  Blanks around the braces and
+    around each piece are dropped, and a blank interior is the empty
+    expression.  Each raw piece is looked up in ``memo`` (one per parse)
+    and, when new, must be a name in ``declared``, ``R`` or an ``ang``
+    literal whose integers the interpreter converts and whose angle is not
+    degenerate.  Any other piece (an empty one, a comment, another name, two
+    terms) turns the text down, so that the token parser, which alone
+    reports errors, reads it."""
     inner = text.strip(_BLANKS)
     if inner[:1] != "{" or inner[-1:] != "}":
         return None
     inner = inner[1:-1]
+    names, angles = [], []
     if not inner.strip(_BLANKS):
-        return []
+        return names, angles
     if memo is None:
         memo = {}
-    terms: list[Term] = []
     for piece in inner.split(","):
         term = memo.get(piece)
         if term is None:
@@ -507,8 +517,8 @@ def _expr_terms(text: str, declared: Collection[str] = (),
                 except ValueError:  # the digit limit, or DegenerateAngle
                     return None
             memo[piece] = term
-        terms.append(term)
-    return terms
+        (names if term.__class__ is str else angles).append(term)
+    return names, angles
 
 
 def parse_expr(text: str) -> MultisetExpr:
@@ -520,9 +530,9 @@ def parse_expr(text: str) -> MultisetExpr:
     other text, and every text with an error, goes to the token parser, which
     alone reports errors.  Either way the result is the same.
     """
-    terms = _expr_terms(text)
-    if terms is not None:
-        return MultisetExpr(tuple(terms))
+    kinds = _expr_terms(text)
+    if kinds is not None:
+        return MultisetExpr._of(*kinds)
     return _parse_expr_tokens(text)
 
 

@@ -63,6 +63,10 @@ class Ordering(Enum):
     GREATER = "greater"
 
 
+# Read once: on Python 3.11 each Ordering.X runs EnumType.__getattr__.
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+
+
 @dataclass(frozen=True)
 class AngleLit:
     """A canonical angle: primitive vector with ``y > 0``, argument in (0, pi).
@@ -224,13 +228,13 @@ def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> Ordering:
     and a zero cross product means the same remainder.
     """
     if a[0] != b[0]:
-        return Ordering.LESS if a[0] < b[0] else Ordering.GREATER
+        return _LESS if a[0] < b[0] else _GREATER
     cross = a[1] * b[2] - a[2] * b[1]
     if cross > 0:
-        return Ordering.LESS
+        return _LESS
     if cross < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+        return _GREATER
+    return _EQUAL
 
 
 def compare_multisets(a: Iterable[AngleLit], b: Iterable[AngleLit]) -> Ordering:

@@ -65,7 +65,7 @@ from .calculus import (
     format_judgment,
     judgment_truth,
 )
-from .kernel import AngleLit, Ordering, _order, _reduced, _total
+from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _reduced, _total
 
 __all__ = [
     "Counterexample",
@@ -279,7 +279,7 @@ def _decided(lhs: tuple, rhs: tuple, wanted: Ordering) -> Optional[bool]:
         return _order(_total(list(lhs)), _total(list(rhs))) is wanted
     if lhs and rhs:
         return None
-    return wanted is Ordering.LESS and not lhs
+    return wanted is _LESS and not lhs
 
 
 def _act(action: tuple, values: list) -> bool:
@@ -351,7 +351,7 @@ class SamplingPlan:
         # nor decided, with every solved variable substituted.
         declared, position = set(names), {n: k for k, n in enumerate(names)}
         written = [_form(h, declared) for h in self.hypotheses]
-        ranks = [_ranks(lhs, rhs, position) if wanted is Ordering.EQUAL else None
+        ranks = [_ranks(lhs, rhs, position) if wanted is _EQUAL else None
                  for lhs, rhs, wanted in written]
         unsolved: dict[int, tuple] = {}
         refuted: list[int] = []
@@ -374,7 +374,7 @@ class SamplingPlan:
                 if form is None:
                     continue
                 lhs, rhs, wanted = form
-                found = _unknown(lhs, rhs, ranks[i]) if wanted is Ordering.EQUAL else None
+                found = _unknown(lhs, rhs, ranks[i]) if wanted is _EQUAL else None
                 if found is not None and found[0] <= preference:
                     _, target, summed, subtracted = found
                     solved[target] = (i, summed, subtracted)
@@ -387,7 +387,7 @@ class SamplingPlan:
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
         # The rest are checked, on their sides as written; neither is empty.
         self.checks = tuple(self.hypotheses[i] for i in unsolved)
-        self._rng = random.Random(0)  # re-seeded by every sample that draws
+        self._rng = random.Random.__new__(random.Random)  # unseeded: every sample that draws seeds it
 
     def _compile(self, solved: Mapping[str, tuple], checks: Sequence[tuple], refuted: list) -> None:
         """The slot program: a candidate's values are one list of ``(x, y)``
@@ -435,7 +435,7 @@ class SamplingPlan:
         self.fixed = {n: _reduced(*start[slot[n]]) for n in self.variables if slot[n] in constant}
         lts, others = [], []
         for lhs, rhs, wanted in checks:
-            if len(lhs) == len(rhs) == 1 and wanted is Ordering.LESS:
+            if len(lhs) == len(rhs) == 1 and wanted is _LESS:
                 lts.append((*read(lhs), *read(rhs)))
             else:
                 others.append((_compiled_side(lhs, slot), _compiled_side(rhs, slot), wanted))
@@ -582,11 +582,13 @@ class _CompiledSteps:
         self.plan = SamplingPlan(derivation.variables, [h.judgment for h in derivation.hypotheses])
         self._declared = set(derivation.variables)
         self._side_index: dict[tuple, int] = {}
-        # Keyed on the wanted order's value: Ordering's __hash__ is a Python function.
+        # Keyed on the wanted order's value: Ordering's __hash__ is a Python
+        # function.  ``_wanted`` keeps the member that :func:`_form` gave.
         self._test_index: dict[tuple[str, int, int], int] = {}
+        self._wanted: dict[str, Ordering] = {}
         entries: list[list] = []
         self._emit(derivation.steps, entries, set())
-        tests = [(Ordering(wanted), lhs, rhs) for wanted, lhs, rhs in self._test_index]
+        tests = [(self._wanted[wanted], lhs, rhs) for wanted, lhs, rhs in self._test_index]
         self.program = tuple((*tests[test], then, orelse) for test, then, orelse in entries)
         self.sides = [_compiled_side(side, self.plan._slots) for side in self._side_index]
         # Each side's total where no name needs a slot, None where it does.
@@ -598,6 +600,7 @@ class _CompiledSteps:
         lhs, rhs, wanted = _form(j, self._declared)
         sides, tests = self._side_index, self._test_index
         key = (wanted._value_, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides)))
+        self._wanted[key[0]] = wanted
         return tests.setdefault(key, len(tests))
 
     def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:

@@ -1,6 +1,9 @@
+import ast
 import collections
 import dataclasses
+import inspect
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -542,3 +545,67 @@ class TestSortedTuples:
                 check_derivation(derivation)
             except StepError:
                 pass
+
+    @settings(max_examples=500)
+    @given(_TERM_LISTS)
+    def test_built_from_names_and_angles_apart(self, terms):
+        names = [t for t in terms if isinstance(t, str)]
+        angles = [t for t in terms if not isinstance(t, str)]
+        assert MultisetExpr._of(names, angles) == MultisetExpr(tuple(terms))
+        assert MultisetExpr._of(names, angles).terms == MultisetExpr(tuple(terms)).terms
+
+
+# How many premises each rule cites: the table check_step read, keyed by
+# Rule members, before it dispatched on rule names.
+PREMISE_COUNTS = {
+    Rule.EQ_REFL: 0, Rule.EQ_SYM: 1, Rule.EQ_TRANS: 2, Rule.SUBST_LEFT: 2, Rule.SUBST_RIGHT: 2, Rule.LT_TRANS: 2,
+    Rule.ADD_BOTH: 1, Rule.SINGLETON_POS: 0, Rule.WHOLE_PART: 0, Rule.SPLIT_EQ: 1, Rule.CONGR_EQ: 1,
+    Rule.LT_IRREFL: 1, Rule.LT_ASYM: 2, Rule.EQ_LT_CLASH: 2, Rule.CASES: 0, Rule.HYPOTHESIS: 1, Rule.KERNEL_EVAL: 0,
+}
+
+
+def _dispatched_names() -> list[str]:
+    """The rule names that check_step's if/elif chain on ``name`` tests, in
+    order, one entry per name a test lists."""
+    (func,) = ast.parse(textwrap.dedent(inspect.getsource(check_step))).body
+
+    def names(test):
+        if not (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id == "name"):
+            return None
+        (op,), (right,) = test.ops, test.comparators
+        if isinstance(op, ast.Eq):
+            return [right.value]
+        assert isinstance(op, ast.In) and isinstance(right, ast.Tuple)
+        return [elt.value for elt in right.elts]
+
+    node = next(node for node in func.body if isinstance(node, ast.If) and names(node.test) is not None)
+    dispatched = []
+    while True:
+        dispatched += names(node.test)
+        if not (len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If)):
+            break
+        node = node.orelse[0]
+    assert "unhandled rule" in ast.unparse(node.orelse)  # the chain ends in the branch no rule may reach
+    return dispatched
+
+
+class TestRuleDispatch:
+    def test_every_rule_is_dispatched_exactly_once(self):
+        dispatched = _dispatched_names()
+        assert sorted(dispatched) == sorted(rule.value for rule in Rule)
+
+    def test_premise_counts_are_unchanged(self):
+        assert calculus._PREMISE_COUNT == {rule.value: n for rule, n in PREMISE_COUNTS.items()}
+
+    @pytest.mark.parametrize("rule", list(Rule), ids=lambda rule: rule.value)
+    def test_no_rule_is_unhandled(self, rule):
+        # Cited with too many premises, a rule reports its count; with the
+        # right number, of any form, its own branch decides.
+        n = PREMISE_COUNTS[rule]
+        context = ctx(*[Falsum()] * (n + 1))
+        labels = tuple(f"H{i}" for i in range(1, n + 2))
+        fails(Step("s", Falsum(), rule, labels), context, f"rule {rule.value} takes {n} premise(s), got {n + 1}")
+        try:
+            check_step(Step("s", Falsum(), rule, labels[:n]), context)
+        except StepError as err:
+            assert "unhandled rule" not in err.reason

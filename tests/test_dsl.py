@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
 from eukleia import dsl
-from eukleia.dsl import (_SCRIPT_TOKEN, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
+from eukleia.dsl import (_SCRIPT_TOKEN, _STEP, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
                          format_derivation, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
@@ -618,8 +618,8 @@ class TestLiteralFastPath:
 
     @pytest.mark.parametrize("text", ["{}", " \n{ }\r\n", "{R}", "{ ANG ( -0 / 007 ) ,\n\tR,aNg(1/2) }"])
     def test_literal_only_text_takes_the_pattern_pass(self, text):
-        terms = _expr_terms(text)
-        assert terms is not None and MultisetExpr(tuple(terms)) == _token_parse_expr(text)
+        kinds = _expr_terms(text)
+        assert kinds is not None and kinds[0] == [] and MultisetExpr(tuple(kinds[1])) == _token_parse_expr(text)
 
     @pytest.mark.parametrize("text", ["{a}", "{Rx}", "{r}", "{R # c\n}", "{ang(1/0)}", "{ang(2/-1)}",
                                       f"{{ang({DIGITS_4400}/1)}}", "{ang(٣/1)}", "{R} junk", "{R,}", "{R\u00a0}",
@@ -818,15 +818,32 @@ class TestExpressionTokens:
                           "S5: False by hypothesis S1;", "S6: Eq {a # c\n} {b} by eqrefl;", "S7: Eq {} {b} by eqrefl;",
                           "S8: Eq {a} {b} byeqrefl;", "S9: Eq {a} {b} by eqrefl S1"])
         texts, starts = _lex(text, _SCRIPT_TOKEN)
-        assert texts == ["vars", "a", "b", ";", "hyp", "H1", ":", "Eq", "{a}", "{b}", ";", steps[0], ";", steps[1],
+        # A step token is kept as its parts, and starts at its label.
+        parts = [_STEP.fullmatch(step).groups() for step in steps]
+        assert texts == ["vars", "a", "b", ";", "hyp", "H1", ":", "Eq", "{a}", "{b}", ";", parts[0], ";", parts[1],
                          "S3", ":", "Eq", "{a}", "{b}", "by", "cases", "{a}", "{b}", "{", "}", "{", "}", "{", "}", ";",
-                         steps[2], "S4", ":", "Split", "a", "b", "b", "by", "x", ";",
+                         parts[2], "S4", ":", "Split", "a", "b", "b", "by", "x", ";",
                          "S5", ":", "False", "by", "hypothesis", "S1", ";", "S6", ":", "Eq", "{", "a", "}", "{b}",
                          "by", "eqrefl", ";", "S7", ":", "Eq", "{", "}", "{b}", "by", "eqrefl", ";",
                          "S8", ":", "Eq", "{a}", "{b}", "byeqrefl", ";", "S9", ":", "Eq", "{a}", "{b}", "by",
                          "eqrefl", "S1", ""]
-        assert [text[start:start + len(word)] for word, start in zip(texts, starts)] == texts
+        words = [steps.pop(0) if word.__class__ is tuple else word for word in texts]
+        assert [text[start:start + len(word)] for word, start in zip(words, starts)] == words
         assert starts[-1] == len(text)
+
+    def test_step_tokens_keep_the_groups_of_their_own_match(self):
+        # Each step token holds _STEP's groups for its own text, found here
+        # by its start offset: the lexer drops comments after matching, so a
+        # token's index is not its match's.
+        kept = 0
+        for text in _span_texts():  # with CRLF line ends and with comment lines too
+            words = {m.start(1): m[1] for m in _SCRIPT_TOKEN.finditer(text)}
+            texts, starts = _lex(text, _SCRIPT_TOKEN)
+            parts = {start: word for word, start in zip(texts, starts) if word.__class__ is tuple}
+            assert parts == {start: _STEP.fullmatch(word).groups() for start, word in words.items()
+                             if _STEP.fullmatch(word)}
+            kept += len(parts)
+        assert kept > 1000
 
     @pytest.mark.parametrize("text", [
         "vars a S1: Eq {a} {a} by eqrefl; ;",  # a step token as a variable,
@@ -907,12 +924,12 @@ class TestSplitReader:
         assert _expr_terms(text, {"a"}) is None
 
     def test_reads_blanks_around_pieces_and_declared_names(self):
-        assert _expr_terms("{a,\n a}", {"a"}) == ["a", "a"]
-        assert _expr_terms("{R }") == _expr_terms("{ R}") == [R]
-        assert _expr_terms("{ }") == _expr_terms("{}") == []
+        assert _expr_terms("{a,\n a}", {"a"}) == (["a", "a"], [])
+        assert _expr_terms("{R }") == _expr_terms("{ R}") == ([], [R])
+        assert _expr_terms("{ }") == _expr_terms("{}") == ([], [])
 
     def test_each_raw_piece_is_read_once(self):
         memo: dict = {}
-        terms = _expr_terms("{ang (1/2), ang(1/2), ang(1/2)}", (), memo)
-        assert terms == [ang(1, 2)] * 3 and terms[1] is terms[2]
+        names, angles = _expr_terms("{ang (1/2), ang(1/2), ang(1/2)}", (), memo)
+        assert names == [] and angles == [ang(1, 2)] * 3 and angles[1] is angles[2]
         assert sorted(memo) == [" ang(1/2)", "ang (1/2)"]
