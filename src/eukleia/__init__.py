@@ -48,7 +48,6 @@ from .semantics import (
     Valuation,
     eval_judgment,
     model_check_derivation,
-    random_valuation,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 from operator import attrgetter, ne
-from typing import TYPE_CHECKING, Mapping, NoReturn, Optional, Union
+from typing import TYPE_CHECKING, NoReturn, Optional, Union
 
 from .kernel import _EQUAL, _LESS, AngleLit, Ordering, compare_multisets, right_angle
 
@@ -172,22 +172,6 @@ def comparison(j: Judgment) -> tuple[tuple[Term, ...], tuple[Term, ...], Orderin
     return (), (), _LESS
 
 
-def judgment_variables(j: Judgment) -> set[str]:
-    lhs, rhs, _ = comparison(j)
-    return {t for t in lhs + rhs if isinstance(t, str)}
-
-
-def judgment_truth(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
-    """Kernel truth value of ``j``: an angle term denotes itself and a
-    variable term ``valuation[name]`` (KeyError when missing).
-
-    The two sides of :func:`comparison` are summed and ordered exactly.
-    """
-    lhs, rhs, wanted = comparison(j)
-    return compare_multisets([valuation[t] if isinstance(t, str) else t for t in lhs],
-                             [valuation[t] if isinstance(t, str) else t for t in rhs]) is wanted
-
-
 # ---------------------------------------------------------------------------
 # Rules and derivations
 
@@ -294,15 +278,13 @@ class EmptyPart(ValueError):
 
 class Context:
     """Judgments visible to a step: hypotheses and earlier steps, chained
-    through enclosing Cases branches."""
+    through enclosing Cases branches, and the variables ``declared`` for the
+    whole derivation, which every judgment's names must be among."""
 
     def __init__(self, parent: Optional["Context"] = None, declared: Optional[frozenset[str]] = None):
         self._entries: dict[str, Judgment] = {}
         self._parent = parent
         self.declared: frozenset[str] = parent.declared if parent is not None else frozenset(declared or ())
-        # Each expression object whose names are all declared, by id, shared
-        # with the root context; holding the object keeps its id from reuse.
-        self._declared_sides: dict[int, MultisetExpr] = parent._declared_sides if parent is not None else {}
 
     def lookup(self, label: str) -> Optional[Judgment]:
         ctx: Optional[Context] = self
@@ -320,23 +302,10 @@ class Context:
         self._entries[label] = judgment
 
     def undeclared(self, j: Judgment) -> Optional[str]:
-        """The least name in ``j`` that is not declared, or None.  A side of
-        an Eq or Lt, often one object restated by many steps, is scanned
-        until it is found to name declared variables only."""
-        if isinstance(j, (Eq, Lt)):
-            known = self._declared_sides
-            stray: list[str] = []
-            for side in (j.lhs, j.rhs):
-                if id(side) not in known:
-                    names = [t for t in side.terms if isinstance(t, str) and t not in self.declared]
-                    if names:
-                        stray += names
-                    else:
-                        known[id(side)] = side
-        else:
-            lhs, rhs, _ = comparison(j)
-            stray = [t for t in lhs + rhs if isinstance(t, str) and t not in self.declared]
-        return min(stray) if stray else None  # min's default= keyword would cost more than the memo saves
+        """The least name in ``j``'s :func:`comparison` that is not declared, or None."""
+        lhs, rhs, _ = comparison(j)
+        stray = {t for t in lhs + rhs if t.__class__ is str} - self.declared
+        return min(stray) if stray else None
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +459,12 @@ def check_step(step: Step, context: Context) -> None:
             fail("conclusion neither restates the premise nor follows from False")
 
     elif name == "kerneleval":
-        if judgment_variables(goal):
+        lhs, rhs, wanted = comparison(goal)
+        if any(isinstance(t, str) for t in lhs + rhs):
             fail("kernel evaluation needs a variable-free judgment")
         if isinstance(goal, Falsum):
             fail("kernel evaluation cannot produce False")
-        if not judgment_truth(goal, {}):
+        if compare_multisets(lhs, rhs) is not wanted:
             fail("kernel refutes this judgment")
 
     elif name == "cases":

@@ -1,12 +1,12 @@
 """Model side: proof variables valued as concrete angles.
 
 A judgment, a comparison of two groups of angles, becomes true or false once
-every variable denotes an angle.  It is evaluated directly: a variable term
-is looked up and a literal term gives its own angle, with no substituted
-expression built.  The checker's rules are exercised against this model by
-drawing randomized valuations that satisfy a derivation's hypotheses and
-asserting every step's judgment; a failure is a counterexample to the rule
-set, not an exception.
+every variable denotes an angle.  :func:`eval_judgment` evaluates it
+directly: a variable term is looked up and a literal term gives its own
+angle, with no substituted expression built.  The checker's rules are
+exercised against this model by drawing randomized valuations that satisfy
+a derivation's hypotheses and asserting every step's judgment; a failure is
+a counterexample to the rule set, not an exception.
 
 The measure is additive, so a judgment compares the same way once the terms
 common to both sides are cancelled.  Hypotheses, steps and cases are all
@@ -63,9 +63,8 @@ from .calculus import (
     case_hypotheses,
     comparison,
     format_judgment,
-    judgment_truth,
 )
-from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _reduced, _total
+from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _reduced, _total, compare_multisets
 
 __all__ = [
     "Counterexample",
@@ -76,7 +75,6 @@ __all__ = [
     "Valuation",
     "eval_judgment",
     "model_check_derivation",
-    "random_valuation",
 ]
 
 Valuation = Dict[str, AngleLit]
@@ -108,25 +106,43 @@ class Unsatisfied(Exception):
 def eval_judgment(j: Judgment, valuation: Mapping[str, AngleLit]) -> bool:
     """Truth of a judgment once its variables denote concrete angles.
 
-    Both sides are summed from ``valuation`` by
-    :func:`eukleia.calculus.judgment_truth`; no expression is rebuilt.
-    Raises UnboundVariable for a variable missing from the valuation.
+    The two sides of its :func:`eukleia.calculus.comparison` are summed and
+    ordered exactly by the kernel: a literal term gives its own angle and a
+    variable ``valuation[name]``; no expression is rebuilt.  Raises
+    UnboundVariable for a variable missing from the valuation.
     """
+    lhs, rhs, wanted = comparison(j)
     try:
-        return judgment_truth(j, valuation)
+        lhs = [valuation[t] if isinstance(t, str) else t for t in lhs]
+        rhs = [valuation[t] if isinstance(t, str) else t for t in rhs]
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
+    return compare_multisets(lhs, rhs) is wanted
 
 
 def _cancel(lhs: Sequence, rhs: Sequence) -> tuple[tuple, tuple]:
     """``lhs`` and ``rhs`` with each term of ``lhs`` cancelled against one
-    equal term of ``rhs``, if any is left; the kept terms stay in order."""
-    kept, rest = [], list(rhs)
+    equal term of ``rhs``, if any is left; the kept terms stay in order.  A
+    term written ``m`` times in ``lhs`` and ``n`` times in ``rhs`` loses its
+    first ``min(m, n)`` from each side, found by counting, not by a search
+    per term."""
+    left: dict = {}  # each term of rhs, by how many of it are not cancelled
+    for t in rhs:
+        left[t] = left.get(t, 0) + 1
+    kept = []
     for t in lhs:
-        if t in rest:
-            rest.remove(t)
+        n = left.get(t)
+        if n:
+            left[t] = n - 1
         else:
             kept.append(t)
+    rest = []  # the last ones of each term of rhs are kept, so it is read backwards
+    for t in reversed(rhs):
+        n = left[t]
+        if n:
+            left[t] = n - 1
+            rest.append(t)
+    rest.reverse()
     return tuple(kept), tuple(rest)
 
 
@@ -341,6 +357,9 @@ class SamplingPlan:
     each hold, with the truth :func:`eval_judgment` gives, before a
     candidate is returned.  Candidates are built and tested on the plan's
     slot program (see :meth:`_compile`).
+
+    Valuations are drawn by :meth:`sample`, from a generator made at the
+    plan's first draw and re-seeded for every later one.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -387,7 +406,7 @@ class SamplingPlan:
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
         # The rest are checked, on their sides as written; neither is empty.
         self.checks = tuple(self.hypotheses[i] for i in unsolved)
-        self._rng = random.Random.__new__(random.Random)  # unseeded: every sample that draws seeds it
+        self._rng: Optional[random.Random] = None
 
     def _compile(self, solved: Mapping[str, tuple], checks: Sequence[tuple], refuted: list) -> None:
         """The slot program: a candidate's values are one list of ``(x, y)``
@@ -444,7 +463,9 @@ class SamplingPlan:
 
     def sample(self, seed: int = 0, *, budget: int = DEFAULT_BUDGET) -> Valuation:
         """Propose up to ``budget`` candidates, at least one; return the first
-        satisfying one."""
+        satisfying one, the same for the same seed.  Raises Unsatisfied once
+        ``budget`` are rejected, at once with ``attempts`` 0 when the plan is
+        refuted, and ValueError for a ``budget`` below 1."""
         if budget < 1:
             raise ValueError(f"a sampling budget must be at least 1, not {budget}")
         return self._valuation(self._accepted(seed, budget))
@@ -452,13 +473,16 @@ class SamplingPlan:
     def _accepted(self, seed: int, budget: int) -> list:
         """The slot list of the first of up to ``budget`` candidates that
         satisfies the hypotheses.  A plan that draws nothing proposes the
-        same candidate for every seed, and does not seed its generator."""
+        same candidate for every seed, and never makes a generator."""
         if self.refuted is not None:
             raise Unsatisfied(0)
         rng = self._rng
         start, drawn, actions, lts, checks = self._program
         if drawn:
-            rng.seed(seed)
+            if rng is None:  # Random(seed) runs seed(seed), so it draws what a re-seeded one does
+                rng = self._rng = random.Random(seed)
+            else:
+                rng.seed(seed)
         values = start.copy()
         for _ in range(budget):
             for k in drawn:
@@ -482,36 +506,6 @@ class SamplingPlan:
     def _valuation(self, values: list) -> Valuation:
         """An accepted candidate's valuation, in the order of the variables."""
         return {n: _reduced(*values[k]) for n, k in self._slots.items()}
-
-
-def random_valuation(
-    variables: Iterable[str],
-    hypotheses: Sequence[Judgment],
-    seed: int = 0,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Valuation:
-    """Draw a valuation of ``variables`` satisfying every hypothesis.
-
-    Deterministic for a fixed seed.  Candidates are constructed by a
-    :class:`SamplingPlan`: each equality (a Split, Congr or Eq) solved for
-    one variable sets it to the other side's total minus the rest of its own
-    side, with the variables solved before it substituted, which composes
-    split wholes, splits parts off known wholes and pins or aliases by
-    Congr; the remaining variables are drawn at random.  A candidate is
-    rejected when a solved value is not an angle (a sum at or past pi, a
-    difference at or below zero) or when it fails a hypothesis construction
-    does not guarantee (an Lt, or an equality no variable was solved from);
-    every hypothesis holds for the valuation returned.  Raises Unsatisfied
-    once ``budget`` candidates have been rejected, and at once, drawing
-    nothing, with ``attempts`` 0, when the plan refuted a hypothesis as it
-    was built.  Raises ValueError for a ``budget`` below 1.
-
-    Each call builds the plan anew; to draw many valuations of one
-    hypothesis set, build its :class:`SamplingPlan` once and call
-    :meth:`SamplingPlan.sample`.
-    """
-    return SamplingPlan(variables, hypotheses).sample(seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------

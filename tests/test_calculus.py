@@ -25,12 +25,12 @@ from eukleia.calculus import (
     StepError,
     check_derivation,
     check_step,
+    comparison,
     derive_whole_part,
-    judgment_truth,
     multiset,
 )
 from eukleia.dsl import parse_proof
-from eukleia.kernel import right_angle
+from eukleia.kernel import compare_multisets, right_angle
 
 from conftest import ang, random_angle
 
@@ -279,9 +279,14 @@ class TestKernelEval:
 
     def test_refuted_judgment(self):
         fails(Step("s", Lt(multiset(R, R), multiset(R)), Rule.KERNEL_EVAL), ctx(), "refutes")
+        err = fails(Step("s", Lt(multiset(R, R), multiset(ang(3, 4), ang(1, 1))), Rule.KERNEL_EVAL), ctx(),
+                    "refutes")
+        assert err.reason == "kernel refutes this judgment"
 
     def test_variables_rejected(self):
         fails(Step("s", Eq(multiset(a), multiset(a)), Rule.KERNEL_EVAL), ctx(), "variable-free")
+        # Reported before the kernel is asked, for a judgment it would refute.
+        fails(Step("s", Lt(multiset(R, R, a), multiset(R)), Rule.KERNEL_EVAL), ctx(), "variable-free")
 
     def test_false_not_producible(self):
         fails(Step("s", Falsum(), Rule.KERNEL_EVAL), ctx(), "cannot produce")
@@ -465,7 +470,8 @@ class TestLocality:
 
 class TestLiteralTruth:
     def test_falsum_is_false(self):
-        assert judgment_truth(Falsum(), {}) is False
+        lhs, rhs, wanted = comparison(Falsum())
+        assert compare_multisets(lhs, rhs) is not wanted
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -22,8 +23,6 @@ from eukleia.calculus import (
     check_derivation,
     comparison,
     format_judgment,
-    judgment_truth,
-    judgment_variables,
     multiset,
 )
 from eukleia.dsl import parse_proof
@@ -35,7 +34,6 @@ from eukleia.semantics import (
     UnboundVariable,
     eval_judgment,
     model_check_derivation,
-    random_valuation,
 )
 
 from conftest import CORPUS_DIR, ang
@@ -157,7 +155,7 @@ def test_direct_evaluation_matches_substitution(j, v):
 
 
 # ---------------------------------------------------------------------------
-# The compiled comparison table against judgment_truth, on valuations and
+# The compiled comparison table against eval_judgment, on valuations and
 # sides the sampler's small coordinates never reach.
 
 _wide = st.builds(ang, st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -222,66 +220,66 @@ def _compiled_truths(judgments, valuation):
 @example([Eq(multiset(ang(1, 1), ang(1, 1)), multiset(R)), Split(R, ang(3, 4), ang(4, 3)), Congr(R, R), Falsum()],
          {n: R for n in "abcd"})
 @given(st.lists(_wide_judgments, min_size=1, max_size=6), _wide_valuations)
-def test_compiled_comparisons_match_judgment_truth(judgments, v):
-    assert _compiled_truths(judgments, v) == [judgment_truth(j, v) for j in judgments]
+def test_compiled_comparisons_match_eval_judgment(judgments, v):
+    assert _compiled_truths(judgments, v) == [eval_judgment(j, v) for j in judgments]
 
 
 @settings(max_examples=300)
 @example((multiset(R, R, R, R, R, a), multiset(R, R, R, R, R, R)), {n: ang(-10**6, 1) for n in "abcd"})
 @example((multiset(a, b), multiset(b, a)), {n: ang(1, 10**6) for n in "abcd"})
 @given(_group_pairs(), _wide_valuations)
-def test_compiled_cases_match_judgment_truth(pair, v):
+def test_compiled_cases_match_eval_judgment(pair, v):
     cases = case_hypotheses(*pair)
     verdicts = _compiled_truths(cases, v)
-    assert verdicts == [judgment_truth(h, v) for h in cases]
+    assert verdicts == [eval_judgment(h, v) for h in cases]
     assert verdicts.count(True) == 1
 
 
 class TestRandomValuation:
     def test_split_hypothesis_satisfied_by_construction(self):
-        v = random_valuation(("b", "c", "a"), [Split(a, b, c)], seed=42)
+        v = SamplingPlan(("b", "c", "a"), [Split(a, b, c)]).sample(42)
         assert add_two(v["b"], v["c"]) == v["a"]
 
     def test_no_hypotheses_always_succeeds(self):
-        v = random_valuation(("x",), [], seed=0)
+        v = SamplingPlan(("x",), []).sample(0)
         assert set(v) == {"x"}
 
     def test_contradictory_hypotheses_unsatisfied(self):
         x, y = "x", "y"
+        hyps = [Lt(multiset(x), multiset(y)), Lt(multiset(y), multiset(x))]
         with pytest.raises(Unsatisfied):
-            random_valuation(("x", "y"), [Lt(multiset(x), multiset(y)), Lt(multiset(y), multiset(x))],
-                             seed=1, budget=300)
+            SamplingPlan(("x", "y"), hyps).sample(1, budget=300)
 
     def test_deterministic_for_fixed_seed(self):
         hyps = [Split(a, b, c), Lt(multiset(b), multiset(c))]
-        first = random_valuation(("a", "b", "c"), hyps, seed=9)
-        second = random_valuation(("a", "b", "c"), hyps, seed=9)
+        first = SamplingPlan(("a", "b", "c"), hyps).sample(9)
+        second = SamplingPlan(("a", "b", "c"), hyps).sample(9)
         assert first == second
 
     def test_congr_aliases(self):
-        v = random_valuation(("a", "b"), [Congr(a, b)], seed=3)
+        v = SamplingPlan(("a", "b"), [Congr(a, b)]).sample(3)
         assert v["a"] == v["b"]
 
     def test_congr_to_literal_pins_value(self):
-        v = random_valuation(("a",), [Congr(a, R)], seed=5)
+        v = SamplingPlan(("a",), [Congr(a, R)]).sample(5)
         assert v["a"] == right_angle()
 
     def test_split_onto_literal_whole(self):
-        v = random_valuation(("b", "c"), [Split(R, b, c)], seed=11)
+        v = SamplingPlan(("b", "c"), [Split(R, b, c)]).sample(11)
         assert add_two(v["b"], v["c"]) == right_angle()
 
     def test_chained_splits(self):
         d_ = "d"
-        v = random_valuation(("a", "b", "c", "d"), [Split(a, b, c), Split(b, d_, d_)], seed=13)
+        v = SamplingPlan(("a", "b", "c", "d"), [Split(a, b, c), Split(b, d_, d_)]).sample(13)
         assert add_two(v["d"], v["d"]) == v["b"]
         assert add_two(v["b"], v["c"]) == v["a"]
 
     def test_cyclic_splits_unsatisfied(self):
         with pytest.raises(Unsatisfied):
-            random_valuation(("a", "b", "c"), [Split(a, b, c), Split(b, a, c)], seed=1, budget=200)
+            SamplingPlan(("a", "b", "c"), [Split(a, b, c), Split(b, a, c)]).sample(1, budget=200)
 
     def test_every_declared_variable_covered(self):
-        v = random_valuation(("p", "q", "r"), [], seed=21)
+        v = SamplingPlan(("p", "q", "r"), []).sample(21)
         assert set(v) == {"p", "q", "r"}
 
 
@@ -308,7 +306,7 @@ def hypothesis_set(name):
     return d.variables, [h.judgment for h in d.hypotheses]
 
 
-# random_valuation outputs for seeds 0-9 as recorded before the sampling plan
+# The valuations seeds 0-9 drew, as recorded before the sampling plan
 # existed: hypothesis sets the old sampler already built by construction must
 # keep drawing the same valuations, so that model-check reports stay
 # byte-identical for a seed.
@@ -434,7 +432,7 @@ GOLDEN = {
 def test_golden_valuations(name):
     variables, hyps = hypothesis_set(name)
     for seed, expected in enumerate(GOLDEN[name]):
-        v = random_valuation(variables, hyps, seed=seed)
+        v = SamplingPlan(variables, hyps).sample(seed)
         assert list(v) == list(expected)
         assert {k: (a.x, a.y) for k, a in v.items()} == expected, f"seed {seed}"
         assert all(eval_judgment(h, v) for h in hyps), f"seed {seed}"
@@ -467,10 +465,10 @@ def test_golden_counterexamples(name, seed, satisfied, trial, valuation):
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_is_refused(budget):
     with pytest.raises(ValueError):
-        random_valuation(("a", "b", "c"), [Split(a, b, c)], seed=1, budget=budget)
+        SamplingPlan(("a", "b", "c"), [Split(a, b, c)]).sample(1, budget=budget)
     # Refused before the plan's refutation is reported, too.
     with pytest.raises(ValueError):
-        random_valuation(("a",), [Falsum()], seed=1, budget=budget)
+        SamplingPlan(("a",), [Falsum()]).sample(1, budget=budget)
 
 
 @pytest.mark.parametrize("seed", [-7, 0, 1, 7 * 1_000_003 + 5, 2**64 + 7 * 1_000_003 + 5, -(2**70)])
@@ -486,22 +484,17 @@ def test_plans_draw_the_same_for_a_seed_however_often_they_sample():
     plan = SamplingPlan(*hypothesis_set("lt"))
     first = [plan.sample(seed) for seed in range(10)]
     assert [plan.sample(seed) for seed in reversed(range(10))] == first[::-1]
-    assert [random_valuation(*hypothesis_set("lt"), seed=seed) for seed in range(10)] == first
 
 
 @pytest.mark.parametrize("name", ["four_rights", "postulate5", "aliased-part"])
 def test_plans_that_draw_nothing_are_not_seeded(name):
     # Every candidate of a plan with nothing to draw is the same, so no seed
-    # can change it, and the plan's generator is left alone.
+    # can change it, and the plan never makes a generator.
     plan = SamplingPlan(*hypothesis_set(name))
     assert plan.draws == ()
-
-    def refuse(seed):
-        raise AssertionError(f"seeded with {seed}")
-
-    plan._rng.seed = refuse
     samples = [plan.sample(seed) for seed in (-7, 0, 1, 7 * 1_000_003 + 5, 2**70)]
     assert samples == [{n: plan.fixed[n] for n in plan.variables}] * 5
+    assert plan._rng is None
 
 
 def _count_draws(monkeypatch):
@@ -583,7 +576,7 @@ def test_hypotheses_refuted_by_literals_draw_nothing(name, monkeypatch):
     assert SamplingPlan(d.variables, hyps).refuted == hyps[-1]
     draws = _count_draws(monkeypatch)
     with pytest.raises(Unsatisfied) as exc:
-        random_valuation(d.variables, hyps, seed=0)
+        SamplingPlan(d.variables, hyps).sample(0)
     assert exc.value.attempts == 0
     report = model_check_derivation(d, trials=1000, seed=7)
     assert (report.trials, report.satisfied, report.vacuous) == (3, 0, True)
@@ -629,7 +622,7 @@ class TestSamplingPlan:
         assert (plan.checks, plan.refuted) == ((), None)
 
     def test_pinned_whole_is_split(self):
-        v = random_valuation(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")], seed=8)
+        v = SamplingPlan(("w", "p", "q"), [Congr("w", R), Split("w", "p", "q")]).sample(8)
         assert add_two(v["p"], v["q"]) == v["w"] == right_angle()
 
 
@@ -685,7 +678,8 @@ def _reference_sample(plan, seed, budget):
     """SamplingPlan.sample before construction was trusted: every candidate
     is checked against every hypothesis, drawing with randint."""
     if plan.refuted is not None:
-        if judgment_variables(plan.refuted) <= plan.fixed.keys():
+        lhs, rhs, _ = comparison(plan.refuted)
+        if {t for t in lhs + rhs if isinstance(t, str)} <= plan.fixed.keys():
             assert not eval_judgment(plan.refuted, plan.fixed)
         else:
             # False only together with the equalities solved before it: plain
@@ -823,13 +817,13 @@ def test_split_onto_literal_whole_composes_back(b_, c_, seed):
         whole = add_two(b_, c_)
     except AngleOverflow:
         return
-    v = random_valuation(("p", "q"), [Split(whole, "p", "q")], seed=seed)
+    v = SamplingPlan(("p", "q"), [Split(whole, "p", "q")]).sample(seed)
     assert add_two(v["p"], v["q"]) == whole
 
 
 @given(seeds)
 def test_split_onto_right_angle_composes_back(seed):
-    v = random_valuation(("p", "q"), [Split(R, "p", "q")], seed=seed)
+    v = SamplingPlan(("p", "q"), [Split(R, "p", "q")]).sample(seed)
     assert add_two(v["p"], v["q"]) == right_angle()
 
 
@@ -838,7 +832,7 @@ def test_eq_with_lone_variable_side_is_composed(seed, flipped):
     v_ = "v"
     lone, pair = multiset(v_), multiset(a, b)
     hyp = Eq(pair, lone) if flipped else Eq(lone, pair)
-    v = random_valuation(("v", "a", "b"), [hyp], seed=seed)
+    v = SamplingPlan(("v", "a", "b"), [hyp]).sample(seed)
     assert v["v"] == add_two(v["a"], v["b"])
 
 
@@ -846,7 +840,7 @@ def test_eq_with_lone_variable_side_is_composed(seed, flipped):
 @given(seeds)
 def test_eq_onto_two_right_angles_unsatisfied(seed):
     with pytest.raises(Unsatisfied):
-        random_valuation(("v",), [Eq(multiset("v"), multiset(R, R))], seed=seed, budget=200)
+        SamplingPlan(("v",), [Eq(multiset("v"), multiset(R, R))]).sample(seed, budget=200)
 
 
 class TestModelCheck:
@@ -994,7 +988,7 @@ WALK_DERIVATIONS = {
 def test_compiled_walk_matches_reference(name, seed):
     d = WALK_DERIVATIONS[name]
     try:
-        v = random_valuation(d.variables, [h.judgment for h in d.hypotheses], seed=seed, budget=200)
+        v = SamplingPlan(d.variables, [h.judgment for h in d.hypotheses]).sample(seed, budget=200)
     except Unsatisfied:
         return
     compiled = semantics._CompiledSteps(d)
@@ -1008,8 +1002,8 @@ def test_reference_walk_finds_counterexamples_in_branches():
     for name in ("cases-counterexample", "nested-cases-counterexample"):
         d = WALK_DERIVATIONS[name]
         for seed in range(200):
-            bad = _first_false(d.steps, random_valuation(d.variables, [h.judgment for h in d.hypotheses],
-                                                         seed=seed))
+            v = SamplingPlan(d.variables, [h.judgment for h in d.hypotheses]).sample(seed)
+            bad = _first_false(d.steps, v)
             found.add(bad and bad.label)
     assert {"T4", "X4"} <= found
 
@@ -1061,6 +1055,37 @@ def test_common_terms_cancel(sides):
     assert compare_multisets(lhs + common, rhs + common) is compare_multisets(lhs, rhs)
 
 
+def _reference_cancel(lhs, rhs):
+    """semantics._cancel as it was first written: a search of the other side
+    for each term, which removes the first equal term left."""
+    kept, rest = [], list(rhs)
+    for t in lhs:
+        if t in rest:
+            rest.remove(t)
+        else:
+            kept.append(t)
+    return tuple(kept), tuple(rest)
+
+
+# Names and (0, x, y) literal triples from small pools, so that terms repeat
+# within a side and across the two.
+_form_terms = st.one_of(st.sampled_from("abcd"), st.tuples(st.just(0), st.integers(-2, 2), st.integers(1, 2)))
+
+
+@settings(max_examples=400)
+@given(st.lists(_form_terms, max_size=12), st.lists(_form_terms, max_size=12))
+def test_cancel_matches_reference(lhs, rhs):
+    assert semantics._cancel(lhs, rhs) == _reference_cancel(lhs, rhs)
+
+
+def test_cancel_is_linear_on_disjoint_sides():
+    # A search per term takes seconds here.
+    lhs, rhs = tuple(f"x{k}" for k in range(10_000)), tuple((0, k, 1) for k in range(10_000))
+    started = time.perf_counter()
+    assert semantics._cancel(lhs, rhs) == (lhs, rhs)
+    assert time.perf_counter() - started < 0.5
+
+
 class TestCompiledSteps:
     def test_counterexample_inside_a_cases_branch(self):
         # Recorded before steps were compiled: the report names the first
@@ -1105,7 +1130,7 @@ class TestCompiledSteps:
                 _step("S4", Falsum()),
             ),
         )
-        valuations = [random_valuation(d.variables, [h.judgment for h in d.hypotheses], seed=seed)
+        valuations = [SamplingPlan(d.variables, [h.judgment for h in d.hypotheses]).sample(seed)
                       for seed in range(20)]
         expected = [_first_false(d.steps, v) for v in valuations]
         assert {step.label for step in expected} == {"S4", "V2"}
