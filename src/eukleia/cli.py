@@ -12,11 +12,12 @@ directory that is missing or holds no script to check), exits 1.  For
 and 5 applies only when there is none.
 
 ``eval`` and ``compare`` accept literal-only expressions: each term is then an
-``AngleLit``, which the kernel sums as it is.  The split reader of ``dsl``
-reads such an operand into its angles in the order written, unsorted; any
-other operand goes straight to the token parser behind :func:`parse_expr`,
-which reports the parse error or the variable, so no operand takes the split
-reader twice.
+angle.  The counted reader of ``dsl`` reads such an operand into a map from
+each distinct reduced angle to how many times it occurs; any other operand
+goes straight to the token parser behind :func:`parse_expr`, which reports
+the parse error or the variable, so no operand takes the counted reader
+twice.  The kernel sums each distinct angle's multiple once, and ``compare``
+sums the part its two operands share once for both sides.
 
 ``check``, ``modelcheck`` and ``corpus`` take each script through
 :func:`run_script`, which returns its report.  Every command returns its
@@ -35,12 +36,13 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .calculus import StepError, check_derivation
-from .dsl import ParseError, SourceSpan, _expr_terms, _parse_expr_tokens, parse_proof
-from .kernel import AngleSum, compare_sums, sum_multiset
+from .dsl import ParseError, SourceSpan, _literal_counts, _parse_expr_tokens, parse_proof
+from .kernel import AngleSum, compare_sums
 from .semantics import model_check_derivation
 
 EXIT_OK = 0
@@ -111,21 +113,21 @@ def _read_file(path: str | Path) -> str:
     raise _Rejected(None, f"error: {message}")
 
 
-def _literal_angles(expr_text: str, command: str) -> Sequence:
-    """The angles of a literal-only expression, in no particular order;
+def _operand_counts(expr_text: str, command: str) -> dict[tuple[int, int], int]:
+    """The angles of a literal-only expression, counted by reduced pair;
     raises _Rejected otherwise."""
-    kinds = _expr_terms(expr_text)  # no names are declared, so every term is an angle
-    if kinds is not None:
-        return kinds[1]  # unsorted: eval and compare only sum them
+    counts = _literal_counts(expr_text)
+    if counts is not None:
+        return counts
     try:
-        terms = _parse_expr_tokens(expr_text).terms  # the split reader is not run again
+        terms = _parse_expr_tokens(expr_text).terms  # the counted reader is not run again
     except ParseError as exc:
         rep = _report(command, "parse-error", exc.span, detail={"message": exc.message})
         raise _Rejected(rep, _parse_error_line(rep)) from None
     if terms and isinstance(terms[0], str):  # variables sort first, by name
         rep = _report(command, "parse-error", detail={"message": f"variable {terms[0]!r} in a literal-only expression"})
         raise _Rejected(rep, f"error: variable {terms[0]!r} is not allowed here")
-    return terms
+    return Counter((angle.x, angle.y) for angle in terms)
 
 
 _TOO_LARGE = "result too large to print: a coordinate has more digits than the interpreter converts to text"
@@ -222,8 +224,8 @@ def _cmd_script(args) -> _Outcome:
 
 
 def _cmd_compare(args) -> _Outcome:
-    lhs, rhs = _literal_angles(args.lhs, "compare"), _literal_angles(args.rhs, "compare")
-    sum_l, sum_r = sum_multiset(lhs), sum_multiset(rhs)
+    lhs, rhs = _operand_counts(args.lhs, "compare"), _operand_counts(args.rhs, "compare")
+    sum_l, sum_r = AngleSum._of_counts(lhs, rhs)  # their common part is summed once
     verdict = compare_sums(sum_l, sum_r).name
     text_l, text_r = _printable("compare", sum_l, sum_r)
     rep = _report("compare", "ok", result=verdict, detail={"lhs": text_l, "rhs": text_r})
@@ -231,7 +233,7 @@ def _cmd_compare(args) -> _Outcome:
 
 
 def _cmd_eval(args) -> _Outcome:
-    total = sum_multiset(_literal_angles(args.expr, "eval"))
+    (total,) = AngleSum._of_counts(_operand_counts(args.expr, "eval"))
     (text,) = _printable("eval", total)
     detail: dict = {}
     human = [text]

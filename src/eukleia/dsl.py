@@ -34,13 +34,16 @@ scope (including any forward reference) is a parse error.  Within a cases
 branch the branch's comparison is cited as ``case``.  A step nested in more
 than ``MAX_CASES_DEPTH`` cases branches is a parse error.
 
-One reader, :func:`_expr_terms`, reads an expression without the token
-parser: it splits the text between the braces on ``,`` and reads each piece,
-blanks stripped, as a declared name, ``R`` or one ``ang`` literal; any other
-piece turns the text down.  A standalone expression (:func:`parse_expr`)
-declares no names, so only one of ``R`` and ``ang`` literals, written without
-comments, is read this way.  Every other text, and every text with an error,
-goes to the token parser, which alone reports parse errors.
+Two readers read an expression without the token parser.  Each splits the
+text between the braces on ``,`` and reads each distinct piece once, blanks
+stripped; any other piece turns the text down.  :func:`_expr_terms` reads an
+expression of a script, where a piece is a declared name, ``R`` or one
+``ang`` literal.  A standalone expression (:func:`parse_expr`, and the
+``eval`` and ``compare`` operands) declares no names, so
+:func:`_literal_counts` reads one of ``R`` and ``ang`` literals only, written
+without comments, and counts its angles by reduced pair.  Every other text,
+and every text with an error, goes to the token parser, which alone reports
+parse errors.
 
 A proof script (:func:`parse_proof`) is lexed with two more token classes,
 tried first:
@@ -59,7 +62,7 @@ tried first:
   stands, since a cases block holds steps, each with ``:`` and ``;``;
   ``{}`` and ``{ }`` stay two tokens, as they may be empty blocks.
 
-Each distinct expression text is read once per parse by the split reader,
+Each distinct expression text is read once per parse by :func:`_expr_terms`,
 each distinct piece of it once too, and a repeated text is the same
 :class:`MultisetExpr` object.  A script with an expression text the reader
 turns down, with a step token citing ``cases``, or with any parse error is
@@ -71,7 +74,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from itertools import compress, islice, repeat
+from math import gcd
 from typing import Collection, NamedTuple, Optional
 
 from .calculus import (
@@ -479,7 +484,7 @@ class _Parser:
 _ANG = re.compile(r"[aA][nN][gG][ \t\r\n]*\([ \t\r\n]*(-?[0-9]+)[ \t\r\n]*/[ \t\r\n]*(-?[0-9]+)[ \t\r\n]*\)")
 
 
-def _expr_terms(text: str, declared: Collection[str] = (),
+def _expr_terms(text: str, declared: Collection[str],
                 memo: Optional[dict[str, Term]] = None) -> Optional[tuple[list[str], list[AngleLit]]]:
     """The names and the angles of the expression ``text``, two lists each in
     the order written, read by splitting the text between its braces on ",";
@@ -521,18 +526,52 @@ def _expr_terms(text: str, declared: Collection[str] = (),
     return names, angles
 
 
+def _literal_counts(text: str) -> Optional[dict[tuple[int, int], int]]:
+    """The angles of the literal-only expression ``text``, counted by reduced
+    pair ``(x, y)``; None when the token parser must read it.  The text is
+    split between its braces on "," as :func:`_expr_terms` splits it, and
+    each distinct raw piece is read once, by that reader's rules with no name
+    declared: ``R`` or one ``ang`` literal whose integers the interpreter
+    converts and whose angle is not degenerate."""
+    inner = text.strip(_BLANKS)
+    if inner[:1] != "{" or inner[-1:] != "}":
+        return None
+    inner = inner[1:-1]
+    counts: dict[tuple[int, int], int] = {}
+    if not inner.strip(_BLANKS):
+        return counts
+    for piece, n in Counter(inner.split(",")).items():
+        word = piece.strip(_BLANKS)
+        if word == "R":
+            pair = (0, 1)
+        else:
+            match = _ANG.fullmatch(word)
+            if match is None:
+                return None
+            try:
+                x, y = int(match[1]), int(match[2])
+            except ValueError:  # longer than the interpreter's int conversion limit
+                return None
+            if y <= 0:  # a degenerate angle
+                return None
+            g = gcd(x, y)
+            pair = (x // g, y // g)
+        counts[pair] = counts.get(pair, 0) + n
+    return counts
+
+
 def parse_expr(text: str) -> MultisetExpr:
     """Parse a standalone multiset expression such as ``{R, ang(3/4), a}``.
 
     Variables are accepted syntactically; callers that need a literal-only
     expression check for variables themselves.  A literal-only expression
-    without comments is read by splitting on "," (:func:`_expr_terms`); any
-    other text, and every text with an error, goes to the token parser, which
-    alone reports errors.  Either way the result is the same.
+    without comments is read by splitting on "," (:func:`_literal_counts`);
+    any other text, and every text with an error, goes to the token parser,
+    which alone reports errors.  Either way the result is the same.
     """
-    kinds = _expr_terms(text)
-    if kinds is not None:
-        return MultisetExpr._of(*kinds)
+    counts = _literal_counts(text)
+    if counts is not None:
+        return MultisetExpr._of([], [angle for (x, y), n in counts.items() for angle in repeat(AngleLit(x, y), n)])
     return _parse_expr_tokens(text)
 
 

@@ -9,9 +9,11 @@ combine by multiplying their remainders as Gaussian integers; a product at
 or past pi is one more straight angle and the product rotated back by pi.
 That combination is associative, so ``sum_multiset`` reduces a multiset
 pairwise in a balanced tree and the operands of each product stay of similar
-size.  Sums and comparisons of arbitrary finite multisets of angles stay in
-integer arithmetic throughout: no floats, no trigonometric evaluation, no
-rounding.
+size.  A multiset given as counts of distinct angles
+(``AngleSum._of_counts``) is summed from each angle's multiple, built by
+doubling, and two such multisets sum their common part once.  Sums and
+comparisons of arbitrary finite multisets of angles stay in integer
+arithmetic throughout: no floats, no trigonometric evaluation, no rounding.
 """
 
 from __future__ import annotations
@@ -120,6 +122,28 @@ class AngleSum:
         turns, x, y = self.turns_and_vector()
         return f"turns={turns}, rep=({x},{y})"
 
+    @staticmethod
+    def _of_counts(*sides: dict[tuple[int, int], int]) -> list[AngleSum]:
+        """The sum of each count map in ``sides``, which maps the reduced pair
+        ``(x, y)`` of an angle to how many times it occurs.
+
+        The part that every side holds, each angle at its least count, is
+        summed once and combined with the sum of each side's own rest.  Each
+        distinct angle's multiple is built by doubling (:func:`_multiples`),
+        and :func:`_total` sums the multiples.
+        """
+        if len(sides) == 1:
+            return [_as_sum(_total(_multiples(sides[0])))]
+        common = {pair: min([side[pair] for side in sides]) for pair in set(sides[0]).intersection(*sides[1:])}
+        shared = _total(_multiples(common))
+        sums = []
+        for side in sides:
+            rest = dict(side)
+            for pair, n in common.items():
+                rest[pair] -= n
+            sums.append(_as_sum(_total([shared, *_multiples(rest)])))
+        return sums
+
 
 def _vector(rest: Optional[AngleLit]) -> tuple[int, int]:
     """The remainder's vector, (1, 0) for none."""
@@ -178,7 +202,12 @@ def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
     one angle below pi.  The result is canonical, so it does not depend on
     the iteration order.
     """
-    straights, x, y = _total([(0, a.x, a.y) for a in angles])
+    return _as_sum(_total([(0, a.x, a.y) for a in angles]))
+
+
+def _as_sum(total: tuple[int, int, int]) -> AngleSum:
+    """The AngleSum of a ``(straights, x, y)`` total."""
+    straights, x, y = total
     return AngleSum(straights, _reduced(x, y) if y else None)
 
 
@@ -213,6 +242,37 @@ def _total(level: list[tuple[int, int, int]]) -> tuple[int, int, int]:
             paired.append(level[-1])
         level = paired
     return level[0]
+
+
+def _multiples(counts: dict[tuple[int, int], int]) -> list[tuple[int, int, int]]:
+    """Each angle of ``counts`` times its count, as a ``(straights, x, y)``
+    total; an angle counted 0 times is left out.  The multiple is built left
+    to right over the bits of the count: the running multiple times itself,
+    then times the angle where the bit is set, each product by
+    :func:`_total`'s node rule, written out here: a call per step costs more
+    than the step."""
+    out = []
+    for (ax, ay), n in counts.items():
+        if not n:
+            continue
+        s, x, y = 0, ax, ay
+        for bit in bin(n)[3:]:
+            x, y = x * x - y * y, 2 * x * y
+            g = gcd(x, y)
+            if g != 1:
+                x, y = x // g, y // g
+            s += s
+            if y < 0 or (y == 0 and x < 0):
+                s, x, y = s + 1, -x, -y
+            if bit == "1":
+                x, y = x * ax - y * ay, x * ay + y * ax
+                g = gcd(x, y)
+                if g != 1:
+                    x, y = x // g, y // g
+                if y < 0 or (y == 0 and x < 0):
+                    s, x, y = s + 1, -x, -y
+        out.append((s, x, y))
+    return out
 
 
 def compare_sums(a: AngleSum, b: AngleSum) -> Ordering:

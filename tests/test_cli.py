@@ -637,14 +637,14 @@ class TestRejectedOutput:
         # An operand the split reader turns down goes to the token parser
         # alone, not through parse_expr, which would run the reader again.
         calls = []
-        expr_terms = dsl._expr_terms
+        literal_counts = dsl._literal_counts
 
-        def counted(text, *args):
+        def counted(text):
             calls.append(text)
-            return expr_terms(text, *args)
+            return literal_counts(text)
 
-        monkeypatch.setattr(dsl, "_expr_terms", counted)
-        monkeypatch.setattr(cli, "_expr_terms", counted)
+        monkeypatch.setattr(dsl, "_literal_counts", counted)
+        monkeypatch.setattr(cli, "_literal_counts", counted)
         call(["eval", operand, "--json"])
         assert calls == [operand]
         calls.clear()

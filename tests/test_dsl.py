@@ -4,14 +4,15 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import MultisetExpr, Rule, multiset
 from eukleia import dsl
-from eukleia.dsl import (_SCRIPT_TOKEN, _STEP, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _Parser, _TurnedDown,
-                         format_derivation, parse_expr, parse_proof)
+from eukleia.dsl import (_SCRIPT_TOKEN, _STEP, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _literal_counts,
+                         _Parser, _TurnedDown, format_derivation, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang, nested_cases_script, random_angle
@@ -618,14 +619,28 @@ class TestLiteralFastPath:
 
     @pytest.mark.parametrize("text", ["{}", " \n{ }\r\n", "{R}", "{ ANG ( -0 / 007 ) ,\n\tR,aNg(1/2) }"])
     def test_literal_only_text_takes_the_pattern_pass(self, text):
-        kinds = _expr_terms(text)
-        assert kinds is not None and kinds[0] == [] and MultisetExpr(tuple(kinds[1])) == _token_parse_expr(text)
+        counts = _literal_counts(text)
+        assert counts == Counter((angle.x, angle.y) for angle in _token_parse_expr(text).terms)
 
     @pytest.mark.parametrize("text", ["{a}", "{Rx}", "{r}", "{R # c\n}", "{ang(1/0)}", "{ang(2/-1)}",
                                       f"{{ang({DIGITS_4400}/1)}}", "{ang(٣/1)}", "{R} junk", "{R,}", "{R\u00a0}",
                                       "{R}\f"])
     def test_other_text_goes_to_the_token_parser(self, text):
-        assert _expr_terms(text) is None
+        assert _literal_counts(text) is None
+
+    @settings(max_examples=500, deadline=None)
+    @example("{R, ang(2/4), ang(1/2), ang(-3/3), R}")
+    @example("{ang(0/7), ang(-0/1)}")
+    @given(expression_texts())
+    def test_counted_reader_counts_what_the_split_reader_reads(self, text):
+        # With no name declared, the counted reader turns down exactly the
+        # texts the split reader turns down, and counts the angles it reads.
+        kinds = _expr_terms(text, ())
+        counts = _literal_counts(text)
+        if kinds is None:
+            assert counts is None
+        else:
+            assert kinds[0] == [] and counts == Counter((angle.x, angle.y) for angle in kinds[1])
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +940,8 @@ class TestSplitReader:
 
     def test_reads_blanks_around_pieces_and_declared_names(self):
         assert _expr_terms("{a,\n a}", {"a"}) == (["a", "a"], [])
-        assert _expr_terms("{R }") == _expr_terms("{ R}") == ([], [R])
-        assert _expr_terms("{ }") == _expr_terms("{}") == ([], [])
+        assert _expr_terms("{R }", ()) == _expr_terms("{ R}", ()) == ([], [R])
+        assert _expr_terms("{ }", ()) == _expr_terms("{}", ()) == ([], [])
 
     def test_each_raw_piece_is_read_once(self):
         memo: dict = {}

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eukleia.kernel import (
     AngleLit,
@@ -295,6 +296,56 @@ class TestSumMultiset:
         assert total.rest.y.bit_length() > 1024  # beyond float range: the shift is needed
         expected = math.fsum(math.atan2(a.y, a.x) for a in items)
         assert abs(total_radians(total) - expected) < 1e-9
+
+
+# Count maps as ``eval`` and ``compare`` read their operands: reduced pairs
+# (x, y) with y > 0, each with a positive count.
+count_pairs = st.builds(lambda x, y: (x // gcd(x, y), y // gcd(x, y)), st.integers(-30, 30), st.integers(1, 30))
+
+
+def _expanded(counts) -> list[AngleLit]:
+    return [_reduced(x, y) for (x, y), n in counts.items() for _ in range(n)]
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two count maps: equal, differing in one angle, disjoint, one empty, or any two."""
+    lhs = Counter(draw(st.dictionaries(count_pairs, st.integers(1, 40), max_size=6)))
+    kind = draw(st.sampled_from(["equal", "one-angle", "disjoint", "empty", "any"]))
+    if kind == "equal":
+        rhs = Counter(lhs)
+    elif kind == "one-angle":
+        rhs = Counter(lhs)
+        rhs[draw(count_pairs)] += draw(st.sampled_from([-1, 1, 2]))
+        rhs = +rhs  # drops a count taken to 0
+    elif kind == "disjoint":
+        rhs = Counter({pair: n for pair, n in draw(st.dictionaries(count_pairs, st.integers(1, 40),
+                                                                    max_size=6)).items() if pair not in lhs})
+    elif kind == "empty":
+        rhs = Counter()
+    else:
+        rhs = Counter(draw(st.dictionaries(count_pairs, st.integers(1, 40), max_size=6)))
+    return (lhs, rhs) if draw(st.booleans()) else (rhs, lhs)
+
+
+class TestSumCounts:
+    @settings(max_examples=60, deadline=None)
+    @example({(-20, 1): 9999})  # near pi, folding past it at almost every doubling
+    @example({(-20, 1): 10**4, (0, 1): 3, (19, 20): 1})
+    @example({(3, 4): 1})
+    @example({})
+    @given(st.dictionaries(count_pairs, st.integers(1, 10**4), max_size=3))
+    def test_equals_the_sum_of_the_expanded_list(self, counts):
+        assert AngleSum._of_counts(Counter(counts)) == [sum_multiset(_expanded(counts))]
+
+    def test_four_right_angles_one_turn(self):
+        assert AngleSum._of_counts(Counter({(0, 1): 4})) == [AngleSum(2, None)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def test_summing_the_common_part_once_gives_both_sums(self, sides):
+        lhs, rhs = sides
+        assert AngleSum._of_counts(lhs, rhs) == [sum_multiset(_expanded(lhs)), sum_multiset(_expanded(rhs))]
 
 
 class TestCompareMultisets:
