@@ -9,7 +9,6 @@ from .kernel import (
     DegenerateAngle,
     Ordering,
     add_two,
-    angle_from_rays,
     angle_from_slope_vector,
     compare_multisets,
     compare_sums,
@@ -20,7 +19,6 @@ from .calculus import (
     Congr,
     Context,
     Derivation,
-    EmptyPart,
     Eq,
     Falsum,
     Hypothesis,
@@ -34,11 +32,9 @@ from .calculus import (
     Term,
     check_derivation,
     check_step,
-    derive_whole_part,
     format_judgment,
-    multiset,
 )
-from .dsl import ParseError, SourceSpan, format_derivation, parse_expr, parse_proof
+from .dsl import ParseError, SourceSpan, parse_expr, parse_proof
 from .semantics import (
     Counterexample,
     ModelCheckReport,

@@ -16,7 +16,6 @@ yields any goal through the Hypothesis rule.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
@@ -77,25 +76,11 @@ class MultisetExpr:
         expr.__dict__["terms"] = (*names, *angles)
         return expr
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def __len__(self) -> int:
         return len(self.terms)
 
-    def add(self, t: Term) -> "MultisetExpr":
-        return MultisetExpr(self.terms + (t,))
-
-    def counts(self) -> Counter[Term]:
-        return Counter(self.terms)
-
     def __str__(self) -> str:
         return "{" + ", ".join(format_term(t) for t in self.terms) + "}"
-
-
-def multiset(*terms: Term) -> MultisetExpr:
-    return MultisetExpr(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +257,6 @@ class StepError(Exception):
         self.span = span
 
 
-class EmptyPart(ValueError):
-    """derive_whole_part was asked to add an empty part."""
-
-
 class Context:
     """Judgments visible to a step: hypotheses and earlier steps, chained
     through enclosing Cases branches, and the variables ``declared`` for the
@@ -294,9 +275,6 @@ class Context:
                 return j
             ctx = ctx._parent
         return None
-
-    def defines(self, label: str) -> bool:
-        return self.lookup(label) is not None
 
     def bind(self, label: str, judgment: Judgment) -> None:
         self._entries[label] = judgment
@@ -333,7 +311,7 @@ def check_step(step: Step, context: Context) -> None:
     def fail(reason: str) -> NoReturn:
         raise StepError(step.label, reason, step.span)
 
-    if context.defines(step.label):
+    if context.lookup(step.label) is not None:
         fail("duplicate label")
     stray = context.undeclared(step.judgment)
     if stray is not None:
@@ -410,7 +388,7 @@ def check_step(step: Step, context: Context) -> None:
             fail("the two sides gained different terms")
 
     elif name == "singletonpos":
-        if not (isinstance(goal, Lt) and goal.lhs.is_empty and len(goal.rhs) == 1):
+        if not (isinstance(goal, Lt) and not goal.lhs.terms and len(goal.rhs) == 1):
             fail("conclusion is not of the form Lt({}, {t})")
 
     elif name == "wholepart":
@@ -503,7 +481,7 @@ def check_derivation(derivation: Derivation) -> None:
     """Check every step in order; raises StepError at the first failure."""
     ctx = Context(declared=frozenset(derivation.variables))
     for h in derivation.hypotheses:
-        if ctx.defines(h.label):
+        if ctx.lookup(h.label) is not None:
             raise StepError(h.label, "duplicate label")
         stray = ctx.undeclared(h.judgment)
         if stray is not None:
@@ -512,43 +490,3 @@ def check_derivation(derivation: Derivation) -> None:
     for s in derivation.steps:
         check_step(s, ctx)
         ctx.bind(s.label, s.judgment)
-
-
-# ---------------------------------------------------------------------------
-# Derived construction
-
-def derive_whole_part(m: MultisetExpr, n: MultisetExpr, label_prefix: str = "wp") -> tuple[Step, ...]:
-    """Steps concluding Lt(m, m + n), built from SingletonPos, AddBoth and LtTrans.
-
-    The returned fragment is self-contained: every premise cites one of its
-    own labels, so it checks inside any derivation whose label space does
-    not collide with ``label_prefix``.  Raises EmptyPart when ``n`` is empty.
-    """
-    if n.is_empty:
-        raise EmptyPart("the added part must be nonempty")
-    steps: list[Step] = []
-    counter = 0
-
-    def emit(judgment: Judgment, rule: Rule, *premises: str) -> str:
-        nonlocal counter
-        counter += 1
-        label = f"{label_prefix}{counter}"
-        steps.append(Step(label, judgment, rule, tuple(premises)))
-        return label
-
-    base = m
-    total_label: Optional[str] = None
-    total: Optional[Lt] = None
-    for t in n.terms:
-        cur = Lt(MultisetExpr(), multiset(t))
-        label = emit(cur, Rule.SINGLETON_POS)
-        for u in base.terms:
-            cur = Lt(cur.lhs.add(u), cur.rhs.add(u))
-            label = emit(cur, Rule.ADD_BOTH, label)
-        if total is None:
-            total_label, total = label, cur
-        else:
-            total = Lt(total.lhs, cur.rhs)
-            total_label = emit(total, Rule.LT_TRANS, total_label, label)
-        base = base.add(t)
-    return tuple(steps)

@@ -25,6 +25,8 @@ reports and human lines, and :func:`main` alone derives the exit code and
 renders them: ``--json`` prints one report object per line (one per file for
 ``corpus``) with ``elapsed_ms: null``, so that identical inputs produce
 byte-identical output; wall-clock timing appears only in the human rendering.
+A reader that closes the pipe early cuts the output short, not the exit code;
+a human line that stdout's encoding cannot hold is written with backslash escapes.
 """
 
 from __future__ import annotations
@@ -56,13 +58,9 @@ EXIT_TOO_LARGE = 6
 CORPUS_DIR_ENV = "EUKLEIA_CORPUS_DIR"
 
 
-def bundled_corpus_dir() -> Path:
-    return Path(__file__).resolve().parent / "corpus"
-
-
 def corpus_dir() -> Path:
     override = os.environ.get(CORPUS_DIR_ENV)
-    return Path(override) if override else bundled_corpus_dir()
+    return Path(override) if override else Path(__file__).resolve().parent / "corpus"
 
 
 # Each report status and the exit code it gives.
@@ -327,13 +325,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in lines:
             print(line, file=sys.stderr)
         return EXIT_IO
-    if args.json:
-        for report in reports:
-            print(json.dumps(report, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
+    try:
+        if args.json:  # json.dumps escapes every character past ASCII
+            for report in reports:
+                print(json.dumps(report, sort_keys=True))
+        else:
+            for line in lines:
+                try:
+                    print(line)
+                except UnicodeEncodeError:  # a name or character that stdout's encoding lacks
+                    print(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+            print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone; the interpreter's last flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _exit_code(reports)
 
 

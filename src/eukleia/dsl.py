@@ -1,4 +1,4 @@
-"""Reader and printer for the ``.eap`` proof-script format.
+"""Reader for the ``.eap`` proof-script format.
 
 Scripts are plain UTF-8 text: a ``vars`` header, ``hyp`` lines, then labeled
 steps citing a rule and premise labels, every statement terminated by a
@@ -51,7 +51,7 @@ tried first:
 - a step token is one whole plain step, ``LABEL : (Eq|Lt) expr expr by RULE
   REF* ;`` with each ``expr`` an expression token and only blanks between
   the parts.  A cases, Split, Congr or False step, a hypothesis, and a step
-  with a comment or an empty ``{}`` inside are lexed as before.  The step
+  with a comment or an empty ``{}`` inside are lexed token by token.  The step
   parts come from the lexer's own match: ``_SCRIPT_TOKEN`` holds ``_STEP``'s
   six groups, and the lexer keeps a step token as that tuple, not as its
   text.  The parser makes on them the checks it makes on a step read token
@@ -92,14 +92,12 @@ from .calculus import (
     Split,
     Step,
     Term,
-    format_judgment,
 )
 from .kernel import AngleLit, DegenerateAngle, angle_from_slope_vector
 
 __all__ = [
     "ParseError",
     "SourceSpan",
-    "format_derivation",
     "parse_expr",
     "parse_proof",
 ]
@@ -598,39 +596,3 @@ def parse_proof(text: str) -> Derivation:
         return _Parser(text, _SCRIPT_TOKEN).parse_derivation()
     except (ParseError, _TurnedDown):
         return _Parser(text).parse_derivation()
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing
-
-def _format_step(step: Step, indent: int, out: list[str]) -> None:
-    pad = "    " * indent
-    head = f"{pad}{step.label}: {format_judgment(step.judgment)} by {step.rule.value}"
-    if step.rule is Rule.CASES and step.case_pair is not None:
-        lhs, rhs = step.case_pair
-        out.append(f"{head} {lhs} {rhs} {{")
-        for i, branch in enumerate(step.branches):
-            if i:
-                out.append(f"{pad}}} {{")
-            for sub in branch:
-                _format_step(sub, indent + 1, out)
-        out.append(f"{pad}}};")
-    elif step.premises:
-        out.append(f"{head} {' '.join(step.premises)};")
-    else:
-        out.append(f"{head};")
-
-
-def format_derivation(d: Derivation) -> str:
-    """Render a derivation back to script text; reparsing yields an equal value."""
-    lines: list[str] = []
-    lines.append("vars" + ("" if not d.variables else " " + " ".join(d.variables)) + ";")
-    if d.hypotheses:
-        lines.append("")
-        for h in d.hypotheses:
-            lines.append(f"hyp {h.label}: {format_judgment(h.judgment)};")
-    if d.steps:
-        lines.append("")
-        for s in d.steps:
-            _format_step(s, 0, lines)
-    return "\n".join(lines) + "\n"

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "DegenerateAngle",
     "Ordering",
     "add_two",
-    "angle_from_rays",
     "angle_from_slope_vector",
     "compare_multisets",
     "compare_sums",
@@ -177,26 +175,6 @@ def right_angle() -> AngleLit:
     return AngleLit(0, 1)
 
 
-def angle_from_rays(apex, p, q) -> AngleLit:
-    """Angle at ``apex`` between the rays toward ``p`` and ``q``.
-
-    Points are pairs of integers or :class:`~fractions.Fraction`.  Only the
-    dot and cross products of the two ray vectors are used; both scale by
-    the same positive factor, so no square roots are involved and the result
-    is exact.  Collinear rays (inclination 0 or pi) raise DegenerateAngle.
-    """
-    ux = Fraction(p[0]) - Fraction(apex[0])
-    uy = Fraction(p[1]) - Fraction(apex[1])
-    vx = Fraction(q[0]) - Fraction(apex[0])
-    vy = Fraction(q[1]) - Fraction(apex[1])
-    dot = ux * vx + uy * vy
-    cross = ux * vy - uy * vx
-    if cross == 0:
-        raise DegenerateAngle("rays are collinear: the inclination is 0 or pi")
-    scale = lcm(dot.denominator, cross.denominator)
-    return angle_from_slope_vector(int(dot * scale), int(abs(cross) * scale))
-
-
 def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
     """Total measure of a finite multiset of angles, as straight angles plus
     one angle below pi.  The result is canonical, so it does not depend on
@@ -265,10 +243,10 @@ def _multiples(counts: dict[tuple[int, int], int]) -> list[tuple[int, int, int]]
             if y < 0 or (y == 0 and x < 0):
                 s, x, y = s + 1, -x, -y
             if bit == "1":
+                # No gcd: a power of a primitive angle has no rational factor
+                # but the 2s of (1 + i)**2, which the squaring's gcd took out,
+                # so (x, y) has no factor 1 + i and times the angle stays primitive.
                 x, y = x * ax - y * ay, x * ay + y * ax
-                g = gcd(x, y)
-                if g != 1:
-                    x, y = x // g, y // g
                 if y < 0 or (y == 0 and x < 0):
                     s, x, y = s + 1, -x, -y
         out.append((s, x, y))

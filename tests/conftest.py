@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from eukleia.calculus import MultisetExpr, Term
 from eukleia.kernel import AngleLit, angle_from_slope_vector
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "eukleia" / "corpus"
@@ -10,6 +11,10 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "eukleia" / "corpu
 
 def ang(x: int, y: int) -> AngleLit:
     return angle_from_slope_vector(x, y)
+
+
+def multiset(*terms: Term) -> MultisetExpr:
+    return MultisetExpr(tuple(terms))
 
 
 def random_angle(rng: random.Random, bound: int = 50) -> AngleLit:

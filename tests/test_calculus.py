@@ -13,10 +13,10 @@ from eukleia.calculus import (
     Congr,
     Context,
     Derivation,
-    EmptyPart,
     Eq,
     Falsum,
     Hypothesis,
+    Judgment,
     Lt,
     MultisetExpr,
     Rule,
@@ -26,13 +26,11 @@ from eukleia.calculus import (
     check_derivation,
     check_step,
     comparison,
-    derive_whole_part,
-    multiset,
 )
 from eukleia.dsl import parse_proof
 from eukleia.kernel import compare_multisets, right_angle
 
-from conftest import ang, random_angle
+from conftest import ang, multiset, random_angle
 
 R = right_angle()
 a, b, c, d, t = "a", "b", "c", "d", "t"
@@ -112,6 +110,17 @@ class TestSubstitution:
     def test_subst_side_must_match(self):
         context = ctx(Eq(multiset(a), multiset(b)), Lt(multiset(c), multiset(d)))
         fails(Step("s", Lt(multiset(c), multiset(a)), Rule.SUBST_RIGHT, ("H1", "H2")), context, "match")
+
+    # The parser reads these steps; the checker refuses the premises' kinds.
+    @pytest.mark.parametrize("rule", [Rule.SUBST_LEFT, Rule.SUBST_RIGHT])
+    @pytest.mark.parametrize("premises, reason", [
+        ([Lt(multiset(a), multiset(b)), Lt(multiset(b), multiset(c))], "first premise must be an equality"),
+        ([Eq(multiset(a), multiset(b)), Split(a, b, c)], "second premise must be a comparison"),
+        ([Eq(multiset(a), multiset(b)), Falsum()], "second premise must be a comparison"),
+    ])
+    def test_premise_kinds(self, rule, premises, reason):
+        err = fails(Step("s", Lt(multiset(a), multiset(c)), rule, ("H1", "H2")), ctx(*premises), reason)
+        assert err.reason == reason
 
 
 class TestConclusionKind:
@@ -292,6 +301,10 @@ class TestKernelEval:
         fails(Step("s", Falsum(), Rule.KERNEL_EVAL), ctx(), "cannot produce")
 
 
+# A branch that concludes Lt({b}, {a}) from the context's H1.
+CONCLUDE = (Step("x", Lt(multiset(b), multiset(a)), Rule.HYPOTHESIS, ("H1",)),)
+
+
 class TestCases:
     def goal_step(self, branches):
         return Step(
@@ -346,6 +359,23 @@ class TestCases:
             check_step(Step("y", Lt(multiset(b), multiset(a)), Rule.HYPOTHESIS, ("x3",)), context)
         assert "unknown premise" in err.value.reason
 
+    # The parser builds none of these steps, so each is built directly.
+    @pytest.mark.parametrize("step, reason", [
+        (Step("s", Lt(multiset(b), multiset(a)), Rule.HYPOTHESIS, ("H1",), branches=(CONCLUDE,) * 3),
+         "case blocks are only meaningful under the cases rule"),
+        (Step("s", Lt(multiset(b), multiset(a)), Rule.HYPOTHESIS, ("H1",), case_pair=(multiset(a), multiset(b))),
+         "case blocks are only meaningful under the cases rule"),
+        (Step("s", Lt(multiset(b), multiset(a)), Rule.CASES, case_pair=(multiset("z", a), multiset(b)),
+              branches=(CONCLUDE,) * 3), "undeclared variable 'z'"),
+        (Step("s", Lt(multiset(b), multiset(a)), Rule.CASES, case_pair=(multiset(a), multiset(b)),
+              branches=((), CONCLUDE, CONCLUDE)), "branch 1 is empty"),
+        (Step("s", Lt(multiset(b), multiset(a)), Rule.CASES, case_pair=(multiset(a), multiset(b)),
+              branches=(CONCLUDE, CONCLUDE, ())), "branch 3 is empty"),
+    ], ids=["branches-elsewhere", "pair-elsewhere", "undeclared-pair", "first-empty", "last-empty"])
+    def test_malformed_blocks(self, step, reason):
+        err = fails(step, ctx(Lt(multiset(b), multiset(a))), reason)
+        assert (err.label, err.reason) == ("s", reason)
+
     def test_case_reference_invalid_outside(self):
         fails(Step("s", Lt(multiset(a), multiset(b)), Rule.HYPOTHESIS, ("case",)), ctx(), "unknown premise")
 
@@ -365,6 +395,16 @@ class TestDerivationChecking:
         with pytest.raises(StepError) as err:
             check_derivation(d)
         assert err.value.reason == "duplicate label"
+
+    @pytest.mark.parametrize("hypotheses, label, reason", [
+        ((Hypothesis("H1", Split(a, b, b)), Hypothesis("H1", Congr(a, b))), "H1", "duplicate label"),
+        ((Hypothesis("H1", Split(a, b, b)), Hypothesis("H2", Lt(multiset(a), multiset("z", b)))), "H2",
+         "undeclared variable 'z'"),
+    ], ids=["duplicate", "undeclared"])
+    def test_bad_hypothesis_rejected(self, hypotheses, label, reason):
+        with pytest.raises(StepError) as err:
+            check_derivation(Derivation(variables=("a", "b"), hypotheses=hypotheses))
+        assert (err.value.label, err.value.reason) == (label, reason)
 
     def test_undeclared_variable_rejected(self):
         d = Derivation(variables=("a",), steps=(Step("S1", Eq(multiset(b), multiset(b)), Rule.EQ_REFL),))
@@ -419,6 +459,47 @@ class TestDerivationChecking:
         )
         for _ in range(3):
             check_derivation(d)
+
+
+class EmptyPart(ValueError):
+    """derive_whole_part was asked to add an empty part."""
+
+
+def derive_whole_part(m: MultisetExpr, n: MultisetExpr, label_prefix: str = "wp") -> tuple[Step, ...]:
+    """Steps concluding Lt(m, m + n), built from SingletonPos, AddBoth and LtTrans.
+
+    The returned fragment is self-contained: every premise cites one of its
+    own labels, so it checks inside any derivation whose label space does
+    not collide with ``label_prefix``.  Raises EmptyPart when ``n`` is empty.
+    So wholepart is a derived rule: these three rules license each instance.
+    """
+    if not n.terms:
+        raise EmptyPart("the added part must be nonempty")
+    steps: list[Step] = []
+    counter = 0
+
+    def emit(judgment: Judgment, rule: Rule, *premises: str) -> str:
+        nonlocal counter
+        counter += 1
+        label = f"{label_prefix}{counter}"
+        steps.append(Step(label, judgment, rule, tuple(premises)))
+        return label
+
+    base = m
+    total_label = total = None
+    for t in n.terms:
+        cur = Lt(MultisetExpr(), multiset(t))
+        label = emit(cur, Rule.SINGLETON_POS)
+        for u in base.terms:
+            cur = Lt(MultisetExpr(cur.lhs.terms + (u,)), MultisetExpr(cur.rhs.terms + (u,)))
+            label = emit(cur, Rule.ADD_BOTH, label)
+        if total is None:
+            total_label, total = label, cur
+        else:
+            total = Lt(total.lhs, cur.rhs)
+            total_label = emit(total, Rule.LT_TRANS, total_label, label)
+        base = MultisetExpr(base.terms + (t,))
+    return tuple(steps)
 
 
 class TestDeriveWholePart:

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import time
 
@@ -708,6 +710,45 @@ def test_literal_operand_json_matches_golden(name):
     code, out, err = call([*argv, "--json"])
     assert (code, err) == (expected_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Output the reader cannot take: a pipe closed before the first write, and a
+# stdout encoding without the characters of a line.  The command runs in a
+# child interpreter, where stdout is a real file.
+
+def spawn(argv, stdout=subprocess.PIPE, cwd=None, **env) -> subprocess.CompletedProcess:
+    """``python -m eukleia`` with ``argv`` in a child interpreter, which
+    finds the package by an absolute path and sees ``env`` on top of this
+    environment, PYTHONUNBUFFERED removed."""
+    environ = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    src = str(CORPUS_DIR.parent.parent)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "eukleia", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          cwd=cwd, env={**environ, **env}, timeout=120)
+
+
+class TestOutputCannotRaise:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_keeps_the_exit_code(self, json_flag, buffering):
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to the pipe fails
+        try:
+            done = spawn(["corpus", "--trials", "5", *json_flag], stdout=write, **buffering)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
+    @pytest.mark.parametrize("name, text, code, first", [
+        ("squared.eap", "vars \u00b2;\n", EXIT_PARSE, "parse error at 1:6: unexpected character '\\xb2'"),
+        ("ok_\u00e9.eap", "vars a;\nS1: Eq {a} {a} by eqrefl;\n", EXIT_OK, "ok: ok_\\xe9.eap (1 steps)"),
+    ], ids=["message", "file-name"])
+    def test_unencodable_line_is_escaped(self, tmp_path, name, text, code, first):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        done = spawn(["check", name], cwd=tmp_path, PYTHONIOENCODING="ascii")
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert done.stdout.decode("ascii").splitlines()[0] == first
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,48 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eukleia.calculus import MultisetExpr, Rule, multiset
+from eukleia.calculus import Derivation, MultisetExpr, Rule, Step, format_judgment
 from eukleia import dsl
 from eukleia.dsl import (_SCRIPT_TOKEN, _STEP, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _literal_counts,
-                         _Parser, _TurnedDown, format_derivation, parse_expr, parse_proof)
+                         _Parser, _TurnedDown, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
-from conftest import CORPUS_DIR, ang, nested_cases_script, random_angle
+from conftest import CORPUS_DIR, ang, multiset, nested_cases_script, random_angle
 
 R = right_angle()
+
+
+def _format_step(step: Step, indent: int, out: list[str]) -> None:
+    pad = "    " * indent
+    head = f"{pad}{step.label}: {format_judgment(step.judgment)} by {step.rule.value}"
+    if step.rule is Rule.CASES and step.case_pair is not None:
+        lhs, rhs = step.case_pair
+        out.append(f"{head} {lhs} {rhs} {{")
+        for i, branch in enumerate(step.branches):
+            if i:
+                out.append(f"{pad}}} {{")
+            for sub in branch:
+                _format_step(sub, indent + 1, out)
+        out.append(f"{pad}}};")
+    elif step.premises:
+        out.append(f"{head} {' '.join(step.premises)};")
+    else:
+        out.append(f"{head};")
+
+
+def format_derivation(d: Derivation) -> str:
+    """Render a derivation back to script text; reparsing yields an equal value."""
+    lines: list[str] = []
+    lines.append("vars" + ("" if not d.variables else " " + " ".join(d.variables)) + ";")
+    if d.hypotheses:
+        lines.append("")
+        for h in d.hypotheses:
+            lines.append(f"hyp {h.label}: {format_judgment(h.judgment)};")
+    if d.steps:
+        lines.append("")
+        for s in d.steps:
+            _format_step(s, 0, lines)
+    return "\n".join(lines) + "\n"
 
 
 def spans_inside(text, err: ParseError):
@@ -32,7 +65,7 @@ class TestParseExpr:
     def test_multiplicity_accumulates(self):
         e = parse_expr("{a, b, a}")
         assert e == multiset("a", "a", "b")
-        assert e.counts()["a"] == 2
+        assert Counter(e.terms)["a"] == 2
 
     def test_two_right_angles(self):
         assert parse_expr("{R, R}") == multiset(R, R)

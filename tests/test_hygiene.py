@@ -251,3 +251,26 @@ def test_every_definition_is_used_or_exported():
             if name not in exported | UNREFERENCED and reads[name] == _reads(node)[name]:
                 stray.append(f"{path.name}:{node.lineno}: {name!r}")
     assert not stray, ", ".join(stray) + " defined but not used in the package or exported"
+
+
+def _readme_code_words() -> set[str]:
+    """Each identifier inside backticks in README.md, in a fenced block or an inline span."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S))
+    return {word for span in fenced + inline for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_package_export_is_used_or_documented():
+    # What the package exports, package code reads or README shows; a name
+    # only the tests call belongs in the tests.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+    reads = sum(map(_reads, trees.values()), Counter())
+    documented = _readme_code_words()
+    stray = []
+    for module, names in sorted(_package_imports().items()):
+        definitions = dict(_top_level_definitions(trees[module]))
+        for name in sorted(names):
+            if name not in documented and reads[name] == _reads(definitions[name])[name]:
+                stray.append(f"{module}.{name}")
+    assert not stray, ", ".join(stray) + " exported but neither read by the package nor named in README"
