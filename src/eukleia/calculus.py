@@ -22,7 +22,7 @@ from itertools import compress, count
 from operator import attrgetter, ne
 from typing import TYPE_CHECKING, NoReturn, Optional, Union
 
-from .kernel import _EQUAL, _LESS, AngleLit, Ordering, compare_multisets, right_angle
+from .kernel import _EQUAL, _LESS, _RIGHT, AngleLit, Ordering, compare_multisets
 
 if TYPE_CHECKING:
     from .dsl import SourceSpan
@@ -33,9 +33,6 @@ if TYPE_CHECKING:
 
 # A variable name or a concrete angle.
 Term = Union[str, AngleLit]
-
-_RIGHT = right_angle()
-
 
 _BY_COORDS = attrgetter("x", "y")
 
@@ -161,47 +158,35 @@ def comparison(j: Judgment) -> tuple[tuple[Term, ...], tuple[Term, ...], Orderin
 # Rules and derivations
 
 class Rule(Enum):
-    """The closed set of inference rules a step may cite."""
+    """The closed set of inference rules a step may cite.
 
-    EQ_REFL = "eqrefl"
-    EQ_SYM = "eqsym"
-    EQ_TRANS = "eqtrans"
-    SUBST_LEFT = "substleft"
-    SUBST_RIGHT = "substright"
-    LT_TRANS = "lttrans"
-    ADD_BOTH = "addboth"
-    SINGLETON_POS = "singletonpos"
-    WHOLE_PART = "wholepart"
-    SPLIT_EQ = "spliteq"
-    CONGR_EQ = "congreq"
-    LT_IRREFL = "ltirrefl"
-    LT_ASYM = "ltasym"
-    EQ_LT_CLASH = "eqltclash"
-    CASES = "cases"
-    HYPOTHESIS = "hypothesis"
-    KERNEL_EVAL = "kerneleval"
+    A member's value is the rule's name as a script cites it, and its
+    ``premise_count`` is how many premise labels a step citing it gives.
+    """
 
+    EQ_REFL = "eqrefl", 0
+    EQ_SYM = "eqsym", 1
+    EQ_TRANS = "eqtrans", 2
+    SUBST_LEFT = "substleft", 2
+    SUBST_RIGHT = "substright", 2
+    LT_TRANS = "lttrans", 2
+    ADD_BOTH = "addboth", 1
+    SINGLETON_POS = "singletonpos", 0
+    WHOLE_PART = "wholepart", 0
+    SPLIT_EQ = "spliteq", 1
+    CONGR_EQ = "congreq", 1
+    LT_IRREFL = "ltirrefl", 1
+    LT_ASYM = "ltasym", 2
+    EQ_LT_CLASH = "eqltclash", 2
+    CASES = "cases", 0
+    HYPOTHESIS = "hypothesis", 1
+    KERNEL_EVAL = "kerneleval", 0
 
-# How many premises each rule cites, by its name (the member's value).
-_PREMISE_COUNT: dict[str, int] = {
-    "eqrefl": 0,
-    "eqsym": 1,
-    "eqtrans": 2,
-    "substleft": 2,
-    "substright": 2,
-    "lttrans": 2,
-    "addboth": 1,
-    "singletonpos": 0,
-    "wholepart": 0,
-    "spliteq": 1,
-    "congreq": 1,
-    "ltirrefl": 1,
-    "ltasym": 2,
-    "eqltclash": 2,
-    "cases": 0,
-    "hypothesis": 1,
-    "kerneleval": 0,
-}
+    def __new__(cls, name: str, premise_count: int):
+        rule = object.__new__(cls)
+        rule._value_ = name
+        rule.premise_count = premise_count
+        return rule
 
 
 @dataclass(frozen=True)
@@ -329,7 +314,7 @@ def check_step(step: Step, context: Context) -> None:
     name = step.rule._value_
     if name != "cases" and (step.branches or step.case_pair is not None):
         fail("case blocks are only meaningful under the cases rule")
-    expected = _PREMISE_COUNT[name]
+    expected = step.rule.premise_count
     if len(premises) != expected:
         fail(f"rule {name} takes {expected} premise(s), got {len(premises)}")
 

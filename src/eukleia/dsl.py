@@ -93,14 +93,7 @@ from .calculus import (
     Step,
     Term,
 )
-from .kernel import AngleLit, DegenerateAngle, angle_from_slope_vector
-
-__all__ = [
-    "ParseError",
-    "SourceSpan",
-    "parse_expr",
-    "parse_proof",
-]
+from .kernel import _RIGHT, AngleLit, DegenerateAngle, angle_from_slope_vector
 
 
 class SourceSpan(NamedTuple):
@@ -132,8 +125,6 @@ MAX_CASES_DEPTH = 100
 _RESERVED = {"vars", "hyp", "by", "eq", "lt", "split", "congr", "false", "ang", "case", "cases"}
 
 _RULES_BY_NAME = {r.value: r for r in Rule}
-
-_RIGHT_ANGLE = angle_from_slope_vector(0, 1)
 
 # Each judgment head, lowercase: its class, whether its operands are
 # expressions (else terms), and how many it takes.
@@ -350,7 +341,7 @@ class _Parser:
         at = self._pos
         word = self._ident("term")
         if word == "R":
-            return _RIGHT_ANGLE
+            return _RIGHT
         lower = word.lower()
         if lower == "ang":
             self._expect("(")
@@ -482,10 +473,21 @@ class _Parser:
 _ANG = re.compile(r"[aA][nN][gG][ \t\r\n]*\([ \t\r\n]*(-?[0-9]+)[ \t\r\n]*/[ \t\r\n]*(-?[0-9]+)[ \t\r\n]*\)")
 
 
+def _braced(text: str) -> Optional[list[str]]:
+    """The raw pieces of the expression ``text``, split on "," between its
+    braces, blanks around the braces dropped: none for a blank interior, and
+    None when the text is not one brace group."""
+    inner = text.strip(_BLANKS)
+    if inner[:1] != "{" or inner[-1:] != "}":
+        return None
+    inner = inner[1:-1]
+    return inner.split(",") if inner.strip(_BLANKS) else []
+
+
 def _expr_terms(text: str, declared: Collection[str],
                 memo: Optional[dict[str, Term]] = None) -> Optional[tuple[list[str], list[AngleLit]]]:
     """The names and the angles of the expression ``text``, two lists each in
-    the order written, read by splitting the text between its braces on ",";
+    the order written, read from the pieces :func:`_braced` splits it into;
     None when the token parser must read it.  Blanks around the braces and
     around each piece are dropped, and a blank interior is the empty
     expression.  Each raw piece is looked up in ``memo`` (one per parse)
@@ -494,23 +496,20 @@ def _expr_terms(text: str, declared: Collection[str],
     degenerate.  Any other piece (an empty one, a comment, another name, two
     terms) turns the text down, so that the token parser, which alone
     reports errors, reads it."""
-    inner = text.strip(_BLANKS)
-    if inner[:1] != "{" or inner[-1:] != "}":
+    pieces = _braced(text)
+    if pieces is None:
         return None
-    inner = inner[1:-1]
     names, angles = [], []
-    if not inner.strip(_BLANKS):
-        return names, angles
     if memo is None:
         memo = {}
-    for piece in inner.split(","):
+    for piece in pieces:
         term = memo.get(piece)
         if term is None:
             word = piece.strip(_BLANKS)
             if word in declared:
                 term = word
             elif word == "R":
-                term = _RIGHT_ANGLE
+                term = _RIGHT
             else:
                 match = _ANG.fullmatch(word)
                 if match is None:
@@ -527,18 +526,15 @@ def _expr_terms(text: str, declared: Collection[str],
 def _literal_counts(text: str) -> Optional[dict[tuple[int, int], int]]:
     """The angles of the literal-only expression ``text``, counted by reduced
     pair ``(x, y)``; None when the token parser must read it.  The text is
-    split between its braces on "," as :func:`_expr_terms` splits it, and
+    split into pieces by :func:`_braced`, as for :func:`_expr_terms`, and
     each distinct raw piece is read once, by that reader's rules with no name
     declared: ``R`` or one ``ang`` literal whose integers the interpreter
     converts and whose angle is not degenerate."""
-    inner = text.strip(_BLANKS)
-    if inner[:1] != "{" or inner[-1:] != "}":
+    pieces = _braced(text)
+    if pieces is None:
         return None
-    inner = inner[1:-1]
     counts: dict[tuple[int, int], int] = {}
-    if not inner.strip(_BLANKS):
-        return counts
-    for piece, n in Counter(inner.split(",")).items():
+    for piece, n in Counter(pieces).items():
         word = piece.strip(_BLANKS)
         if word == "R":
             pair = (0, 1)

@@ -14,6 +14,10 @@ size.  A multiset given as counts of distinct angles
 doubling, and two such multisets sum their common part once.  Sums and
 comparisons of arbitrary finite multisets of angles stay in integer
 arithmetic throughout: no floats, no trigonometric evaluation, no rounding.
+
+This module owns the right angle ``R``, the angle of the vector (0, 1).  It
+is built once, as ``_RIGHT``: :func:`right_angle` returns it, the script
+reader reads ``R`` as it, and the judgment printer writes it as ``R``.
 """
 
 from __future__ import annotations
@@ -22,20 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import Iterable, Optional
-
-__all__ = [
-    "AngleLit",
-    "AngleOverflow",
-    "AngleSum",
-    "DegenerateAngle",
-    "Ordering",
-    "add_two",
-    "angle_from_slope_vector",
-    "compare_multisets",
-    "compare_sums",
-    "right_angle",
-    "sum_multiset",
-]
 
 
 class DegenerateAngle(ValueError):
@@ -61,6 +51,10 @@ class Ordering(Enum):
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"
+
+    # Members are singletons compared by identity, so they hash as objects:
+    # Enum.__hash__ is a Python function, this one is not.
+    __hash__ = object.__hash__
 
 
 # Read once: on Python 3.11 each Ordering.X runs EnumType.__getattr__.
@@ -89,6 +83,10 @@ class AngleLit:
 
     def __str__(self) -> str:
         return f"ang({self.x}/{self.y})"
+
+
+# R, the package's one right angle (see the module docstring).
+_RIGHT = AngleLit(0, 1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def _reduced(x: int, y: int) -> AngleLit:
 
 def right_angle() -> AngleLit:
     """The angle between perpendicular rays, canonically (0, 1)."""
-    return AngleLit(0, 1)
+    return _RIGHT
 
 
 def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:

@@ -51,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence
 
 from .calculus import (
     Derivation,
@@ -65,17 +65,6 @@ from .calculus import (
     format_judgment,
 )
 from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _reduced, _total, compare_multisets
-
-__all__ = [
-    "Counterexample",
-    "ModelCheckReport",
-    "SamplingPlan",
-    "Unsatisfied",
-    "UnboundVariable",
-    "Valuation",
-    "eval_judgment",
-    "model_check_derivation",
-]
 
 Valuation = Dict[str, AngleLit]
 
@@ -176,7 +165,7 @@ def _compiled_side(terms: Sequence, slot: Mapping[str, int]) -> tuple:
     return _total(literals) if literals or not slots else None, slots
 
 
-def _form(j: Judgment, declared: set[str]) -> tuple[tuple, tuple, Ordering]:
+def _form(j: Judgment, declared: Collection[str]) -> tuple[tuple, tuple, Ordering]:
     """``j``'s comparison (:func:`eukleia.calculus.comparison`) with each
     term common to both sides dropped once from each, the rest as written:
     names, and literals as ``(0, x, y)`` triples.  Raises UnboundVariable
@@ -574,15 +563,11 @@ class _CompiledSteps:
 
     def __init__(self, derivation: Derivation):
         self.plan = SamplingPlan(derivation.variables, [h.judgment for h in derivation.hypotheses])
-        self._declared = set(derivation.variables)
         self._side_index: dict[tuple, int] = {}
-        # Keyed on the wanted order's value: Ordering's __hash__ is a Python
-        # function.  ``_wanted`` keeps the member that :func:`_form` gave.
-        self._test_index: dict[tuple[str, int, int], int] = {}
-        self._wanted: dict[str, Ordering] = {}
+        self._test_index: dict[tuple[Ordering, int, int], int] = {}
         entries: list[list] = []
         self._emit(derivation.steps, entries, set())
-        tests = [(self._wanted[wanted], lhs, rhs) for wanted, lhs, rhs in self._test_index]
+        tests = list(self._test_index)
         self.program = tuple((*tests[test], then, orelse) for test, then, orelse in entries)
         self.sides = [_compiled_side(side, self.plan._slots) for side in self._side_index]
         # Each side's total where no name needs a slot, None where it does.
@@ -591,10 +576,11 @@ class _CompiledSteps:
     def _intern(self, j: Judgment) -> int:
         """The index of ``j``'s cancelled comparison (:func:`_form`) in
         ``_test_index``."""
-        lhs, rhs, wanted = _form(j, self._declared)
+        # The plan's slot map has one key per declared variable, and a dict,
+        # unlike the tuple of names, answers each name in one lookup.
+        lhs, rhs, wanted = _form(j, self.plan._slots)
         sides, tests = self._side_index, self._test_index
-        key = (wanted._value_, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides)))
-        self._wanted[key[0]] = wanted
+        key = (wanted, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides)))
         return tests.setdefault(key, len(tests))
 
     def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:

@@ -110,6 +110,8 @@ class TestSubstitution:
     def test_subst_side_must_match(self):
         context = ctx(Eq(multiset(a), multiset(b)), Lt(multiset(c), multiset(d)))
         fails(Step("s", Lt(multiset(c), multiset(a)), Rule.SUBST_RIGHT, ("H1", "H2")), context, "match")
+        err = fails(Step("s", Lt(multiset(a), multiset(d)), Rule.SUBST_LEFT, ("H1", "H2")), context, "match")
+        assert err.reason == "left side of the comparison does not match the equality"
 
     # The parser reads these steps; the checker refuses the premises' kinds.
     @pytest.mark.parametrize("rule", [Rule.SUBST_LEFT, Rule.SUBST_RIGHT])
@@ -682,7 +684,7 @@ class TestRuleDispatch:
         assert sorted(dispatched) == sorted(rule.value for rule in Rule)
 
     def test_premise_counts_are_unchanged(self):
-        assert calculus._PREMISE_COUNT == {rule.value: n for rule, n in PREMISE_COUNTS.items()}
+        assert {rule: rule.premise_count for rule in Rule} == PREMISE_COUNTS
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda rule: rule.value)
     def test_no_rule_is_unhandled(self, rule):

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -265,13 +266,17 @@ class TestModelcheck:
         assert code == EXIT_VACUOUS
         assert rep["status"] == "vacuous"
 
-    @pytest.mark.parametrize("argv", [["modelcheck", str(CORPUS_DIR / "prop16.eap")], ["corpus"]],
-                             ids=["modelcheck", "corpus"])
-    def test_negative_trials_is_a_usage_error(self, capsys, argv):
+    # A trial count that is not an int is turned down the same way.
+    @pytest.mark.parametrize("argv, message", [
+        (["modelcheck", str(CORPUS_DIR / "prop16.eap"), "--trials", "-5"], "--trials: must be 0 or more"),
+        (["corpus", "--trials", "-5"], "--trials: must be 0 or more"),
+        (["modelcheck", "x.eap", "--trials", "abc"], "--trials: invalid int value: 'abc'"),
+    ], ids=["modelcheck", "corpus", "modelcheck-not-an-int"])
+    def test_negative_trials_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_:
-            main(argv + ["--trials", "-5"])
+            main(argv)
         assert exit_.value.code == 2
-        assert "--trials: must be 0 or more" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_rejects_unchecked_files_first(self, capsys):
         code, _ = run(capsys, "modelcheck", str(CORPUS_DIR / "prop13_broken.eap"))
@@ -314,6 +319,10 @@ class TestModelcheck:
         assert rep["status"] == "counterexample"
         assert rep["step"] == "S1"
         assert rep["valuation"] == {"a": "ang(1/2)"}
+        # The same result as a corpus row.
+        code, out = run(capsys, "corpus", "--trials", "3")
+        assert code == EXIT_COUNTEREXAMPLE
+        assert re.search(r"^prop16\.eap +counterexample +step S1$", out, re.M)
 
 
 class TestCorpus:
@@ -778,6 +787,48 @@ class TestReadmeContract:
     def test_json_fields(self):
         assert _readme_list("with the fields") == list(cli._FIELDS)
         assert set(cli._FIELDS) == JSON_FIELDS
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block in the README section under ``heading``."""
+    match = re.search(f"^## {heading}\n.*?^```{language}\n(.*?)^```", README, re.M | re.S)
+    assert match, heading
+    return match.group(1)
+
+
+# Each "# ..." comment after a printed value or a command shows what it
+# prints: the value itself, or the value and then ", " or blanks and a note.
+def _shows(comment: str, printed: str) -> bool:
+    return comment == printed or comment.startswith((printed + ", ", printed + " "))
+
+
+class TestReadmeExamples:
+    def test_library_use(self, capsys, monkeypatch):
+        monkeypatch.chdir(CORPUS_DIR.parent.parent.parent)  # the block opens a corpus file by its path from there
+        block = _readme_block("Library use", "python")
+        namespace: dict = {}
+        exec(block, namespace)
+        printed = capsys.readouterr().out.splitlines()
+        shown = re.findall(r"^print\(.*?\) *# (.+)$", block, re.M)
+        assert len(shown) == 5
+        assert all(_shows(comment, value) for comment, value in zip(shown, printed)), (shown, printed)
+        assert re.search(r"^# add_two\(R, R\) raises AngleOverflow\b", block, re.M)
+        with pytest.raises(namespace["AngleOverflow"]):
+            namespace["add_two"](namespace["R"], namespace["R"])
+        (claim,) = re.findall(r"`(parse_expr\(.*?\)\.terms == .*?)`", README)
+        assert eval(claim, namespace) is True
+
+    def test_command_line(self, capsys):
+        shown = []
+        for line in _readme_block("Command line", "sh").splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)[1:]
+            if argv[0] in ("eval", "compare") and not any(arg.startswith("--") for arg in argv):
+                code, out = run(capsys, *argv)
+                assert code == EXIT_OK
+                shown.append((argv[0], comment.strip(), out.splitlines()[0]))
+        assert [command for command, _, _ in shown] == ["eval", "compare"]
+        assert all(_shows(comment, first) for _, comment, first in shown), shown
 
 
 # sha256 of stdout for ``--help`` and of stderr for two usage errors, with

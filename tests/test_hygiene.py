@@ -43,17 +43,10 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    unused = set(_imported(tree)) - _used(tree) - _exported(tree)
+    unused = set(_imported(tree)) - _used(tree)
     assert not unused, ", ".join(f"{path.name}:{_imported(tree)[n]}: {n!r} imported but unused" for n in sorted(unused))
 
 
@@ -181,18 +174,6 @@ def _package_imports() -> dict[str, set[str]]:
             for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
 
 
-# Each name a submodule lists in ``__all__`` is an attribute of the package,
-# and the package re-exports no other name of a module that has ``__all__``.
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_package_exports_each_public_name(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    exported = _exported(tree)
-    package = importlib.import_module("eukleia")
-    missing = sorted(name for name in exported if not hasattr(package, name))
-    extra = sorted(_package_imports().get(path.stem, set()) - exported) if exported else []
-    assert (missing, extra) == ([], []), f"{path.name}: {missing} in __all__ but not in eukleia, {extra} the other way"
-
-
 # Where cli.py may read an exit code: the status table, the rule that folds a
 # command's reports into one code, and main(), which returns it.
 EXIT_CODE_READERS = {"_EXIT_CODES", "_exit_code", "main"}
@@ -238,7 +219,7 @@ UNREFERENCED = {"__all__", "__version__"}
 
 
 def test_every_definition_is_used_or_exported():
-    # Exported: in the module's __all__, or imported by eukleia/__init__.py.
+    # Exported: imported by eukleia/__init__.py.
     # A helper only the tests keep alive is dead code in the package.
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -246,7 +227,7 @@ def test_every_definition_is_used_or_exported():
     reads = sum(map(_reads, trees.values()), Counter())
     stray = []
     for path, tree in trees.items():
-        exported = _exported(tree) | package.get(path.stem, set())
+        exported = package.get(path.stem, set())
         for name, node in _top_level_definitions(tree):
             if name not in exported | UNREFERENCED and reads[name] == _reads(node)[name]:
                 stray.append(f"{path.name}:{node.lineno}: {name!r}")
@@ -274,3 +255,31 @@ def test_every_package_export_is_used_or_documented():
             if name not in documented and reads[name] == _reads(definitions[name])[name]:
                 stray.append(f"{module}.{name}")
     assert not stray, ", ".join(stray) + " exported but neither read by the package nor named in README"
+
+
+def _package_data_globs(pyproject: str) -> list[str]:
+    """The ``eukleia`` globs of pyproject's ``[tool.setuptools.package-data]``,
+    read without tomllib, which Python 3.10 lacks: the table's one key holds
+    a list of plain strings."""
+    table = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert table, "no [tool.setuptools.package-data] table"
+    value = re.search(r"^eukleia *= *(\[.*?\])", table.group(1), re.M | re.S)
+    assert value, "no eukleia key in [tool.setuptools.package-data]"
+    return ast.literal_eval(value.group(1))
+
+
+def test_package_data_ships_every_corpus_file():
+    # A wheel holds only the data files these globs match: a corpus file no
+    # glob matches would be missing from an installed package.
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    globs = _package_data_globs(pyproject)
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        pass
+    else:
+        assert globs == tomllib.loads(pyproject)["tool"]["setuptools"]["package-data"]["eukleia"]
+    shipped = {path for pattern in globs for path in PACKAGE.glob(pattern)}
+    present = {path for path in (PACKAGE / "corpus").rglob("*") if path.is_file()}
+    assert present, "no corpus files"
+    assert sorted(str(path.relative_to(PACKAGE)) for path in present - shipped) == []

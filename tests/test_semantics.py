@@ -1171,8 +1171,8 @@ class TestCompiledSteps:
                                                         steps=tuple(_step("S", j) for j in judgments)))
         assert list(compiled._side_index) == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side)
                                               for side in sides]
-        assert list(compiled._test_index) == [(wanted._value_, lhs, rhs) for wanted, lhs, rhs in checks]
-        assert [compiled._test_index[(entry[0]._value_, *entry[1:3])] for entry in compiled.program] == list(dict.fromkeys(tests))
+        assert list(compiled._test_index) == list(checks)
+        assert [compiled._test_index[entry[:3]] for entry in compiled.program] == list(dict.fromkeys(tests))
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
