@@ -340,7 +340,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:  # the reader has gone; the interpreter's last flush must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _exit_code(reports)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

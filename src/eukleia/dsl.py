@@ -93,7 +93,7 @@ from .calculus import (
     Step,
     Term,
 )
-from .kernel import _RIGHT, AngleLit, DegenerateAngle, angle_from_slope_vector
+from .kernel import _RIGHT, AngleLit, DegenerateAngle, _reduced, angle_from_slope_vector
 
 
 class SourceSpan(NamedTuple):
@@ -342,8 +342,7 @@ class _Parser:
         word = self._ident("term")
         if word == "R":
             return _RIGHT
-        lower = word.lower()
-        if lower == "ang":
+        if word.lower() == "ang":
             self._expect("(")
             x = self._int()
             self._expect("/")
@@ -358,8 +357,7 @@ class _Parser:
                 raise ParseError(self._span(at, length),
                                  "degenerate angle literal: the argument is not strictly between 0 and pi") from None
             return angle
-        if lower in _RESERVED:
-            raise ParseError(self._span(at), f"{word!r} is reserved and cannot name a variable")
+        self._check_name(word, "variable", at)
         if self._declared is not None and word not in self._declared:
             raise ParseError(self._span(at), f"undeclared variable {word!r}")
         return word
@@ -484,6 +482,25 @@ def _braced(text: str) -> Optional[list[str]]:
     return inner.split(",") if inner.strip(_BLANKS) else []
 
 
+def _literal_pair(word: str) -> Optional[tuple[int, int]]:
+    """The reduced pair ``(x, y)`` of the expression piece ``word``, its
+    blanks stripped, when it is ``R`` or one ``ang`` literal whose integers
+    the interpreter converts and whose angle is not degenerate; else None."""
+    if word == "R":
+        return _RIGHT.x, _RIGHT.y
+    match = _ANG.fullmatch(word)
+    if match is None:
+        return None
+    try:
+        x, y = int(match[1]), int(match[2])
+    except ValueError:  # longer than the interpreter's int conversion limit
+        return None
+    if y <= 0:  # a degenerate angle
+        return None
+    g = gcd(x, y)
+    return x // g, y // g
+
+
 def _expr_terms(text: str, declared: Collection[str],
                 memo: Optional[dict[str, Term]] = None) -> Optional[tuple[list[str], list[AngleLit]]]:
     """The names and the angles of the expression ``text``, two lists each in
@@ -491,11 +508,10 @@ def _expr_terms(text: str, declared: Collection[str],
     None when the token parser must read it.  Blanks around the braces and
     around each piece are dropped, and a blank interior is the empty
     expression.  Each raw piece is looked up in ``memo`` (one per parse)
-    and, when new, must be a name in ``declared``, ``R`` or an ``ang``
-    literal whose integers the interpreter converts and whose angle is not
-    degenerate.  Any other piece (an empty one, a comment, another name, two
-    terms) turns the text down, so that the token parser, which alone
-    reports errors, reads it."""
+    and, when new, must be a name in ``declared`` or a literal that
+    :func:`_literal_pair` reads.  Any other piece (an empty one, a comment,
+    another name, two terms) turns the text down, so that the token parser,
+    which alone reports errors, reads it."""
     pieces = _braced(text)
     if pieces is None:
         return None
@@ -508,16 +524,11 @@ def _expr_terms(text: str, declared: Collection[str],
             word = piece.strip(_BLANKS)
             if word in declared:
                 term = word
-            elif word == "R":
-                term = _RIGHT
             else:
-                match = _ANG.fullmatch(word)
-                if match is None:
+                pair = _literal_pair(word)
+                if pair is None:
                     return None
-                try:
-                    term = angle_from_slope_vector(int(match[1]), int(match[2]))
-                except ValueError:  # the digit limit, or DegenerateAngle
-                    return None
+                term = _RIGHT if word == "R" else _reduced(*pair)
             memo[piece] = term
         (names if term.__class__ is str else angles).append(term)
     return names, angles
@@ -527,29 +538,15 @@ def _literal_counts(text: str) -> Optional[dict[tuple[int, int], int]]:
     """The angles of the literal-only expression ``text``, counted by reduced
     pair ``(x, y)``; None when the token parser must read it.  The text is
     split into pieces by :func:`_braced`, as for :func:`_expr_terms`, and
-    each distinct raw piece is read once, by that reader's rules with no name
-    declared: ``R`` or one ``ang`` literal whose integers the interpreter
-    converts and whose angle is not degenerate."""
+    each distinct raw piece is read once, by :func:`_literal_pair`."""
     pieces = _braced(text)
     if pieces is None:
         return None
     counts: dict[tuple[int, int], int] = {}
     for piece, n in Counter(pieces).items():
-        word = piece.strip(_BLANKS)
-        if word == "R":
-            pair = (0, 1)
-        else:
-            match = _ANG.fullmatch(word)
-            if match is None:
-                return None
-            try:
-                x, y = int(match[1]), int(match[2])
-            except ValueError:  # longer than the interpreter's int conversion limit
-                return None
-            if y <= 0:  # a degenerate angle
-                return None
-            g = gcd(x, y)
-            pair = (x // g, y // g)
+        pair = _literal_pair(piece.strip(_BLANKS))
+        if pair is None:
+            return None
         counts[pair] = counts.get(pair, 0) + n
     return counts
 

@@ -345,10 +345,8 @@ class SamplingPlan:
     false, and a refuted plan draws nothing.  The rest, in ``checks``, must
     each hold, with the truth :func:`eval_judgment` gives, before a
     candidate is returned.  Candidates are built and tested on the plan's
-    slot program (see :meth:`_compile`).
-
-    Valuations are drawn by :meth:`sample`, from a generator made at the
-    plan's first draw and re-seeded for every later one.
+    slot program (see :meth:`_compile`).  Valuations are drawn by
+    :meth:`sample`.
     """
 
     def __init__(self, variables: Iterable[str], hypotheses: Sequence[Judgment]):
@@ -395,7 +393,7 @@ class SamplingPlan:
         self.refuted = self.hypotheses[min(refuted)] if refuted else None
         # The rest are checked, on their sides as written; neither is empty.
         self.checks = tuple(self.hypotheses[i] for i in unsolved)
-        self._rng: Optional[random.Random] = None
+        self._rng = random.Random.__new__(random.Random)  # unseeded: Random() would read the system's entropy
 
     def _compile(self, solved: Mapping[str, tuple], checks: Sequence[tuple], refuted: list) -> None:
         """The slot program: a candidate's values are one list of ``(x, y)``
@@ -462,16 +460,13 @@ class SamplingPlan:
     def _accepted(self, seed: int, budget: int) -> list:
         """The slot list of the first of up to ``budget`` candidates that
         satisfies the hypotheses.  A plan that draws nothing proposes the
-        same candidate for every seed, and never makes a generator."""
+        same candidate for every seed, and never seeds the generator."""
         if self.refuted is not None:
             raise Unsatisfied(0)
         rng = self._rng
         start, drawn, actions, lts, checks = self._program
         if drawn:
-            if rng is None:  # Random(seed) runs seed(seed), so it draws what a re-seeded one does
-                rng = self._rng = random.Random(seed)
-            else:
-                rng.seed(seed)
+            rng.seed(seed)
         values = start.copy()
         for _ in range(budget):
             for k in drawn:

@@ -3,13 +3,26 @@
 import ast
 import importlib
 import re
+import tomllib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eukleia"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eukleia"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+
+
+def _version(text: str) -> tuple[int, int]:
+    """A ``major.minor`` version as a pair of integers."""
+    major, minor = text.split(".")
+    return int(major), int(minor)
+
+
+# The lowest Python the package supports: pyproject.toml alone names it.
+FLOOR = _version(PYPROJECT["project"]["requires-python"].removeprefix(">="))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -144,17 +157,17 @@ def test_patterns_name_ascii_digits(path):
     assert not stray, f"{path.name}: \\d in {stray}"
 
 
-# pyproject.toml requires Python 3.10: no module may use later syntax, and no
-# pattern a possessive quantifier or an atomic group, which re compiles from 3.11.
+# No module may use syntax later than the lowest Python the package supports.
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_modules_parse_as_python_3_10(path):
-    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+def test_modules_parse_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_patterns_compile_on_python_3_10(path):
-    stray = [source for source in _pattern_sources(path) if re.search(r"[*+?}]\+|\(\?>", source)]
-    assert not stray, f"{path.name}: possessive quantifier or atomic group in {stray}"
+def test_ci_tests_the_python_floor():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"^ *python-version: (\[.*\])$", workflow, re.M)
+    assert matrix, "no python-version matrix in tests.yml"
+    assert min(map(_version, ast.literal_eval(matrix.group(1)))) == FLOOR
 
 
 def test_pattern_scan_sees_the_parser_patterns():
@@ -236,7 +249,7 @@ def test_every_definition_is_used_or_exported():
 
 def _readme_code_words() -> set[str]:
     """Each identifier inside backticks in README.md, in a fenced block or an inline span."""
-    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     fenced = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
     inline = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S))
     return {word for span in fenced + inline for word in re.findall(r"[A-Za-z_]\w*", span)}
@@ -257,28 +270,10 @@ def test_every_package_export_is_used_or_documented():
     assert not stray, ", ".join(stray) + " exported but neither read by the package nor named in README"
 
 
-def _package_data_globs(pyproject: str) -> list[str]:
-    """The ``eukleia`` globs of pyproject's ``[tool.setuptools.package-data]``,
-    read without tomllib, which Python 3.10 lacks: the table's one key holds
-    a list of plain strings."""
-    table = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
-    assert table, "no [tool.setuptools.package-data] table"
-    value = re.search(r"^eukleia *= *(\[.*?\])", table.group(1), re.M | re.S)
-    assert value, "no eukleia key in [tool.setuptools.package-data]"
-    return ast.literal_eval(value.group(1))
-
-
 def test_package_data_ships_every_corpus_file():
     # A wheel holds only the data files these globs match: a corpus file no
     # glob matches would be missing from an installed package.
-    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
-    globs = _package_data_globs(pyproject)
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        pass
-    else:
-        assert globs == tomllib.loads(pyproject)["tool"]["setuptools"]["package-data"]["eukleia"]
+    globs = PYPROJECT["tool"]["setuptools"]["package-data"]["eukleia"]
     shipped = {path for pattern in globs for path in PACKAGE.glob(pattern)}
     present = {path for path in (PACKAGE / "corpus").rglob("*") if path.is_file()}
     assert present, "no corpus files"

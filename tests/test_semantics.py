@@ -486,14 +486,17 @@ def test_plans_draw_the_same_for_a_seed_however_often_they_sample():
 
 
 @pytest.mark.parametrize("name", ["four_rights", "postulate5", "aliased-part"])
-def test_plans_that_draw_nothing_are_not_seeded(name):
+def test_plans_that_draw_nothing_are_not_seeded(name, monkeypatch):
     # Every candidate of a plan with nothing to draw is the same, so no seed
-    # can change it, and the plan never makes a generator.
+    # can change it, and no seed reaches the plan's generator.
+    seeds = []
+    reseed = random.Random.seed
+    monkeypatch.setattr(random.Random, "seed", lambda rng, *args: seeds.append(args) or reseed(rng, *args))
     plan = SamplingPlan(*hypothesis_set(name))
     assert plan.draws == ()
     samples = [plan.sample(seed) for seed in (-7, 0, 1, 7 * 1_000_003 + 5, 2**70)]
     assert samples == [{n: plan.fixed[n] for n in plan.variables}] * 5
-    assert plan._rng is None
+    assert seeds == []
 
 
 def _count_draws(monkeypatch):
