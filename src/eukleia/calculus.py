@@ -60,8 +60,7 @@ class MultisetExpr:
 
     def __init__(self, terms: tuple[Term, ...] = ()):
         names = sorted([t for t in terms if isinstance(t, str)])
-        if len(names) < len(terms):
-            names += sorted([t for t in terms if not isinstance(t, str)], key=_BY_COORDS)
+        names += sorted([t for t in terms if not isinstance(t, str)], key=_BY_COORDS)
         self.__dict__["terms"] = tuple(names)  # written once, directly, as Step's fields are
 
     @classmethod
@@ -212,9 +211,8 @@ class Step:
     def __init__(self, label: str, judgment: Judgment, rule: Rule, premises: tuple[str, ...] = (),
                  case_pair: Optional[tuple[MultisetExpr, MultisetExpr]] = None,
                  branches: tuple[tuple["Step", ...], ...] = (), span: Optional["SourceSpan"] = None):
-        # Written directly, as kernel._reduced does: the frozen class's
-        # __setattr__ refuses, and the generated __init__'s call of
-        # object.__setattr__ per field is slower.
+        # Written directly: the frozen class's __setattr__ refuses, and the
+        # generated __init__'s call of object.__setattr__ per field is slower.
         fields = self.__dict__
         fields["label"] = label
         fields["judgment"] = judgment

@@ -93,7 +93,7 @@ from .calculus import (
     Step,
     Term,
 )
-from .kernel import _RIGHT, AngleLit, DegenerateAngle, _reduced, angle_from_slope_vector
+from .kernel import _RIGHT, AngleLit, DegenerateAngle, angle_from_slope_vector
 
 
 class SourceSpan(NamedTuple):
@@ -208,7 +208,7 @@ class _Parser:
         self._texts, self._starts = _lex(text, token)
         self._exprs: dict[str, MultisetExpr] = {}  # each expression token's text, read once
         self._terms: dict[str, Term] = {}  # each raw piece of those texts, read once
-        self._lines: Optional[list[int]] = None  # each line's start offset, built for the first span
+        self._lines = [0, *(m.end() for m in re.finditer("\n", text))]  # each line's start offset
         self._pos = 0
         # Declared variable names; None accepts any name (a standalone expression).
         self._declared: Optional[set[str]] = None
@@ -229,8 +229,6 @@ class _Parser:
 
     def _span(self, at: int, length: Optional[int] = None) -> SourceSpan:
         """The span of token ``at``, or of ``length`` characters from its start."""
-        if self._lines is None:
-            self._lines = [0, *(m.end() for m in re.finditer("\n", self._text))]
         offset = self._starts[at]
         line = bisect_right(self._lines, offset)
         return SourceSpan(line, offset - self._lines[line - 1] + 1, length or max(1, len(self._texts[at])))
@@ -502,7 +500,7 @@ def _literal_pair(word: str) -> Optional[tuple[int, int]]:
 
 
 def _expr_terms(text: str, declared: Collection[str],
-                memo: Optional[dict[str, Term]] = None) -> Optional[tuple[list[str], list[AngleLit]]]:
+                memo: dict[str, Term]) -> Optional[tuple[list[str], list[AngleLit]]]:
     """The names and the angles of the expression ``text``, two lists each in
     the order written, read from the pieces :func:`_braced` splits it into;
     None when the token parser must read it.  Blanks around the braces and
@@ -516,8 +514,6 @@ def _expr_terms(text: str, declared: Collection[str],
     if pieces is None:
         return None
     names, angles = [], []
-    if memo is None:
-        memo = {}
     for piece in pieces:
         term = memo.get(piece)
         if term is None:
@@ -528,7 +524,7 @@ def _expr_terms(text: str, declared: Collection[str],
                 pair = _literal_pair(word)
                 if pair is None:
                     return None
-                term = _RIGHT if word == "R" else _reduced(*pair)
+                term = _RIGHT if word == "R" else AngleLit(*pair)
             memo[piece] = term
         (names if term.__class__ is str else angles).append(term)
     return names, angles

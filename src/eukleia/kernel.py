@@ -35,9 +35,8 @@ class DegenerateAngle(ValueError):
 class AngleOverflow(ValueError):
     """Two angles were composed into a measure of pi or more.
 
-    ``args`` holds the two angles; the message is formatted only when the
-    exception is shown, since the sampler rejects overflowing candidates by
-    the thousand and never shows them.
+    ``args`` holds the two angles; the message is formatted when the
+    exception is shown.
     """
 
     def __str__(self) -> str:
@@ -155,17 +154,7 @@ def angle_from_slope_vector(x: int, y: int) -> AngleLit:
     if y <= 0:
         raise DegenerateAngle(f"vector ({x}, {y}) does not point strictly above the x-axis")
     g = gcd(abs(x), y)
-    return _reduced(x // g, y // g)
-
-
-def _reduced(x: int, y: int) -> AngleLit:
-    """The AngleLit of a pair that already meets its invariants, built
-    without running its ``__post_init__`` checks again."""
-    value = object.__new__(AngleLit)
-    fields = value.__dict__  # written directly: the frozen class's __setattr__ refuses
-    fields["x"] = x
-    fields["y"] = y
-    return value
+    return AngleLit(x // g, y // g)
 
 
 def right_angle() -> AngleLit:
@@ -184,7 +173,7 @@ def sum_multiset(angles: Iterable[AngleLit]) -> AngleSum:
 def _as_sum(total: tuple[int, int, int]) -> AngleSum:
     """The AngleSum of a ``(straights, x, y)`` total."""
     straights, x, y = total
-    return AngleSum(straights, _reduced(x, y) if y else None)
+    return AngleSum(straights, AngleLit(x, y) if y else None)
 
 
 def _total(level: list[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -293,4 +282,4 @@ def add_two(b: AngleLit, c: AngleLit) -> AngleLit:
     if y <= 0:
         raise AngleOverflow(b, c)
     g = gcd(abs(x), y)
-    return _reduced(x // g, y // g)
+    return AngleLit(x // g, y // g)

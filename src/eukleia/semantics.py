@@ -64,7 +64,7 @@ from .calculus import (
     comparison,
     format_judgment,
 )
-from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _reduced, _total, compare_multisets
+from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _total, compare_multisets
 
 Valuation = Dict[str, AngleLit]
 
@@ -438,7 +438,7 @@ class SamplingPlan:
             else:
                 refuted.append(i)
         self.actions = tuple(kept)
-        self.fixed = {n: _reduced(*start[slot[n]]) for n in self.variables if slot[n] in constant}
+        self.fixed = {n: AngleLit(*start[slot[n]]) for n in self.variables if slot[n] in constant}
         lts, others = [], []
         for lhs, rhs, wanted in checks:
             if len(lhs) == len(rhs) == 1 and wanted is _LESS:
@@ -489,7 +489,7 @@ class SamplingPlan:
 
     def _valuation(self, values: list) -> Valuation:
         """An accepted candidate's valuation, in the order of the variables."""
-        return {n: _reduced(*values[k]) for n, k in self._slots.items()}
+        return {n: AngleLit(*values[k]) for n, k in self._slots.items()}
 
 
 # ---------------------------------------------------------------------------

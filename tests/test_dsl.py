@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 import time
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eukleia.calculus import Derivation, MultisetExpr, Rule, Step, format_judgment
-from eukleia import dsl
+from eukleia import cli, dsl
 from eukleia.dsl import (_SCRIPT_TOKEN, _STEP, _TOKEN, ParseError, SourceSpan, _expr_terms, _lex, _literal_counts,
-                         _Parser, _TurnedDown, parse_expr, parse_proof)
+                         _parse_expr_tokens, _Parser, _TurnedDown, parse_expr, parse_proof)
 from eukleia.kernel import right_angle
 
 from conftest import CORPUS_DIR, ang, multiset, nested_cases_script, random_angle
@@ -585,19 +586,19 @@ class TestPeakMemory:
         operand = str(MultisetExpr(tuple(random_angle(rng, 20) for _ in range(13000))))
         assert _peak_bytes(parse_expr, operand) < 20 * len(operand)
 
+    def test_eval_and_compare_on_a_13000_term_literal_operand(self, capsys):
+        # The CLI counts each operand's angles (_literal_counts) and sums the
+        # counts (AngleSum._of_counts), never building the expression.
+        rng = random.Random(10)
+        operand = str(MultisetExpr(tuple(random_angle(rng, 20) for _ in range(13000))))
+        for argv in (["eval", operand, "--json"], ["compare", operand, operand, "--json"]):
+            assert _peak_bytes(cli.main, argv) < 20 * len(operand)
+        evaluated, compared = map(json.loads, capsys.readouterr().out.splitlines())
+        assert (evaluated["status"], compared["result"]) == ("ok", "EQUAL")
+
 # ---------------------------------------------------------------------------
 # parse_expr reads a literal-only expression by splitting on ","; the token
 # parser is the reference it must match, value for value and error for error.
-
-def _token_parse_expr(text: str) -> MultisetExpr:
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    word = parser._texts[parser._pos]
-    if word:
-        raise ParseError(parser._span(parser._pos), f"unexpected {word!r} after the expression",
-                         expected=("end of input",))
-    return expr
-
 
 def _parse_outcome(parse, text):
     try:
@@ -648,12 +649,12 @@ class TestLiteralFastPath:
     @example("{R, angle(1/2)}")
     @given(expression_texts())
     def test_matches_the_token_parser(self, text):
-        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_parse_expr_tokens, text)
 
     @pytest.mark.parametrize("text", ["{}", " \n{ }\r\n", "{R}", "{ ANG ( -0 / 007 ) ,\n\tR,aNg(1/2) }"])
     def test_literal_only_text_takes_the_pattern_pass(self, text):
         counts = _literal_counts(text)
-        assert counts == Counter((angle.x, angle.y) for angle in _token_parse_expr(text).terms)
+        assert counts == Counter((angle.x, angle.y) for angle in _parse_expr_tokens(text).terms)
 
     @pytest.mark.parametrize("text", ["{a}", "{Rx}", "{r}", "{R # c\n}", "{ang(1/0)}", "{ang(2/-1)}",
                                       f"{{ang({DIGITS_4400}/1)}}", "{ang(٣/1)}", "{R} junk", "{R,}", "{R\u00a0}",
@@ -668,7 +669,7 @@ class TestLiteralFastPath:
     def test_counted_reader_counts_what_the_split_reader_reads(self, text):
         # With no name declared, the counted reader turns down exactly the
         # texts the split reader turns down, and counts the angles it reads.
-        kinds = _expr_terms(text, ())
+        kinds = _expr_terms(text, (), {})
         counts = _literal_counts(text)
         if kinds is None:
             assert counts is None
@@ -954,7 +955,7 @@ _PIECE_CHARS = st.sampled_from(["R", "a", "é", "ang", "ANG", "(", ")", "1", "2"
 class TestSplitReader:
     @pytest.mark.parametrize("text", SPLIT_TEXTS)
     def test_parse_expr_matches_the_token_parser(self, text):
-        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_parse_expr_tokens, text)
 
     @pytest.mark.parametrize("text", SPLIT_TEXTS)
     def test_parse_proof_matches_the_reference(self, text):
@@ -963,18 +964,18 @@ class TestSplitReader:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(_PIECE_CHARS, max_size=12).map(lambda chars: "{" + "".join(chars) + "}"))
     def test_random_pieces_match_the_token_parser(self, text):
-        assert _parse_outcome(parse_expr, text) == _parse_outcome(_token_parse_expr, text)
+        assert _parse_outcome(parse_expr, text) == _parse_outcome(_parse_expr_tokens, text)
         _assert_matches_reference(f"vars a;\nS1: Eq {text} {{a}} by eqrefl;\n")
 
     @pytest.mark.parametrize("text", ["{R,,R}", "{,R}", "{R,}", "{ , }", "{R\v}", "{R, (}", "{R # c\n}", "{R R}",
                                       "{ang(1/0)}", f"{{ang(1/{DIGITS_4400})}}", "{ang(٣/4)}", "{b}", "{case}"])
     def test_turns_down_what_the_token_parser_must_read(self, text):
-        assert _expr_terms(text, {"a"}) is None
+        assert _expr_terms(text, {"a"}, {}) is None
 
     def test_reads_blanks_around_pieces_and_declared_names(self):
-        assert _expr_terms("{a,\n a}", {"a"}) == (["a", "a"], [])
-        assert _expr_terms("{R }", ()) == _expr_terms("{ R}", ()) == ([], [R])
-        assert _expr_terms("{ }", ()) == _expr_terms("{}", ()) == ([], [])
+        assert _expr_terms("{a,\n a}", {"a"}, {}) == (["a", "a"], [])
+        assert _expr_terms("{R }", (), {}) == _expr_terms("{ R}", (), {}) == ([], [R])
+        assert _expr_terms("{ }", (), {}) == _expr_terms("{}", (), {}) == ([], [])
 
     def test_each_raw_piece_is_read_once(self):
         memo: dict = {}

@@ -18,7 +18,6 @@ from eukleia.kernel import (
     compare_sums,
     right_angle,
     sum_multiset,
-    _reduced,
 )
 
 from conftest import ang, random_angle
@@ -127,14 +126,8 @@ class TestConstructors:
         assert AngleSum(0, None) == sum_multiset([])
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
-    def test_unchecked_construction_equals_the_checked_one(self, x, y):
-        # angle_from_slope_vector, add_two and sum_multiset build their
-        # already-reduced results without the class's checks; the value must
-        # not differ from a checked one.
+    def test_slope_vector_is_reduced_by_its_gcd(self, x, y):
         g = gcd(abs(x), y)
-        checked, unchecked = AngleLit(x // g, y // g), _reduced(x // g, y // g)
-        assert type(unchecked) is AngleLit
-        assert (unchecked == checked, hash(unchecked) == hash(checked), repr(unchecked)) == (True, True, repr(checked))
         assert angle_from_slope_vector(x, y) == AngleLit(x // g, y // g)
 
     @given(nonzero_upper)
@@ -258,7 +251,7 @@ count_pairs = st.builds(lambda x, y: (x // gcd(x, y), y // gcd(x, y)), st.intege
 
 
 def _expanded(counts) -> list[AngleLit]:
-    return [_reduced(x, y) for (x, y), n in counts.items() for _ in range(n)]
+    return [AngleLit(x, y) for (x, y), n in counts.items() for _ in range(n)]
 
 
 @st.composite
