@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 from operator import attrgetter, ne
-from typing import TYPE_CHECKING, NoReturn, Optional, Union
+from typing import TYPE_CHECKING, Collection, NoReturn, Optional, Union
 
 from .kernel import _EQUAL, _LESS, _RIGHT, AngleLit, Ordering, compare_multisets
 
@@ -240,33 +240,33 @@ class StepError(Exception):
         self.span = span
 
 
+def undeclared(j: Judgment, declared: Collection[str]) -> Optional[str]:
+    """The least name in ``j``'s :func:`comparison` that is not among
+    ``declared``, or None.  A name is any ``str`` term, of a subclass too."""
+    lhs, rhs, _ = comparison(j)
+    stray = [t for t in lhs + rhs if isinstance(t, str) and t not in declared]
+    return min(stray) if stray else None
+
+
 class Context:
-    """Judgments visible to a step: hypotheses and earlier steps, chained
-    through enclosing Cases branches, and the variables ``declared`` for the
-    whole derivation, which every judgment's names must be among."""
+    """Judgments visible to a step: hypotheses and earlier steps, as a tuple
+    of label maps, one per enclosing Cases branch, innermost first; and the
+    variables ``declared`` for the whole derivation, which every judgment's
+    names must be among."""
 
     def __init__(self, parent: Optional["Context"] = None, declared: Optional[frozenset[str]] = None):
-        self._entries: dict[str, Judgment] = {}
-        self._parent = parent
+        self._blocks: tuple[dict[str, Judgment], ...] = ({}, *parent._blocks) if parent is not None else ({},)
         self.declared: frozenset[str] = parent.declared if parent is not None else frozenset(declared or ())
 
     def lookup(self, label: str) -> Optional[Judgment]:
-        ctx: Optional[Context] = self
-        while ctx is not None:
-            j = ctx._entries.get(label)
+        for block in self._blocks:
+            j = block.get(label)
             if j is not None:
                 return j
-            ctx = ctx._parent
         return None
 
     def bind(self, label: str, judgment: Judgment) -> None:
-        self._entries[label] = judgment
-
-    def undeclared(self, j: Judgment) -> Optional[str]:
-        """The least name in ``j``'s :func:`comparison` that is not declared, or None."""
-        lhs, rhs, _ = comparison(j)
-        stray = {t for t in lhs + rhs if t.__class__ is str} - self.declared
-        return min(stray) if stray else None
+        self._blocks[0][label] = judgment
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def check_step(step: Step, context: Context) -> None:
 
     if context.lookup(step.label) is not None:
         fail("duplicate label")
-    stray = context.undeclared(step.judgment)
+    stray = undeclared(step.judgment, context.declared)
     if stray is not None:
         fail(f"undeclared variable {stray!r}")
 
@@ -429,7 +429,24 @@ def check_step(step: Step, context: Context) -> None:
             fail("kernel refutes this judgment")
 
     elif name == "cases":
-        _check_cases(step, context, fail)
+        if step.case_pair is None:
+            fail("cases needs the pair of expressions being compared")
+        if len(step.branches) != 3:
+            fail("cases needs exactly three branches")
+        m, n = step.case_pair
+        stray = undeclared(Eq(m, n), context.declared)
+        if stray is not None:
+            fail(f"undeclared variable {stray!r}")
+        for idx, (branch, hyp) in enumerate(zip(step.branches, case_hypotheses(m, n)), start=1):
+            if not branch:
+                fail(f"branch {idx} is empty")
+            child = Context(parent=context)
+            child.bind("case", hyp)
+            for sub in branch:
+                check_step(sub, child)
+                child.bind(sub.label, sub.judgment)
+            if branch[-1].judgment != goal:
+                fail(f"branch {idx} concludes {format_judgment(branch[-1].judgment)}, not the goal")
 
     else:  # pragma: no cover - Rule is a closed enumeration
         fail(f"unhandled rule {name}")
@@ -439,34 +456,13 @@ def check_step(step: Step, context: Context) -> None:
         fail("conclusion must be False")
 
 
-def _check_cases(step: Step, context: Context, fail) -> None:
-    if step.case_pair is None:
-        fail("cases needs the pair of expressions being compared")
-    if len(step.branches) != 3:
-        fail("cases needs exactly three branches")
-    m, n = step.case_pair
-    stray = context.undeclared(Eq(m, n))
-    if stray is not None:
-        fail(f"undeclared variable {stray!r}")
-    for idx, (branch, hyp) in enumerate(zip(step.branches, case_hypotheses(m, n)), start=1):
-        if not branch:
-            fail(f"branch {idx} is empty")
-        child = Context(parent=context)
-        child.bind("case", hyp)
-        for sub in branch:
-            check_step(sub, child)
-            child.bind(sub.label, sub.judgment)
-        if branch[-1].judgment != step.judgment:
-            fail(f"branch {idx} concludes {format_judgment(branch[-1].judgment)}, not the goal")
-
-
 def check_derivation(derivation: Derivation) -> None:
     """Check every step in order; raises StepError at the first failure."""
     ctx = Context(declared=frozenset(derivation.variables))
     for h in derivation.hypotheses:
         if ctx.lookup(h.label) is not None:
             raise StepError(h.label, "duplicate label")
-        stray = ctx.undeclared(h.judgment)
+        stray = undeclared(h.judgment, ctx.declared)
         if stray is not None:
             raise StepError(h.label, f"undeclared variable {stray!r}")
         ctx.bind(h.label, h.judgment)

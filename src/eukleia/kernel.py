@@ -273,13 +273,11 @@ def compare_multisets(a: Iterable[AngleLit], b: Iterable[AngleLit]) -> Ordering:
 def add_two(b: AngleLit, c: AngleLit) -> AngleLit:
     """The single angle measuring arg(b) + arg(c); inverse of splitting.
 
-    Defined only when the combined measure stays strictly below pi; since
-    each operand is below pi the composed vector points into the upper
-    half-plane exactly in that case, so ``y <= 0`` raises AngleOverflow.
+    Defined only when the combined measure stays strictly below pi: the two
+    are summed by :func:`_total`, and a sum that carries a straight angle
+    raises AngleOverflow.
     """
-    x = b.x * c.x - b.y * c.y
-    y = b.x * c.y + b.y * c.x
-    if y <= 0:
+    straights, x, y = _total([(0, b.x, b.y), (0, c.x, c.y)])
+    if straights:
         raise AngleOverflow(b, c)
-    g = gcd(abs(x), y)
-    return AngleLit(x // g, y // g)
+    return AngleLit(x, y)

@@ -63,6 +63,7 @@ from .calculus import (
     case_hypotheses,
     comparison,
     format_judgment,
+    undeclared,
 )
 from .kernel import _EQUAL, _LESS, AngleLit, Ordering, _order, _total, compare_multisets
 
@@ -169,17 +170,17 @@ def _form(j: Judgment, declared: Collection[str]) -> tuple[tuple, tuple, Orderin
     """``j``'s comparison (:func:`eukleia.calculus.comparison`) with each
     term common to both sides dropped once from each, the rest as written:
     names, and literals as ``(0, x, y)`` triples.  Raises UnboundVariable
-    for the least undeclared name, before anything is cancelled.  A Split's
-    or Congr's terms, two at most a side, stay in the order written.  The
-    sides of an Eq or Lt are in MultisetExpr's order, the names sorted and
-    then the literals by their coordinates, so they are cancelled by one
-    merge."""
+    for the name :func:`eukleia.calculus.undeclared` finds, before anything
+    is cancelled.  A Split's or Congr's terms, two at most a side, stay in
+    the order written.  The sides of an Eq or Lt are in MultisetExpr's
+    order, the names sorted and then the literals by their coordinates, so
+    they are cancelled by one merge."""
+    stray = undeclared(j, declared)
+    if stray is not None:
+        raise UnboundVariable(stray)
     lhs, rhs, wanted = comparison(j)
     lhs = [t if isinstance(t, str) else (0, t.x, t.y) for t in lhs]
     rhs = [t if isinstance(t, str) else (0, t.x, t.y) for t in rhs]
-    stray = {t for t in lhs + rhs if isinstance(t, str)}.difference(declared)
-    if stray:
-        raise UnboundVariable(min(stray))
     if not isinstance(j, (Eq, Lt)):
         return (*_cancel(lhs, rhs), wanted)
     kept_l, kept_r = [], []
@@ -355,8 +356,8 @@ class SamplingPlan:
         # Each hypothesis's cancelled comparison as written, with the ranks
         # of an equality's names, and each one neither solved for a variable
         # nor decided, with every solved variable substituted.
-        declared, position = set(names), {n: k for k, n in enumerate(names)}
-        written = [_form(h, declared) for h in self.hypotheses]
+        position = {n: k for k, n in enumerate(names)}
+        written = [_form(h, position) for h in self.hypotheses]
         ranks = [_ranks(lhs, rhs, position) if wanted is _EQUAL else None
                  for lhs, rhs, wanted in written]
         unsolved: dict[int, tuple] = {}
@@ -542,9 +543,9 @@ class _CompiledSteps:
     (:func:`eukleia.calculus.comparison`) compares ``A - B`` with ``B - A``
     (multiset differences), since the common terms add the same measure to
     both sides.  ``_side_index`` numbers each distinct cancelled side as
-    :func:`_form` writes it, the form the sampling plan solves, and
-    ``_test_index`` each distinct ``(wanted order, lhs, rhs)``.  Each side
-    is read as the slots of its names and the total of its literals
+    :func:`_form` writes it, the form the sampling plan solves; a test is
+    its own key, ``(wanted order, lhs, rhs)`` with the sides' numbers.  Each
+    side is read as the slots of its names and the total of its literals
     (:func:`_side_sum`).  The step tree is flattened into ``program``, one
     ``(wanted, lhs, rhs, then, orelse)`` entry per test: when the sides'
     totals stand in the ``wanted`` order, the walk goes on at entry
@@ -559,24 +560,21 @@ class _CompiledSteps:
     def __init__(self, derivation: Derivation):
         self.plan = SamplingPlan(derivation.variables, [h.judgment for h in derivation.hypotheses])
         self._side_index: dict[tuple, int] = {}
-        self._test_index: dict[tuple[Ordering, int, int], int] = {}
         entries: list[list] = []
         self._emit(derivation.steps, entries, set())
-        tests = list(self._test_index)
-        self.program = tuple((*tests[test], then, orelse) for test, then, orelse in entries)
+        self.program = tuple((*test, then, orelse) for test, then, orelse in entries)
         self.sides = [_compiled_side(side, self.plan._slots) for side in self._side_index]
         # Each side's total where no name needs a slot, None where it does.
         self._fixed = [None if slots else literals for literals, slots in self.sides]
 
-    def _intern(self, j: Judgment) -> int:
-        """The index of ``j``'s cancelled comparison (:func:`_form`) in
-        ``_test_index``."""
+    def _intern(self, j: Judgment) -> tuple[Ordering, int, int]:
+        """``j``'s test: the ``(wanted, lhs, rhs)`` key of its cancelled
+        comparison (:func:`_form`), each side numbered in ``_side_index``."""
         # The plan's slot map has one key per declared variable, and a dict,
         # unlike the tuple of names, answers each name in one lookup.
         lhs, rhs, wanted = _form(j, self.plan._slots)
-        sides, tests = self._side_index, self._test_index
-        key = (wanted, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides)))
-        return tests.setdefault(key, len(tests))
+        sides = self._side_index
+        return wanted, sides.setdefault(lhs, len(sides)), sides.setdefault(rhs, len(sides))
 
     def _emit(self, steps: Sequence[Step], entries: list, known: set) -> None:
         """Append ``[test, then, orelse]`` entries for ``steps``, each going

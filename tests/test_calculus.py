@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import enum
 import inspect
 import random
 import textwrap
@@ -29,6 +30,7 @@ from eukleia.calculus import (
 )
 from eukleia.dsl import parse_proof
 from eukleia.kernel import compare_multisets, right_angle
+from eukleia.semantics import UnboundVariable, model_check_derivation
 
 from conftest import ang, multiset, random_angle
 
@@ -378,6 +380,39 @@ class TestCases:
         err = fails(step, ctx(Lt(multiset(b), multiset(a))), reason)
         assert (err.label, err.reason) == ("s", reason)
 
+    def test_nested_cases_keep_each_block_in_scope(self):
+        # An outer cases {a} {b} whose first branch holds an inner cases
+        # {c} {d}; every branch ends by concluding the goal from H1.
+        goal, outer_case, inner_case = (Lt(multiset(b), multiset(a)), Lt(multiset(a), multiset(b)),
+                                        Lt(multiset(c), multiset(d)))
+
+        def nested(inner_steps, after_inner):
+            inner = Step("i", goal, Rule.CASES, case_pair=(multiset(c), multiset(d)),
+                         branches=((*inner_steps, *CONCLUDE), CONCLUDE, CONCLUDE))
+            first = (Step("x0", outer_case, Rule.HYPOTHESIS, ("case",)), inner, *after_inner, *CONCLUDE)
+            return Step("s", goal, Rule.CASES, case_pair=(multiset(a), multiset(b)),
+                        branches=(first, CONCLUDE, CONCLUDE))
+
+        def cites(label, j, premise="case"):
+            return Step(label, j, Rule.HYPOTHESIS, (premise,))
+
+        context = ctx(goal)
+        # Inside the inner branch, case is the inner comparison; after the
+        # inner cases step, the outer branch's case is the outer one again.
+        check(nested([cites("y0", inner_case)], [cites("x1", outer_case)]), context)
+        err = fails(nested([cites("y0", outer_case)], []), context, "neither restates")
+        assert err.label == "y0"
+        err = fails(nested([], [cites("x1", inner_case)]), context, "neither restates")
+        assert err.label == "x1"
+        # An inner branch's label leaves scope with the branch.
+        err = fails(nested([cites("y0", inner_case)], [cites("x1", inner_case, "y0")]), context, "unknown premise")
+        assert (err.label, err.reason) == ("x1", "unknown premise 'y0'")
+        # An inner step cannot reuse the label of a step of an enclosing
+        # branch, or of a hypothesis.
+        for label in ("x0", "H1"):
+            err = fails(nested([cites(label, inner_case)], []), context, "duplicate label")
+            assert (err.label, err.reason) == (label, "duplicate label")
+
     def test_case_reference_invalid_outside(self):
         fails(Step("s", Lt(multiset(a), multiset(b)), Rule.HYPOTHESIS, ("case",)), ctx(), "unknown premise")
 
@@ -419,6 +454,20 @@ class TestDerivationChecking:
         with pytest.raises(StepError) as err:
             check_derivation(d)
         assert err.value.reason == "undeclared variable 'y'"
+
+    def test_a_str_subclass_name_is_checked_as_the_model_checker_checks_it(self):
+        # A StrEnum member is a name to MultisetExpr and to the model
+        # checker, so an undeclared one is refused by both, by name.
+        class Name(enum.StrEnum):
+            Z = "Z"
+
+        d = Derivation(variables=(a,), steps=(Step("S1", Eq(multiset(Name.Z), multiset(Name.Z)), Rule.EQ_REFL),))
+        with pytest.raises(UnboundVariable) as unbound:
+            model_check_derivation(d, trials=1)
+        assert unbound.value.args == ("Z",)
+        with pytest.raises(StepError) as err:
+            check_derivation(d)
+        assert (err.value.label, err.value.reason) == ("S1", f"undeclared variable {Name.Z!r}")
 
     def test_a_side_found_declared_is_so_only_for_its_own_derivation(self):
         # One expression object in two derivations: declared in the first,

@@ -1162,20 +1162,19 @@ class TestCompiledSteps:
         # Congr's terms in the order comparison writes them.  A step whose
         # test an earlier step passed cannot fail: it gets no entry in the
         # walk's program.
-        sides, checks, tests = {}, {}, []
+        sides, tests = {}, []
         for j in judgments:
             lhs, rhs, wanted = comparison(j)
             diffs = [tuple((Counter(x) - Counter(y)).elements()) for x, y in ((lhs, rhs), (rhs, lhs))]
             if isinstance(j, (Eq, Lt)):
                 diffs = [MultisetExpr(diff).terms for diff in diffs]
             pair = [sides.setdefault(diff, len(sides)) for diff in diffs]
-            tests.append(checks.setdefault((wanted, *pair), len(checks)))
+            tests.append((wanted, *pair))
         compiled = semantics._CompiledSteps(Derivation(variables=(a, b, c),
                                                         steps=tuple(_step("S", j) for j in judgments)))
         assert list(compiled._side_index) == [tuple(t if isinstance(t, str) else (0, t.x, t.y) for t in side)
                                               for side in sides]
-        assert list(compiled._test_index) == list(checks)
-        assert [compiled._test_index[entry[:3]] for entry in compiled.program] == list(dict.fromkeys(tests))
+        assert [entry[:3] for entry in compiled.program] == list(dict.fromkeys(tests))
 
     def test_stray_variable_on_both_sides(self):
         # Cancelling {z} against {z} must not hide that z is undeclared.
